@@ -141,7 +141,7 @@ impl Point {
 
 fn bench_cluster(_c: &mut Criterion) {
     // Smoke pass under `cargo test --benches` / CI: tiny load, no
-    // artifact (see bp_kernel.rs for the convention).
+    // artifact (see bp_precision.rs for the convention).
     let smoke = !std::env::args().any(|a| a == "--bench");
     let per_client = if smoke { 8 } else { 500 };
 

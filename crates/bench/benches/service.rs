@@ -128,7 +128,7 @@ fn run_soak(max_batch: usize, shards: usize, syndromes: &[Vec<BitVec>]) -> RunRe
 
 fn bench_service(_c: &mut Criterion) {
     // Smoke pass under `cargo test --benches` / `cargo check`: tiny load,
-    // no artifact (see bp_kernel.rs for the convention).
+    // no artifact (see bp_precision.rs for the convention).
     let smoke = !std::env::args().any(|a| a == "--bench");
     let (producers, per_producer) = if smoke { (2, 8) } else { (4, 1000) };
     let shards = 1; // isolate the coalescing effect; raise on multicore

@@ -52,7 +52,7 @@ fn run_case(case: &Case, shots: usize) -> StreamingReport {
 
 fn bench_streaming(_c: &mut Criterion) {
     // Smoke pass under `cargo test --benches`: tiny load, no artifact
-    // (same convention as service.rs / bp_kernel.rs).
+    // (same convention as service.rs / bp_precision.rs).
     let smoke = !std::env::args().any(|a| a == "--bench");
     let shots = if smoke { 8 } else { 200 };
 

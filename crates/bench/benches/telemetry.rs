@@ -128,7 +128,7 @@ fn record_cost_ns(samples: usize) -> f64 {
 
 fn bench_telemetry(_c: &mut Criterion) {
     // Smoke pass under `cargo test --benches` / `cargo check`: tiny load,
-    // no artifact (see bp_kernel.rs for the convention).
+    // no artifact (see bp_precision.rs for the convention).
     let smoke = !std::env::args().any(|a| a == "--bench");
     let (shots, passes, record_samples) = if smoke {
         (16, 2, 1000)

@@ -1,4 +1,5 @@
-//! Ablation study over the BP-SF design choices called out in DESIGN.md:
+//! Ablation study over the BP-SF design choices (measurement recipes
+//! for the rest of the stack are in EXPERIMENTS.md):
 //!
 //! * adaptive damping `α_i = 1 − 2⁻ⁱ` vs fixed normalization,
 //! * first-success return vs classical min-weight Chase selection,
@@ -12,7 +13,7 @@
 use bpsf_core::{BpSfConfig, CandidateRanking, TrialSelection};
 use qldpc_bench::{banner, BenchArgs};
 use qldpc_bp::DampingSchedule;
-use qldpc_sim::{decoders, run_code_capacity, CodeCapacityConfig};
+use qldpc_sim::{decoders, run_code_capacity, BatchConfig, CodeCapacityConfig};
 
 fn main() {
     let args = BenchArgs::parse(600);
@@ -113,7 +114,12 @@ fn main() {
         "variant", "LER", "unsolved", "avg iters", "avg ms"
     );
     for (name, cfg) in variants {
-        let r = run_code_capacity(&code, &config, &decoders::bp_sf(cfg));
+        let r = run_code_capacity(
+            &code,
+            &config,
+            &decoders::bp_sf(cfg),
+            &BatchConfig::SEQUENTIAL,
+        );
         let iters = r.serial_iteration_stats();
         let wall = r.wall_stats_ms();
         println!(

@@ -17,7 +17,7 @@ use bpsf_core::BpSfConfig;
 use qldpc_bench::build_dem;
 use qldpc_codes::CssCode;
 use qldpc_sim::{
-    decoders, decoders::Precision, run_circuit_level_parallel, run_code_capacity_parallel,
+    decoders, decoders::Precision, run_circuit_level, run_code_capacity, BatchConfig,
     CircuitLevelConfig, CodeCapacityConfig, DecoderFactory,
 };
 
@@ -116,23 +116,17 @@ impl Cli {
         {
             panic!("--precision f32 is only supported by bp/layered-bp");
         }
+        let sf_config = if self.model == "capacity" {
+            BpSfConfig::code_capacity(self.bp_iters, self.candidates, self.w_max)
+        } else {
+            BpSfConfig::circuit_level(self.bp_iters, self.candidates, self.w_max, self.n_s)
+        };
         match self.decoder.as_str() {
             "bp" => decoders::plain_bp_at(self.bp_iters, self.precision),
             "layered-bp" => decoders::layered_bp_at(self.bp_iters, self.precision),
             "bposd" => decoders::bp_osd(self.bp_iters, self.osd_order),
-            "bpsf" => {
-                let config = if self.model == "capacity" {
-                    BpSfConfig::code_capacity(self.bp_iters, self.candidates, self.w_max)
-                } else {
-                    BpSfConfig::circuit_level(self.bp_iters, self.candidates, self.w_max, self.n_s)
-                };
-                decoders::bp_sf(config)
-            }
-            "bpsf-parallel" => {
-                let config =
-                    BpSfConfig::circuit_level(self.bp_iters, self.candidates, self.w_max, self.n_s);
-                decoders::parallel_bp_sf(config, self.threads.max(2))
-            }
+            "bpsf" => decoders::bp_sf(sf_config),
+            "bpsf-parallel" => decoders::parallel_bp_sf(sf_config, self.threads.max(2)),
             other => panic!("unknown decoder {other:?}"),
         }
     }
@@ -142,13 +136,26 @@ fn main() {
     let cli = Cli::parse();
     let code = cli.resolve_code();
     let factory = cli.resolve_decoder();
+    // One decode call per shot, so the reported wall clock is per-shot
+    // latency. `--threads` fans the shot stream out — except under
+    // `bpsf-parallel`, where it sizes the decoder's trial pool and the
+    // shots stay one stream (T streams of T-worker pools is T² threads).
+    let streams = if cli.decoder == "bpsf-parallel" {
+        1
+    } else {
+        cli.threads
+    };
+    let batch = BatchConfig {
+        threads: streams,
+        batch_size: 1,
+    };
     println!(
         "decoding {} under the {} model at p = {} ({} shots, {} thread(s))",
         code, cli.model, cli.p, cli.shots, cli.threads
     );
 
     let report = match cli.model.as_str() {
-        "capacity" => run_code_capacity_parallel(
+        "capacity" => run_code_capacity(
             &code,
             &CodeCapacityConfig {
                 p: cli.p,
@@ -156,7 +163,7 @@ fn main() {
                 seed: cli.seed,
             },
             &factory,
-            cli.threads,
+            &batch,
         ),
         "circuit" => {
             let rounds = cli.rounds.unwrap_or_else(|| code.d().unwrap_or(4));
@@ -167,7 +174,7 @@ fn main() {
                 dem.num_mechanisms(),
                 rounds
             );
-            let mut r = run_circuit_level_parallel(
+            let mut r = run_circuit_level(
                 &dem,
                 &format!("{} r={rounds} p={}", code.name(), cli.p),
                 &CircuitLevelConfig {
@@ -175,7 +182,7 @@ fn main() {
                     seed: cli.seed,
                 },
                 &factory,
-                cli.threads,
+                &batch,
             );
             println!("LER/round = {:.3e}", r.ler_per_round(rounds));
             r.workload.push_str(" (circuit)");

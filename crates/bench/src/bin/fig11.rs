@@ -33,6 +33,6 @@ fn main() {
         "BP-SF (BP100, w=5, |Φ|=50, ns=5) ≈ BP1000-OSD10 across the sweep",
         "plain BP1000 trails both by roughly an order of magnitude",
         "note: detectors here are gauge-product stabilizer combinations —",
-        "the subsystem decoding path of the substrate (see DESIGN.md)",
+        "the subsystem decoding path of the substrate (see EXPERIMENTS.md)",
     ]);
 }

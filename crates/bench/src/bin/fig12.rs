@@ -8,7 +8,7 @@
 
 use bpsf_core::BpSfConfig;
 use qldpc_bench::{banner, build_dem, paper_reference, BenchArgs};
-use qldpc_sim::{decoders, run_circuit_level, CircuitLevelConfig};
+use qldpc_sim::{decoders, run_circuit_level, BatchConfig, CircuitLevelConfig};
 
 fn main() {
     let args = BenchArgs::parse(300);
@@ -40,7 +40,13 @@ fn main() {
         &[10, 50, 200, 1000]
     };
     for &cap in bp_caps {
-        let r = run_circuit_level(&dem, "gross", &config, &decoders::plain_bp(cap));
+        let r = run_circuit_level(
+            &dem,
+            "gross",
+            &config,
+            &decoders::plain_bp(cap),
+            &BatchConfig::SEQUENTIAL,
+        );
         let it = r.serial_iteration_stats();
         println!(
             "{:<34} {:>12.3e} {:>12.1} {:>12.0}",
@@ -71,6 +77,7 @@ fn main() {
             "gross",
             &config,
             &decoders::bp_sf(BpSfConfig::circuit_level(100, 50, w, ns)),
+            &BatchConfig::SEQUENTIAL,
         );
         let it = r.serial_iteration_stats();
         println!(

@@ -9,7 +9,7 @@
 
 use bpsf_core::BpSfConfig;
 use qldpc_bench::{banner, build_dem, paper_reference, BenchArgs};
-use qldpc_sim::{decoders, run_circuit_level, CircuitLevelConfig};
+use qldpc_sim::{decoders, run_circuit_level, BatchConfig, CircuitLevelConfig};
 
 fn main() {
     let args = BenchArgs::parse(60);
@@ -40,7 +40,13 @@ fn main() {
             decoders::bp_sf(BpSfConfig::circuit_level(100, 50, 10, 10)),
             decoders::bp_osd(1000, 10),
         ] {
-            let r = run_circuit_level(&dem, code.name(), &config, &factory);
+            let r = run_circuit_level(
+                &dem,
+                code.name(),
+                &config,
+                &factory,
+                &BatchConfig::SEQUENTIAL,
+            );
             let wall = r.wall_stats_ms();
             let pp = r.postprocessed_wall_stats_ms();
             println!(

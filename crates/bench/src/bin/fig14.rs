@@ -9,7 +9,10 @@
 
 use bpsf_core::BpSfConfig;
 use qldpc_bench::{banner, build_dem, paper_reference, BenchArgs};
-use qldpc_sim::{decoders, run_circuit_level, CircuitLevelConfig, HardwareLatencyModel};
+use qldpc_sim::{
+    decoders, run_circuit_level, BatchConfig, CircuitLevelConfig, DecoderFactory,
+    HardwareLatencyModel,
+};
 
 fn main() {
     let args = BenchArgs::parse(300);
@@ -33,39 +36,23 @@ fn main() {
     );
     for &p in &[1e-3, 2e-3, 3e-3] {
         let dem = build_dem(&code, rounds, p);
+        let run = |factory: DecoderFactory| {
+            run_circuit_level(&dem, "gross", &config, &factory, &BatchConfig::SEQUENTIAL)
+        };
         let mut rows: Vec<(String, qldpc_sim::RunReport)> = Vec::new();
-        rows.push((
-            "BP1000-OSD10".into(),
-            run_circuit_level(&dem, "gross", &config, &decoders::bp_osd(1000, 10)),
-        ));
-        rows.push((
-            "BP-SF (serial)".into(),
-            run_circuit_level(&dem, "gross", &config, &decoders::bp_sf(sf_config)),
-        ));
+        rows.push(("BP1000-OSD10".into(), run(decoders::bp_osd(1000, 10))));
+        rows.push(("BP-SF (serial)".into(), run(decoders::bp_sf(sf_config))));
         rows.push((
             "BP-SF (CPU, P=2)".into(),
-            run_circuit_level(
-                &dem,
-                "gross",
-                &config,
-                &decoders::parallel_bp_sf(sf_config, 2),
-            ),
+            run(decoders::parallel_bp_sf(sf_config, 2)),
         ));
         if args.full {
             rows.push((
                 "BP-SF (CPU, P=4)".into(),
-                run_circuit_level(
-                    &dem,
-                    "gross",
-                    &config,
-                    &decoders::parallel_bp_sf(sf_config, 4),
-                ),
+                run(decoders::parallel_bp_sf(sf_config, 4)),
             ));
         }
-        rows.push((
-            "BP100 (lower bound)".into(),
-            run_circuit_level(&dem, "gross", &config, &decoders::plain_bp(100)),
-        ));
+        rows.push(("BP100 (lower bound)".into(), run(decoders::plain_bp(100))));
         for (name, r) in &rows {
             let wall = r.wall_stats_ms();
             println!(

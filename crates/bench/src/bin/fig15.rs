@@ -8,7 +8,7 @@
 
 use bpsf_core::BpSfConfig;
 use qldpc_bench::{banner, build_dem, paper_reference, BenchArgs};
-use qldpc_sim::{decoders, run_circuit_level, CircuitLevelConfig, DecoderFactory};
+use qldpc_sim::{decoders, run_circuit_level, BatchConfig, CircuitLevelConfig, DecoderFactory};
 
 fn main() {
     let args = BenchArgs::parse(300);
@@ -37,7 +37,7 @@ fn main() {
     }
 
     for (name, factory) in &contenders {
-        let r = run_circuit_level(&dem, "gross", &config, factory);
+        let r = run_circuit_level(&dem, "gross", &config, factory, &BatchConfig::SEQUENTIAL);
         let samples: Vec<f64> = r.records.iter().map(|s| s.wall_ns as f64 / 1e6).collect();
         let stats = r.wall_stats_ms();
         println!("\n--- {name} ---");

@@ -9,7 +9,9 @@
 
 use bpsf_core::BpSfConfig;
 use qldpc_bench::{banner, build_dem, paper_reference, BenchArgs};
-use qldpc_sim::{decoders, run_circuit_level, CircuitLevelConfig, HardwareLatencyModel};
+use qldpc_sim::{
+    decoders, run_circuit_level, BatchConfig, CircuitLevelConfig, HardwareLatencyModel,
+};
 
 fn main() {
     let args = BenchArgs::parse(300);
@@ -31,8 +33,15 @@ fn main() {
         "gross",
         &config,
         &decoders::bp_sf(BpSfConfig::circuit_level(100, 50, 10, 10)),
+        &BatchConfig::SEQUENTIAL,
     );
-    let osd = run_circuit_level(&dem, "gross", &config, &decoders::bp_osd(1000, 10));
+    let osd = run_circuit_level(
+        &dem,
+        "gross",
+        &config,
+        &decoders::bp_osd(1000, 10),
+        &BatchConfig::SEQUENTIAL,
+    );
 
     let gpu_serial = HardwareLatencyModel::gpu_estimate();
     let gpu_batched = HardwareLatencyModel::gpu_batched();

@@ -7,7 +7,7 @@
 //! often. The sweet spot sits near BP1000.
 
 use qldpc_bench::{banner, build_dem, paper_reference, BenchArgs};
-use qldpc_sim::{decoders, run_circuit_level, CircuitLevelConfig};
+use qldpc_sim::{decoders, run_circuit_level, BatchConfig, CircuitLevelConfig};
 
 fn main() {
     let args = BenchArgs::parse(300);
@@ -34,7 +34,13 @@ fn main() {
         "decoder", "LER/round", "avg ms", "OSD invoked %"
     );
     for &cap in caps {
-        let r = run_circuit_level(&dem, "gross", &config, &decoders::bp_osd(cap, 10));
+        let r = run_circuit_level(
+            &dem,
+            "gross",
+            &config,
+            &decoders::bp_osd(cap, 10),
+            &BatchConfig::SEQUENTIAL,
+        );
         let wall = r.wall_stats_ms();
         println!(
             "{:<18} {:>12.3e} {:>12.2} {:>14.1}",

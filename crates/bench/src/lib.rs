@@ -6,7 +6,8 @@
 //! result — who wins, by what factor, where the crossover sits — can be
 //! compared directly. Absolute values differ: the paper ran a Xeon
 //! E5-2698v4 + V100 with Stim-generated circuits; this reproduction runs a
-//! pure-Rust substrate (see DESIGN.md §2 for the substitution table).
+//! pure-Rust substrate (see EXPERIMENTS.md for the measurement recipes and
+//! the provenance of every recorded number).
 //!
 //! Common flags for all binaries:
 //!
@@ -18,8 +19,8 @@
 use qldpc_circuit::{DetectorErrorModel, MemoryExperiment, NoiseModel};
 use qldpc_codes::CssCode;
 use qldpc_sim::{
-    run_circuit_level, run_code_capacity, CircuitLevelConfig, CodeCapacityConfig, DecoderFactory,
-    RunReport,
+    run_circuit_level, run_code_capacity, BatchConfig, CircuitLevelConfig, CodeCapacityConfig,
+    DecoderFactory, RunReport,
 };
 
 /// Parsed common CLI arguments.
@@ -113,6 +114,7 @@ pub fn circuit_sweep(
                 &workload,
                 &CircuitLevelConfig { shots, seed },
                 factory,
+                &BatchConfig::SEQUENTIAL,
             );
             let wall = report.wall_stats_ms();
             println!(
@@ -145,7 +147,12 @@ pub fn capacity_sweep(
     );
     for &p in ps {
         for factory in factories {
-            let report = run_code_capacity(code, &CodeCapacityConfig { p, shots, seed }, factory);
+            let report = run_code_capacity(
+                code,
+                &CodeCapacityConfig { p, shots, seed },
+                factory,
+                &BatchConfig::SEQUENTIAL,
+            );
             let wall = report.wall_stats_ms();
             println!(
                 "{:<36} {:>9.1e} {:>10.3e} {:>9.3} {:>9.3} {:>9.3}",

@@ -37,8 +37,8 @@ use bpsf_core::stats::wilson_interval;
 use qldpc_circuit::{DetectorErrorModel, MemoryExperiment, NoiseModel};
 use qldpc_codes::CssCode;
 use qldpc_sim::{
-    run_circuit_level_batched, run_code_capacity_batched, BatchConfig, CircuitLevelConfig,
-    CodeCapacityConfig, RunReport,
+    run_circuit_level, run_code_capacity, BatchConfig, CircuitLevelConfig, CodeCapacityConfig,
+    RunReport,
 };
 use std::collections::BTreeMap;
 use std::io::Write as _;
@@ -537,7 +537,7 @@ pub fn run_campaign(
             let this_chunk = spec.chunk_shots.min(spec.max_shots - shots);
             let seed = chunk_seed(spec.seed, cell.index, next_chunk);
             let report: RunReport = match dem {
-                None => run_code_capacity_batched(
+                None => run_code_capacity(
                     &code,
                     &CodeCapacityConfig {
                         p: cell.p,
@@ -547,7 +547,7 @@ pub fn run_campaign(
                     &factory,
                     &batch,
                 ),
-                Some(dem) => run_circuit_level_batched(
+                Some(dem) => run_circuit_level(
                     dem,
                     &id,
                     &CircuitLevelConfig {

@@ -188,7 +188,9 @@ impl SparseBitMatrix {
     /// syndromes. Cost is `O(nnz · B/64)` word-XORs plus two block
     /// transposes, versus `O(nnz)` bit probes *per shot* for a
     /// [`Self::mul_vec`] loop. Results are bit-identical to calling
-    /// `mul_vec` on each vector.
+    /// `mul_vec` on each vector — which is what a batch of fewer than
+    /// two does, since the transposes only pay off across shots (the
+    /// Monte Carlo loop at batch width 1 samples through this).
     ///
     /// # Panics
     ///
@@ -209,8 +211,8 @@ impl SparseBitMatrix {
         for v in vecs {
             assert_eq!(v.len(), self.cols, "matrix–vector dimension mismatch");
         }
-        if vecs.is_empty() {
-            return Vec::new();
+        if vecs.len() < 2 {
+            return vecs.iter().map(|v| self.mul_vec(v)).collect();
         }
         let planes = BitMatrix::from_rows(vecs).transpose(); // cols × B
         let mut out_planes = BitMatrix::zeros(self.rows, vecs.len());

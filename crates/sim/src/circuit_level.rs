@@ -1,11 +1,9 @@
 //! Circuit-level Monte Carlo runs over detector error models.
 
 use crate::decoders::DecoderFactory;
-use crate::report::{RunReport, ShotRecord};
+use crate::engine::{self, BatchConfig};
+use crate::report::RunReport;
 use qldpc_circuit::{DemSampler, DetectorErrorModel};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::time::Instant;
 
 /// Configuration of a circuit-level run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,21 +18,27 @@ pub struct CircuitLevelConfig {
 /// model: shots are sampled from the DEM, decoded, and judged by whether
 /// the predicted observable flips match the true ones.
 ///
-/// Syndromes are decoded **sequentially** (streaming), matching the
+/// `batch` shapes the run exactly as for
+/// [`run_code_capacity`](crate::run_code_capacity): pass
+/// [`BatchConfig::SEQUENTIAL`] to decode one stream shot by shot, the
 /// paper's measurement methodology ("decoding them sequentially is more
 /// aligned with real-world use cases").
+///
+/// # Panics
+///
+/// Panics if `batch.threads == 0` or `batch.batch_size == 0`.
 ///
 /// # Examples
 ///
 /// ```
 /// use qldpc_circuit::{MemoryExperiment, NoiseModel};
 /// use qldpc_codes::bb;
-/// use qldpc_sim::{decoders, run_circuit_level, CircuitLevelConfig};
+/// use qldpc_sim::{decoders, run_circuit_level, BatchConfig, CircuitLevelConfig};
 ///
 /// let exp = MemoryExperiment::memory_z(&bb::bb72(), 2, &NoiseModel::uniform_depolarizing(1e-3));
 /// let dem = exp.detector_error_model();
 /// let report = run_circuit_level(&dem, "bb72 r2", &CircuitLevelConfig { shots: 10, seed: 3 },
-///                                &decoders::plain_bp(50));
+///                                &decoders::plain_bp(50), &BatchConfig::SEQUENTIAL);
 /// assert_eq!(report.shots, 10);
 /// ```
 pub fn run_circuit_level(
@@ -42,67 +46,25 @@ pub fn run_circuit_level(
     workload: &str,
     config: &CircuitLevelConfig,
     factory: &DecoderFactory,
+    batch: &BatchConfig,
 ) -> RunReport {
-    let mut decoder = factory(dem.check_matrix(), dem.priors());
     let sampler = DemSampler::new(dem);
-    let mut rng = StdRng::seed_from_u64(config.seed);
-
-    let mut records = Vec::with_capacity(config.shots);
-    let mut failures = 0usize;
-    let mut unsolved = 0usize;
-    for _ in 0..config.shots {
-        let shot = sampler.sample(&mut rng);
-        let start = Instant::now();
-        let out = decoder.decode_syndrome(&shot.syndrome);
-        let wall_ns = start.elapsed().as_nanos() as u64;
-
-        let (record, shot_unsolved) = score_shot(dem, &shot.obs_flips, &out, wall_ns);
-        if record.failed {
-            failures += 1;
-        }
-        if shot_unsolved {
-            unsolved += 1;
-        }
-        records.push(record);
-    }
-
-    RunReport {
-        decoder: decoder.label(),
-        precision: decoder.precision(),
-        workload: workload.to_string(),
-        shots: config.shots,
-        failures,
-        unsolved,
-        records,
-    }
-}
-
-/// Scores one decoded circuit-level shot — the single definition of
-/// logical failure and unsolved accounting, shared by the sequential
-/// ([`run_circuit_level`]) and batched
-/// ([`crate::run_circuit_level_batched`]) runners so their statistics can
-/// never drift apart.
-///
-/// Returns the shot record and whether the shot was unsolved.
-pub(crate) fn score_shot(
-    dem: &DetectorErrorModel,
-    true_obs_flips: &qldpc_gf2::BitVec,
-    out: &crate::DecodeOutcome,
-    wall_ns: u64,
-) -> (ShotRecord, bool) {
-    let (failed, unsolved) = if out.solved {
-        (dem.is_logical_error(true_obs_flips, &out.error_hat), false)
-    } else {
-        (true, true)
-    };
-    let record = ShotRecord {
-        wall_ns,
-        serial_iterations: out.serial_iterations,
-        critical_iterations: out.critical_iterations,
-        postprocessed: out.postprocessed,
-        failed,
-    };
-    (record, unsolved)
+    engine::run_shots(
+        workload,
+        config.shots,
+        config.seed,
+        batch,
+        || vec![factory(dem.check_matrix(), dem.priors())],
+        |rng, k| {
+            let (syndromes, obs_flips): (Vec<_>, Vec<_>) = sampler
+                .sample_batch(rng, k)
+                .into_iter()
+                .map(|shot| (shot.syndrome, shot.obs_flips))
+                .unzip();
+            (vec![syndromes], obs_flips)
+        },
+        |obs_flips, i, outs| dem.is_logical_error(&obs_flips[i], &outs[0][i].error_hat),
+    )
 }
 
 #[cfg(test)]
@@ -125,6 +87,7 @@ mod tests {
             "bb72 r2 p=5e-4",
             &CircuitLevelConfig { shots: 60, seed: 4 },
             &decoders::bp_osd(60, 10),
+            &BatchConfig::SEQUENTIAL,
         );
         assert_eq!(report.unsolved, 0);
         assert!(
@@ -142,6 +105,7 @@ mod tests {
             "bb72 r3",
             &CircuitLevelConfig { shots: 40, seed: 5 },
             &decoders::plain_bp(40),
+            &BatchConfig::SEQUENTIAL,
         );
         assert!(report.ler_per_round(3) <= report.ler() + 1e-12);
     }
@@ -154,6 +118,7 @@ mod tests {
             "bb72 r2 hot",
             &CircuitLevelConfig { shots: 50, seed: 6 },
             &decoders::bp_sf(bpsf_core::BpSfConfig::circuit_level(40, 20, 3, 3)),
+            &BatchConfig::SEQUENTIAL,
         );
         assert_eq!(report.records.len(), 50);
         for r in &report.records {

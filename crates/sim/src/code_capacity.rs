@@ -1,12 +1,12 @@
 //! Code-capacity Monte Carlo runs.
 
 use crate::decoders::DecoderFactory;
-use crate::report::{RunReport, ShotRecord};
+use crate::engine::{self, BatchConfig};
+use crate::report::RunReport;
 use qldpc_codes::CssCode;
 use qldpc_gf2::BitVec;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::time::Instant;
+use rand::Rng;
 
 /// Configuration of a code-capacity run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,16 +49,28 @@ pub fn sample_depolarizing(n: usize, p: f64, rng: &mut StdRng) -> (BitVec, BitVe
 /// The decoder priors are set to `2p/3` per qubit — the marginal
 /// probability of an X (or Z) component under X/Y/Z-each-`p/3` noise.
 ///
+/// `batch` shapes the run (see [`BatchConfig`]): thread `t` decodes its
+/// share of the shots from seed `config.seed + t`, `batch_size` syndromes
+/// per `decode_batch` call. [`BatchConfig::SEQUENTIAL`] is the paper's
+/// single-stream latency methodology; wider shapes are for throughput
+/// and leave every record but `wall_ns` (amortised over the batch)
+/// unchanged.
+///
+/// # Panics
+///
+/// Panics if `batch.threads == 0` or `batch.batch_size == 0`.
+///
 /// # Examples
 ///
 /// ```
 /// use qldpc_codes::bb;
-/// use qldpc_sim::{decoders, run_code_capacity, CodeCapacityConfig};
+/// use qldpc_sim::{decoders, run_code_capacity, BatchConfig, CodeCapacityConfig};
 ///
 /// let report = run_code_capacity(
 ///     &bb::bb72(),
 ///     &CodeCapacityConfig { p: 0.01, shots: 20, seed: 1 },
 ///     &decoders::plain_bp(50),
+///     &BatchConfig { threads: 2, batch_size: 8 },
 /// );
 /// assert_eq!(report.shots, 20);
 /// ```
@@ -66,88 +78,29 @@ pub fn run_code_capacity(
     code: &CssCode,
     config: &CodeCapacityConfig,
     factory: &DecoderFactory,
+    batch: &BatchConfig,
 ) -> RunReport {
     let n = code.n();
-    let marginal = 2.0 * config.p / 3.0;
-    let priors = vec![marginal; n];
-    let mut dec_x = factory(code.hz(), &priors); // Z checks see X errors
-    let mut dec_z = factory(code.hx(), &priors); // X checks see Z errors
-    let mut rng = StdRng::seed_from_u64(config.seed);
-
-    let mut records = Vec::with_capacity(config.shots);
-    let mut failures = 0usize;
-    let mut unsolved = 0usize;
-    for _ in 0..config.shots {
-        let (ex, ez) = sample_depolarizing(n, config.p, &mut rng);
-        let sx = code.hz().mul_vec(&ex);
-        let sz = code.hx().mul_vec(&ez);
-
-        let start = Instant::now();
-        let out_x = dec_x.decode_syndrome(&sx);
-        let out_z = dec_z.decode_syndrome(&sz);
-        let wall_ns = start.elapsed().as_nanos() as u64;
-
-        let (record, shot_unsolved) = score_shot(code, &out_x, &out_z, &ex, &ez, wall_ns);
-        if record.failed {
-            failures += 1;
-        }
-        if shot_unsolved {
-            unsolved += 1;
-        }
-        records.push(record);
-    }
-
-    RunReport {
-        decoder: dec_x.label(),
-        precision: dec_x.precision(),
-        workload: format!("{} code-capacity p={}", code.name(), config.p),
-        shots: config.shots,
-        failures,
-        unsolved,
-        records,
-    }
-}
-
-/// Scores one decoded code-capacity shot — the single definition of
-/// logical failure and unsolved accounting, shared by the sequential
-/// ([`run_code_capacity`]) and batched ([`crate::run_code_capacity_batched`])
-/// runners so their statistics can never drift apart.
-///
-/// Returns the shot record and whether either basis was unsolved.
-pub(crate) fn score_shot(
-    code: &CssCode,
-    out_x: &crate::DecodeOutcome,
-    out_z: &crate::DecodeOutcome,
-    ex: &BitVec,
-    ez: &BitVec,
-    wall_ns: u64,
-) -> (ShotRecord, bool) {
-    let mut unsolved = false;
-    let mut failed = false;
-    if out_x.solved {
-        if code.is_x_logical_error(&(&out_x.error_hat ^ ex)) {
-            failed = true;
-        }
-    } else {
-        unsolved = true;
-        failed = true;
-    }
-    if out_z.solved {
-        if code.is_z_logical_error(&(&out_z.error_hat ^ ez)) {
-            failed = true;
-        }
-    } else {
-        unsolved = true;
-        failed = true;
-    }
-    let record = ShotRecord {
-        wall_ns,
-        serial_iterations: out_x.serial_iterations + out_z.serial_iterations,
-        critical_iterations: out_x.critical_iterations.max(out_z.critical_iterations),
-        postprocessed: out_x.postprocessed || out_z.postprocessed,
-        failed,
-    };
-    (record, unsolved)
+    let priors = vec![2.0 * config.p / 3.0; n];
+    engine::run_shots(
+        &format!("{} code-capacity p={}", code.name(), config.p),
+        config.shots,
+        config.seed,
+        batch,
+        // Z checks see X errors, X checks see Z errors.
+        || vec![factory(code.hz(), &priors), factory(code.hx(), &priors)],
+        |rng, k| {
+            let (exs, ezs): (Vec<BitVec>, Vec<BitVec>) = (0..k)
+                .map(|_| sample_depolarizing(n, config.p, rng))
+                .unzip();
+            let syndromes = vec![code.hz().mul_batch(&exs), code.hx().mul_batch(&ezs)];
+            (syndromes, (exs, ezs))
+        },
+        |(exs, ezs), i, outs| {
+            code.is_x_logical_error(&(&outs[0][i].error_hat ^ &exs[i]))
+                || code.is_z_logical_error(&(&outs[1][i].error_hat ^ &ezs[i]))
+        },
+    )
 }
 
 #[cfg(test)]
@@ -155,6 +108,7 @@ mod tests {
     use super::*;
     use crate::decoders;
     use qldpc_codes::bb;
+    use rand::SeedableRng;
 
     #[test]
     fn depolarizing_components_correlate_through_y() {
@@ -185,6 +139,7 @@ mod tests {
                 seed: 2,
             },
             &decoders::plain_bp(10),
+            &BatchConfig::SEQUENTIAL,
         );
         assert_eq!(report.failures, 0);
         assert_eq!(report.unsolved, 0);
@@ -203,11 +158,17 @@ mod tests {
             &bb::bb72(),
             &config,
             &decoders::plain_bp_at(20, Precision::F32),
+            &BatchConfig::SEQUENTIAL,
         );
         assert_eq!(f32_report.precision, Precision::F32);
         assert!(f32_report.decoder.ends_with("@f32"));
         assert!(f32_report.tsv_row(None).contains("\tf32\t"));
-        let f64_report = run_code_capacity(&bb::bb72(), &config, &decoders::plain_bp(20));
+        let f64_report = run_code_capacity(
+            &bb::bb72(),
+            &config,
+            &decoders::plain_bp(20),
+            &BatchConfig::SEQUENTIAL,
+        );
         assert_eq!(f64_report.precision, Precision::F64);
         assert!(f64_report.tsv_row(None).contains("\tf64\t"));
     }
@@ -222,8 +183,9 @@ mod tests {
             shots: 120,
             seed: 42,
         };
-        let bp = run_code_capacity(&code, &config, &decoders::plain_bp(30));
-        let osd = run_code_capacity(&code, &config, &decoders::bp_osd(30, 10));
+        let seq = BatchConfig::SEQUENTIAL;
+        let bp = run_code_capacity(&code, &config, &decoders::plain_bp(30), &seq);
+        let osd = run_code_capacity(&code, &config, &decoders::bp_osd(30, 10), &seq);
         assert_eq!(osd.unsolved, 0, "OSD always solves");
         assert!(
             osd.failures <= bp.failures,

@@ -7,35 +7,47 @@
 //! and the analytic hardware latency model used for the paper's GPU
 //! estimate and FPGA discussion.
 //!
+//! There is one shot runner per noise model — [`run_code_capacity`] and
+//! [`run_circuit_level`] — and both are thin over one sample → decode →
+//! score loop whose shape a [`BatchConfig`] picks: `threads` seeded shot
+//! streams (thread `t` uses `seed + t`), each decoded `batch_size`
+//! syndromes per `decode_batch` call. The shape never changes a decoded
+//! record, only wall time: latency figures use
+//! [`BatchConfig::SEQUENTIAL`] (one stream, one syndrome per call — the
+//! paper's methodology); `wall_ns` is amortised above width 1, so wider
+//! shapes are for LER throughput.
+//!
 //! # Examples
 //!
 //! ```
 //! use qldpc_codes::bb;
-//! use qldpc_sim::{decoders, run_code_capacity, CodeCapacityConfig};
+//! use qldpc_sim::{decoders, run_code_capacity, BatchConfig, CodeCapacityConfig};
 //!
 //! let code = bb::bb72();
 //! let config = CodeCapacityConfig { p: 0.02, shots: 50, seed: 7 };
-//! let report = run_code_capacity(&code, &config, &decoders::plain_bp(100));
+//! let report = run_code_capacity(
+//!     &code,
+//!     &config,
+//!     &decoders::plain_bp(100),
+//!     &BatchConfig::SEQUENTIAL,
+//! );
 //! assert_eq!(report.shots, 50);
 //! assert!(report.ler() <= 1.0);
 //! ```
 
-mod batch;
 mod circuit_level;
 mod code_capacity;
 pub mod decoders;
 mod engine;
 mod latency;
-mod parallel_runner;
 mod report;
 mod streaming;
 
-pub use batch::{run_circuit_level_batched, run_code_capacity_batched, BatchConfig};
 pub use circuit_level::{run_circuit_level, CircuitLevelConfig};
 pub use code_capacity::{run_code_capacity, sample_depolarizing, CodeCapacityConfig};
 pub use decoders::{DecodeOutcome, DecoderFactory, SyndromeDecoder};
+pub use engine::BatchConfig;
 pub use latency::HardwareLatencyModel;
-pub use parallel_runner::{run_circuit_level_parallel, run_code_capacity_parallel};
 pub use report::{RunReport, ShotRecord};
 pub use streaming::{
     run_streaming, run_streaming_offline_reference, stream_syndrome_rounds, StreamingConfig,

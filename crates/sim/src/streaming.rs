@@ -238,6 +238,7 @@ pub fn run_streaming_offline_reference(
             seed: config.seed,
         },
         factory,
+        &crate::BatchConfig::SEQUENTIAL,
     )
 }
 

@@ -1,98 +1,156 @@
-//! Fixed-seed regression tests for the thread fan-out engine: a parallel
-//! run must aggregate exactly the shot/failure totals of the per-thread
-//! sequential runs its seeding policy (`seed + t`) implies.
+//! Properties of the one shot loop behind `run_code_capacity` and
+//! `run_circuit_level`, checked on both noise models × the three
+//! deterministic decoder families (plain BP, BP-OSD, serial BP-SF with
+//! sampled trials — the one that threads decoder-local RNG state across
+//! a batch):
+//!
+//! * the batch width never changes a record;
+//! * a T-thread run is the thread-ordered union of T
+//!   `BatchConfig::SEQUENTIAL` runs at seeds `seed + t`;
+//! * zero shots yield one empty, labelled report.
 
+use bpsf_core::BpSfConfig;
+use proptest::prelude::*;
+use qldpc_circuit::{DetectorErrorModel, MemoryExperiment, NoiseModel};
+use qldpc_codes::bb;
 use qldpc_sim::{
-    decoders, run_code_capacity, run_code_capacity_batched, run_code_capacity_parallel,
-    BatchConfig, CodeCapacityConfig,
+    decoders, run_circuit_level, run_code_capacity, BatchConfig, CircuitLevelConfig,
+    CodeCapacityConfig, DecoderFactory, RunReport,
 };
+use std::sync::OnceLock;
 
-const CONFIG: CodeCapacityConfig = CodeCapacityConfig {
-    p: 0.05,
-    shots: 48,
-    seed: 1234,
-};
-
-/// The per-thread sequential runs the engine's seeding policy implies.
-fn expected_chunks(threads: usize) -> Vec<qldpc_sim::RunReport> {
-    let code = qldpc_codes::bb::bb72();
-    let base = CONFIG.shots / threads;
-    let extra = CONFIG.shots % threads;
-    (0..threads)
-        .map(|t| {
-            run_code_capacity(
-                &code,
-                &CodeCapacityConfig {
-                    p: CONFIG.p,
-                    shots: base + usize::from(t < extra),
-                    seed: CONFIG.seed + t as u64,
-                },
-                &decoders::plain_bp(30),
-            )
-        })
-        .collect()
+/// bb72, two rounds, hot enough that post-processing runs and fails.
+fn dem() -> &'static DetectorErrorModel {
+    static DEM: OnceLock<DetectorErrorModel> = OnceLock::new();
+    DEM.get_or_init(|| {
+        MemoryExperiment::memory_z(&bb::bb72(), 2, &NoiseModel::uniform_depolarizing(6e-3))
+            .detector_error_model()
+    })
 }
 
-#[test]
-fn parallel_runner_aggregates_per_thread_sequential_totals() {
-    let code = qldpc_codes::bb::bb72();
-    let par = run_code_capacity_parallel(&code, &CONFIG, &decoders::plain_bp(30), 3);
-    let chunks = expected_chunks(3);
-
-    assert_eq!(par.shots, CONFIG.shots);
-    assert_eq!(par.records.len(), CONFIG.shots);
-    assert_eq!(
-        par.failures,
-        chunks.iter().map(|r| r.failures).sum::<usize>()
-    );
-    assert_eq!(
-        par.unsolved,
-        chunks.iter().map(|r| r.unsolved).sum::<usize>()
-    );
-    // Records are the thread-ordered concatenation of the chunk records,
-    // shot for shot (wall times aside).
-    let flat: Vec<_> = chunks.iter().flat_map(|r| r.records.iter()).collect();
-    for (i, (p, s)) in par.records.iter().zip(flat).enumerate() {
-        assert_eq!(p.failed, s.failed, "shot {i}");
-        assert_eq!(p.serial_iterations, s.serial_iterations, "shot {i}");
-        assert_eq!(p.postprocessed, s.postprocessed, "shot {i}");
-    }
-    assert!(par.workload.contains("[3T]"));
+#[derive(Debug, Clone, Copy)]
+enum Model {
+    Capacity,
+    Circuit,
 }
 
-#[test]
-fn batched_runner_matches_parallel_runner_statistics() {
-    let code = qldpc_codes::bb::bb72();
-    let par = run_code_capacity_parallel(&code, &CONFIG, &decoders::plain_bp(30), 2);
-    let bat = run_code_capacity_batched(
-        &code,
-        &CONFIG,
-        &decoders::plain_bp(30),
-        &BatchConfig {
-            threads: 2,
-            batch_size: 5,
-        },
-    );
-    // Same seeding policy + batch/loop equivalence ⇒ identical statistics.
-    assert_eq!(bat.shots, par.shots);
-    assert_eq!(bat.failures, par.failures);
-    assert_eq!(bat.unsolved, par.unsolved);
-    for (b, p) in bat.records.iter().zip(&par.records) {
-        assert_eq!(b.failed, p.failed);
-        assert_eq!(b.serial_iterations, p.serial_iterations);
+impl Model {
+    fn run(self, factory: &DecoderFactory, shots: usize, seed: u64, b: &BatchConfig) -> RunReport {
+        match self {
+            Model::Capacity => {
+                let config = CodeCapacityConfig {
+                    p: 0.05,
+                    shots,
+                    seed,
+                };
+                run_code_capacity(&bb::bb72(), &config, factory, b)
+            }
+            Model::Circuit => {
+                let config = CircuitLevelConfig { shots, seed };
+                run_circuit_level(dem(), "bb72 r2", &config, factory, b)
+            }
+        }
     }
 }
 
+/// Every (noise model, decoder family) pair, with a label for messages.
+fn cases() -> Vec<(String, Model, DecoderFactory)> {
+    let mut cases = Vec::new();
+    for model in [Model::Capacity, Model::Circuit] {
+        for (name, factory) in [
+            ("bp", decoders::plain_bp(30)),
+            ("bposd", decoders::bp_osd(30, 10)),
+            (
+                "bpsf",
+                decoders::bp_sf(BpSfConfig::circuit_level(30, 20, 3, 3)),
+            ),
+        ] {
+            cases.push((format!("{model:?}/{name}"), model, factory));
+        }
+    }
+    cases
+}
+
+/// Everything but `wall_ns` (and the workload tag) must agree.
+fn assert_same_records(got: &RunReport, want: &RunReport, what: &str) {
+    assert_eq!(got.decoder, want.decoder, "{what}");
+    assert_eq!(got.shots, want.shots, "{what}");
+    assert_eq!(got.failures, want.failures, "{what}");
+    assert_eq!(got.unsolved, want.unsolved, "{what}");
+    assert_eq!(got.records.len(), want.records.len(), "{what}");
+    for (i, (g, w)) in got.records.iter().zip(&want.records).enumerate() {
+        assert_eq!(g.failed, w.failed, "{what} shot {i}");
+        assert_eq!(g.serial_iterations, w.serial_iterations, "{what} shot {i}");
+        assert_eq!(
+            g.critical_iterations, w.critical_iterations,
+            "{what} shot {i}"
+        );
+        assert_eq!(g.postprocessed, w.postprocessed, "{what} shot {i}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(5))]
+
+    /// `(T, k)` ≡ `(T, 1)`, record for record.
+    #[test]
+    fn batch_width_never_changes_a_record(
+        seed in 0u64..10_000,
+        threads in 1usize..4,
+        batch_size in 2usize..40,
+        shots in 1usize..48,
+    ) {
+        for (what, model, factory) in cases() {
+            let wide = model.run(&factory, shots, seed, &BatchConfig { threads, batch_size });
+            let narrow = model.run(&factory, shots, seed, &BatchConfig { threads, batch_size: 1 });
+            assert_same_records(&wide, &narrow, &what);
+            assert!(wide.workload.ends_with(&format!("[{threads}T,batch={batch_size}]")));
+        }
+    }
+
+    /// A T-thread run ≡ the thread-ordered concatenation of T
+    /// `SEQUENTIAL` runs at seeds `seed + t`, shots split as evenly as
+    /// possible with earlier threads taking the remainder.
+    #[test]
+    fn threads_are_the_union_of_seeded_sequential_runs(
+        seed in 0u64..10_000,
+        threads in 1usize..5,
+        shots in 1usize..48,
+    ) {
+        for (what, model, factory) in cases() {
+            let whole = model.run(&factory, shots, seed, &BatchConfig { threads, batch_size: 1 });
+            let union = (0..threads.min(shots))
+                .map(|t| {
+                    let chunk = shots / threads + usize::from(t < shots % threads);
+                    model.run(&factory, chunk, seed + t as u64, &BatchConfig::SEQUENTIAL)
+                })
+                .reduce(|mut union, part| {
+                    union.shots += part.shots;
+                    union.failures += part.failures;
+                    union.unsolved += part.unsolved;
+                    union.records.extend(part.records);
+                    union
+                })
+                .expect("shots > 0");
+            assert_same_records(&whole, &union, &what);
+        }
+    }
+}
+
 #[test]
-fn single_thread_parallel_run_is_exactly_the_sequential_run() {
-    let code = qldpc_codes::bb::bb72();
-    let seq = run_code_capacity(&code, &CONFIG, &decoders::plain_bp(30));
-    let par = run_code_capacity_parallel(&code, &CONFIG, &decoders::plain_bp(30), 1);
-    assert_eq!(par.failures, seq.failures);
-    assert_eq!(par.unsolved, seq.unsolved);
-    assert_eq!(par.records.len(), seq.records.len());
-    for (p, s) in par.records.iter().zip(&seq.records) {
-        assert_eq!(p.failed, s.failed);
-        assert_eq!(p.serial_iterations, s.serial_iterations);
+fn zero_shots_yield_one_empty_report() {
+    let shape = BatchConfig {
+        threads: 4,
+        batch_size: 8,
+    };
+    for (what, model, factory) in cases() {
+        let report = model.run(&factory, 0, 1, &shape);
+        assert_eq!(report.shots, 0, "{what}");
+        assert_eq!(report.failures, 0, "{what}");
+        assert_eq!(report.unsolved, 0, "{what}");
+        assert!(report.records.is_empty(), "{what}");
+        assert_eq!(report.ler(), 0.0, "{what}");
+        assert!(!report.decoder.is_empty(), "{what}");
+        assert!(report.workload.ends_with("[4T,batch=8]"), "{what}");
     }
 }

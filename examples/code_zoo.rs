@@ -17,11 +17,17 @@ use bpsf::sim::RunReport;
 
 fn probe(code: &CssCode, p: f64, shots: usize) -> (RunReport, RunReport) {
     let config = CodeCapacityConfig { p, shots, seed: 11 };
-    let bp = run_code_capacity(code, &config, &decoders::plain_bp(100));
+    let bp = run_code_capacity(
+        code,
+        &config,
+        &decoders::plain_bp(100),
+        &BatchConfig::SEQUENTIAL,
+    );
     let sf = run_code_capacity(
         code,
         &config,
         &decoders::bp_sf(BpSfConfig::code_capacity(100, 8, 1)),
+        &BatchConfig::SEQUENTIAL,
     );
     (bp, sf)
 }

@@ -51,7 +51,7 @@ fn main() {
         "decoder", "LER", "LER/round", "avg ms", "max ms"
     );
     for factory in &contenders {
-        let report = run_circuit_level(&dem, &workload, &config, factory);
+        let report = run_circuit_level(&dem, &workload, &config, factory, &BatchConfig::SEQUENTIAL);
         let wall = report.wall_stats_ms();
         println!(
             "{:<34} {:>10.3e} {:>12.3e} {:>10.3} {:>10.3}",

@@ -13,7 +13,7 @@
 //! | OSD baseline | [`osd`] | OSD-0 / OSD-CS post-processing |
 //! | Circuit noise | [`circuit`] | syndrome-extraction circuits, detector error models |
 //! | **BP-SF** | [`bpsf`] | the paper's oscillation-guided syndrome-flip decoder |
-//! | Monte Carlo | [`sim`] | LER estimation (sequential, parallel, batched), latency stats, hardware models |
+//! | Monte Carlo | [`sim`] | LER estimation (one shot runner per noise model, shaped by a `BatchConfig`), latency stats, hardware models |
 //! | Campaigns | [`campaign`] | declarative sweep specs, adaptive shot allocation, resumable JSONL logs, generated `REPRO.md` |
 //! | Service | [`server`] | real-time decoding service: micro-batching scheduler, sharded decoder pools, backpressure, metrics |
 //!
@@ -101,9 +101,8 @@ pub mod prelude {
         StreamResult, StreamSession,
     };
     pub use crate::sim::{
-        decoders, run_circuit_level, run_circuit_level_batched, run_circuit_level_parallel,
-        run_code_capacity, run_code_capacity_batched, run_code_capacity_parallel, run_streaming,
-        BatchConfig, CircuitLevelConfig, CodeCapacityConfig, HardwareLatencyModel, StreamingConfig,
+        decoders, run_circuit_level, run_code_capacity, run_streaming, BatchConfig,
+        CircuitLevelConfig, CodeCapacityConfig, HardwareLatencyModel, StreamingConfig,
         StreamingReport,
     };
 }

@@ -12,13 +12,24 @@ fn code_capacity_pipeline_bb72() {
         shots: 100,
         seed: 1,
     };
-    let bp = run_code_capacity(&code, &config, &decoders::plain_bp(100));
+    let bp = run_code_capacity(
+        &code,
+        &config,
+        &decoders::plain_bp(100),
+        &BatchConfig::SEQUENTIAL,
+    );
     let sf = run_code_capacity(
         &code,
         &config,
         &decoders::bp_sf(BpSfConfig::code_capacity(100, 8, 1)),
+        &BatchConfig::SEQUENTIAL,
     );
-    let osd = run_code_capacity(&code, &config, &decoders::bp_osd(100, 10));
+    let osd = run_code_capacity(
+        &code,
+        &config,
+        &decoders::bp_osd(100, 10),
+        &BatchConfig::SEQUENTIAL,
+    );
     // Post-processing never hurts: BP-SF and BP-OSD fail at most as often
     // as plain BP on the identical shot stream.
     assert!(sf.failures <= bp.failures);
@@ -36,11 +47,17 @@ fn bp_sf_rescues_coprime154() {
         shots: 150,
         seed: 2,
     };
-    let bp = run_code_capacity(&code, &config, &decoders::plain_bp(50));
+    let bp = run_code_capacity(
+        &code,
+        &config,
+        &decoders::plain_bp(50),
+        &BatchConfig::SEQUENTIAL,
+    );
     let sf = run_code_capacity(
         &code,
         &config,
         &decoders::bp_sf(BpSfConfig::code_capacity(50, 8, 1)),
+        &BatchConfig::SEQUENTIAL,
     );
     assert!(
         sf.failures < bp.failures,
@@ -65,8 +82,15 @@ fn circuit_level_pipeline_gross_code() {
         "gross r2",
         &config,
         &decoders::bp_sf(BpSfConfig::circuit_level(60, 30, 4, 4)),
+        &BatchConfig::SEQUENTIAL,
     );
-    let bp = run_circuit_level(&dem, "gross r2", &config, &decoders::plain_bp(60));
+    let bp = run_circuit_level(
+        &dem,
+        "gross r2",
+        &config,
+        &decoders::plain_bp(60),
+        &BatchConfig::SEQUENTIAL,
+    );
     assert!(sf.failures <= bp.failures);
 }
 
@@ -87,6 +111,7 @@ fn subsystem_shyps_circuit_level_runs() {
         "shyps r2",
         &CircuitLevelConfig { shots: 20, seed: 4 },
         &decoders::bp_osd(60, 10),
+        &BatchConfig::SEQUENTIAL,
     );
     assert_eq!(report.unsolved, 0);
 }

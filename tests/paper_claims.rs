@@ -133,8 +133,15 @@ fn bp_sf_postprocessing_gains_on_osd_with_depth() {
             &label,
             &config,
             &decoders::bp_sf(BpSfConfig::circuit_level(60, 40, 6, 5)),
+            &BatchConfig::SEQUENTIAL,
         );
-        let osd = run_circuit_level(&dem, &label, &config, &decoders::bp_osd(60, 10));
+        let osd = run_circuit_level(
+            &dem,
+            &label,
+            &config,
+            &decoders::bp_osd(60, 10),
+            &BatchConfig::SEQUENTIAL,
+        );
         let sf_parallel_ms: Vec<f64> = sf
             .records
             .iter()
@@ -195,9 +202,22 @@ fn bp_sf_ler_comparable_to_bp_osd() {
         "gross r2",
         &config,
         &decoders::bp_sf(BpSfConfig::circuit_level(100, 50, 6, 5)),
+        &BatchConfig::SEQUENTIAL,
     );
-    let osd = run_circuit_level(&dem, "gross r2", &config, &decoders::bp_osd(100, 10));
-    let bp = run_circuit_level(&dem, "gross r2", &config, &decoders::plain_bp(100));
+    let osd = run_circuit_level(
+        &dem,
+        "gross r2",
+        &config,
+        &decoders::bp_osd(100, 10),
+        &BatchConfig::SEQUENTIAL,
+    );
+    let bp = run_circuit_level(
+        &dem,
+        "gross r2",
+        &config,
+        &decoders::plain_bp(100),
+        &BatchConfig::SEQUENTIAL,
+    );
     assert!(
         sf.failures <= bp.failures,
         "BP-SF must not lose to plain BP"
@@ -224,6 +244,7 @@ fn critical_path_bounded_by_two_bp_budgets() {
         &code,
         &config,
         &decoders::bp_sf(BpSfConfig::code_capacity(100, 8, 1)),
+        &BatchConfig::SEQUENTIAL,
     );
     for r in &report.records {
         assert!(

@@ -52,6 +52,7 @@ fn run_at(precision: Precision) -> bpsf::sim::RunReport {
         &bb::gross_code(),
         &config,
         &bpsf::sim::decoders::plain_bp_at(BP_ITERS, precision),
+        &BatchConfig::SEQUENTIAL,
     )
 }
 
