@@ -33,8 +33,8 @@ report  regenerate reports from one or more JSONL logs (merges shards)
 --service <addr> decodes through a running `qldpc-serve` instead of
 in-process decoders: TCP host:port, or a UDS path when it contains '/'.
 Serve the same spec (`qldpc-serve --spec <file>`) so every cell id is
-registered; deterministic families (BP, BP-OSD) produce byte-identical
-rows either way, BP-SF cells are refused.";
+registered; every decoder family (BP, BP-OSD, BP-SF) produces
+byte-identical rows either way.";
 
 fn fail(message: impl std::fmt::Display) -> ExitCode {
     eprintln!("campaign: {message}");

@@ -97,16 +97,11 @@ impl Cli {
     }
 
     fn resolve_code(&self) -> CssCode {
-        match self.code.as_str() {
-            "bb72" => qldpc_codes::bb::bb72(),
-            "gross" | "bb144" => qldpc_codes::bb::gross_code(),
-            "bb288" => qldpc_codes::bb::bb288(),
-            "coprime126" => qldpc_codes::coprime_bb::coprime126(),
-            "coprime154" => qldpc_codes::coprime_bb::coprime154(),
-            "gb254" => qldpc_codes::gb::gb254(),
-            "shyps225" => qldpc_codes::shp::shyps225(),
-            other => panic!("unknown code {other:?}"),
-        }
+        let slug = match self.code.as_str() {
+            "bb144" => "gross",
+            slug => slug,
+        };
+        qldpc_codes::paper_code(slug).unwrap_or_else(|| panic!("unknown code {:?}", self.code))
     }
 
     fn resolve_decoder(&self) -> DecoderFactory {

@@ -16,7 +16,9 @@
 //! With `--spec`, every cell of the campaign spec is registered under
 //! its cell id (e.g. `gross|cc|p=0.02|bp:40@f64`) with the exact check
 //! matrix, priors and decoder the in-process engine would use — the
-//! server side of `campaign run --service`. Without a spec, a demo
+//! server side of `campaign run --service`. Every decoder family is a
+//! pure function of those inputs and the syndrome, so the served rows
+//! equal the in-process ones. Without a spec, a demo
 //! code `gross-z` (the `[[144,12,12]]` gross code, min-sum BP, 20
 //! iterations) is registered for quickstarts and soak tests.
 
@@ -34,8 +36,8 @@ usage: serve [--tcp <host:port>] [--uds <path>] [--spec <file>]
 
 Binds one front-end (default --tcp 127.0.0.1:0), prints LISTENING <addr>,
 serves until stdin EOF, then drains and prints DRAINED <sub> <done>.
---spec registers every campaign cell under its cell id; otherwise the
-demo code 'gross-z' is registered.";
+--spec registers every campaign cell (BP, BP-OSD and BP-SF alike) under
+its cell id; otherwise the demo code 'gross-z' is registered.";
 
 fn fail(message: impl std::fmt::Display) -> ExitCode {
     eprintln!("serve: {message}");

@@ -202,7 +202,7 @@ fn campaign_over_service_reproduces_in_process_rows() {
             codes  = gross\n\
             noise  = code-capacity\n\
             p      = 0.02, 0.05\n\
-            decoders   = bp:40, bp-osd:40:10\n\
+            decoders   = bp:40, bp-osd:40:10, bp-sf:40:8:2:3\n\
             precisions = f64\n\
             target_half_width = 0.05\n\
             chunk_shots = 50\n\

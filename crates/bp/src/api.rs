@@ -53,21 +53,12 @@ impl<T: Llr> SyndromeDecoder for MinSumDecoderOf<T> {
         DecoderFamily::Bp
     }
 
-    /// Overrides the default per-shot loop with the shot-interleaved
-    /// batch kernel ([`BatchMinSumDecoderOf`]), which is bit-identical
-    /// per lane at this precision — the batch-vs-scalar property suite
-    /// pins this.
-    ///
-    /// The engine is cached inside the decoder and re-synced to the
-    /// current config/priors on every call, so `config_mut`/`set_priors`
-    /// changes between calls are honored while the message slabs are
-    /// reused across batches.
+    /// Overrides the default per-shot loop with
+    /// [`MinSumDecoderOf::decode_batch_results`] (the shot-interleaved
+    /// batch kernel, bit-identical per lane at this precision — the
+    /// batch-vs-scalar property suite pins this).
     fn decode_batch(&mut self, syndromes: &[BitVec]) -> Vec<DecodeOutcome> {
-        if syndromes.len() < 2 {
-            return syndromes.iter().map(|s| self.decode_syndrome(s)).collect();
-        }
-        self.batch_engine()
-            .decode_batch_results(syndromes)
+        self.decode_batch_results(syndromes)
             .into_iter()
             .map(outcome_from)
             .collect()

@@ -168,7 +168,7 @@ impl<T: Llr> BatchMinSumDecoderOf<T> {
     /// configuration as an existing scalar decoder (of the same
     /// precision), so a scalar decoder can hand batches to the
     /// interleaved kernel with identical results.
-    pub fn from_scalar(scalar: &MinSumDecoderOf<T>) -> Self {
+    pub(crate) fn from_scalar(scalar: &MinSumDecoderOf<T>) -> Self {
         Self::from_parts(
             scalar.graph().clone(),
             scalar.check_matrix().clone(),
@@ -240,8 +240,9 @@ impl<T: Llr> BatchMinSumDecoderOf<T> {
     }
 
     /// Re-syncs configuration and channel LLRs from the owning scalar
-    /// decoder (the cached engine behind `MinSumDecoder::decode_batch`
-    /// must honor `config_mut`/`set_priors` changes between calls).
+    /// decoder (the cached engine behind
+    /// `MinSumDecoderOf::decode_batch_results` must honor
+    /// `config_mut`/`set_priors` changes between calls).
     pub(crate) fn sync(&mut self, config: BpConfig, channel_llrs: &[T]) {
         debug_assert_eq!(channel_llrs.len(), self.graph.num_vars());
         self.config = config;

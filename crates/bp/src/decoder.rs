@@ -177,10 +177,7 @@ pub struct MinSumDecoderOf<T: Llr> {
     hard_prev: Vec<bool>,
     flip_counts: Vec<u32>,
     scratch: CheckScratch<T>,
-    /// Cached interleaved engine behind the `decode_batch` trait
-    /// override; built on the first batched call and re-synced to the
-    /// current config/priors on each one, so its slabs are reused across
-    /// batches.
+    /// Cached interleaved engine behind [`Self::decode_batch_results`].
     batch: Option<Box<BatchMinSumDecoderOf<T>>>,
 }
 
@@ -240,17 +237,31 @@ impl<T: Llr> MinSumDecoderOf<T> {
         &self.graph
     }
 
-    /// The lazily built, cached interleaved batch engine, re-synced to
-    /// the decoder's current config and priors (which `config_mut` /
-    /// `set_priors` may have changed since it was built — the sync is
-    /// O(n) and allocation-free, so repeated batches reuse the slabs).
-    pub(crate) fn batch_engine(&mut self) -> &mut BatchMinSumDecoderOf<T> {
-        if self.batch.is_none() {
-            self.batch = Some(Box::new(BatchMinSumDecoderOf::from_scalar(self)));
-        } else if let Some(engine) = self.batch.as_deref_mut() {
-            engine.sync(self.config, &self.channel_llrs);
+    /// Decodes a batch of syndromes, one [`BpResult`] per syndrome in
+    /// input order, each bit-identical to [`Self::decode`] of that
+    /// syndrome: fewer than two run the scalar loop, wider batches the
+    /// shot-interleaved engine ([`BatchMinSumDecoderOf`]).
+    ///
+    /// The engine is built on the first wide call, cached, and re-synced
+    /// to the current config and priors on every later one (`config_mut`
+    /// / `set_priors` may have changed them — the sync is O(n) and
+    /// allocation-free, so repeated batches reuse the slabs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if any syndrome's length differs from the number of checks.
+    pub fn decode_batch_results(&mut self, syndromes: &[BitVec]) -> Vec<BpResult<T>> {
+        if syndromes.len() < 2 {
+            return syndromes.iter().map(|s| self.decode(s)).collect();
         }
-        self.batch.as_mut().expect("engine built above")
+        let engine = match self.batch.take() {
+            Some(mut engine) => {
+                engine.sync(self.config, &self.channel_llrs);
+                engine
+            }
+            None => Box::new(BatchMinSumDecoderOf::from_scalar(self)),
+        };
+        self.batch.insert(engine).decode_batch_results(syndromes)
     }
 
     /// The channel LLRs derived from the priors.

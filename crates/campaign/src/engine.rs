@@ -88,10 +88,9 @@ pub struct RunOptions {
     /// `host:port`, or a UDS path when it contains `/`) instead of
     /// in-process decoders. The service must have every cell registered
     /// under its cell id (see [`cell_decoder_inputs`]); `qldpc-serve
-    /// --spec` does exactly that. Deterministic decoder families (BP,
-    /// BP-OSD) produce byte-identical rows either way; BP-SF cells are
-    /// refused — their sampled trials consume a decoder-local RNG
-    /// stream that cannot be reproduced remotely.
+    /// --spec` does exactly that. Every decoder family is a pure
+    /// function of its inputs and the syndrome, so the rows are
+    /// byte-identical either way.
     pub service: Option<String>,
 }
 
@@ -352,22 +351,6 @@ pub fn run_campaign(
         .iter()
         .filter(|c| opts.shard.is_none_or(|(i, m)| c.index % m == i))
         .collect();
-    if opts.service.is_some() {
-        if let Some(cell) = cells
-            .iter()
-            .find(|c| c.decoder.family() == qldpc_decoder_api::DecoderFamily::BpSf)
-        {
-            return Err(CampaignError::Spec(SpecError {
-                line: 0,
-                message: format!(
-                    "cell '{}' uses BP-SF, which cannot decode over --service: its sampled \
-                     trials consume a decoder-local RNG stream that a remote instance does \
-                     not share, so the rows would not be reproducible",
-                    cell.id()
-                ),
-            }));
-        }
-    }
     std::fs::create_dir_all(&opts.out_dir)
         .map_err(|e| CampaignError::Io(format!("creating {}: {e}", opts.out_dir.display())))?;
     let results_path = opts.out_dir.join(results_file_name(opts.shard));

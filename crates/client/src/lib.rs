@@ -504,11 +504,10 @@ impl RemoteStream<'_> {
 /// decoder-driven harnesses (the Monte Carlo runners, the campaign
 /// engine) run unchanged against a networked decoder.
 ///
-/// The remote decode is bit-identical to the in-process one for
-/// deterministic decoders (BP, BP-OSD); stateful families whose decode
-/// consumes a local RNG stream (BP-SF) are *not* reproducible across
-/// the wire, because the server's decoder instances consume their own
-/// streams.
+/// The remote decode is bit-identical to the in-process one for every
+/// in-tree decoder family (BP, BP-OSD, BP-SF): each is a pure function
+/// of its construction inputs and the syndrome, so it does not matter
+/// which server instance decodes a shot, or in what order.
 ///
 /// `decode_syndrome` has no error channel, so transport failures and
 /// typed server refusals panic with the underlying [`ClientError`] —

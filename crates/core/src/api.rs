@@ -26,9 +26,8 @@ impl SyndromeDecoder for BpSfDecoder {
         outcome_from(self.decode(syndrome))
     }
 
-    /// Overrides the default loop: the initial BP stage runs through the
-    /// shot-interleaved batch kernel, and only the failed shots pay for
-    /// post-processing (see [`BpSfDecoder::decode_batch_results`]).
+    /// Overrides the default loop with
+    /// [`BpSfDecoder::decode_batch_results`] (batched initial BP stage).
     fn decode_batch(&mut self, syndromes: &[BitVec]) -> Vec<DecodeOutcome> {
         self.decode_batch_results(syndromes)
             .into_iter()
@@ -101,9 +100,9 @@ mod tests {
         assert_eq!(pool.label(), "BP-SF(P=2)");
     }
 
-    /// The batched path (interleaved initial BP + serial post-processing)
-    /// must match the sequential decode loop shot for shot, including the
-    /// RNG-consuming sampled-trial configuration.
+    /// The batched path (interleaved initial BP, then post-processing)
+    /// must match the sequential decode loop shot for shot, under
+    /// exhaustive and under sampled trials.
     #[test]
     fn batch_matches_loop_including_postprocessing() {
         use qldpc_gf2::SparseBitMatrix;

@@ -1,11 +1,10 @@
-//! The serial BP-SF decoder (paper Algorithm 1).
+//! Paper Algorithm 1, written once: the serial BP-SF decoder and the seam
+//! ([`TrialExecutor`]) through which the worker pool runs the same decode.
 
 use crate::candidates::{select_candidates_ranked, CandidateRanking};
-use crate::trials::TrialVectors;
-use qldpc_bp::{BatchMinSumDecoder, BpConfig, BpResult, MinSumDecoder};
+use crate::trials::{shot_rng, TrialVectors};
+use qldpc_bp::{BpConfig, BpResult, MinSumDecoder};
 use qldpc_gf2::{BitVec, SparseBitMatrix};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// How trial vectors are generated from the candidate set Φ.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,8 +65,9 @@ pub struct BpSfConfig {
     /// How candidate bits are ranked (ablation hook; the paper's rule is
     /// the default).
     pub ranking: CandidateRanking,
-    /// Seed for the sampled-trial RNG (decodes are deterministic given the
-    /// seed and the syndrome sequence).
+    /// Seed for the sampled-trial RNG: each post-processed shot draws its
+    /// trials from a generator seeded by this value and the syndrome, so a
+    /// decode is a pure function of `(H, priors, config, syndrome)`.
     pub seed: u64,
 }
 
@@ -137,7 +137,7 @@ fn binomial(n: usize, k: usize) -> usize {
 }
 
 /// Outcome of a BP-SF decode with full latency accounting.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BpSfResult {
     /// Whether any stage produced a syndrome-satisfying correction.
     pub success: bool,
@@ -163,25 +163,78 @@ pub struct BpSfResult {
     pub critical_path_iterations: usize,
 }
 
+/// What one trial decode of a flipped syndrome produced.
+pub(crate) struct TrialOutcome {
+    pub(crate) iterations: usize,
+    /// The trial's estimate (flips not yet undone) if it converged.
+    pub(crate) error_hat: Option<BitVec>,
+}
+
+impl From<BpResult> for TrialOutcome {
+    fn from(r: BpResult) -> Self {
+        Self {
+            iterations: r.iterations,
+            error_hat: r.converged.then_some(r.error_hat),
+        }
+    }
+}
+
+/// How a list of trials is run — the only thing the serial decoder and
+/// the worker pool differ in.
+pub(crate) trait TrialExecutor {
+    /// Decodes the flipped syndromes `s ⊕ H·t`, which `flipped` yields in
+    /// trial-index order (each computed when pulled), and returns, in that
+    /// order, the outcomes of the shortest prefix that contains the
+    /// lowest-index convergent trial — of every trial when none converges
+    /// or `first_success` is false.
+    fn run_trials(
+        &mut self,
+        flipped: impl Iterator<Item = BitVec>,
+        first_success: bool,
+    ) -> Vec<TrialOutcome>;
+}
+
+/// The serial executor is the trial decoder itself: one trial at a time,
+/// each flipped syndrome generated only when its turn comes.
+impl TrialExecutor for MinSumDecoder {
+    fn run_trials(
+        &mut self,
+        flipped: impl Iterator<Item = BitVec>,
+        first_success: bool,
+    ) -> Vec<TrialOutcome> {
+        let mut outcomes = Vec::new();
+        // Trials stay on the scalar decoder: early exit usually stops
+        // after a handful of them, and a fixed interleaved tile would
+        // decode past the winner — measurably worse than the loop on the
+        // latency-sensitive post-processing path.
+        for syndrome in flipped {
+            let r = self.decode(&syndrome);
+            let done = first_success && r.converged;
+            outcomes.push(r.into());
+            if done {
+                break;
+            }
+        }
+        outcomes
+    }
+}
+
 /// The serial BP-SF decoder (paper Algorithm 1).
 ///
 /// Owns two min-sum decoders (the oscillation-tracking initial instance
 /// and the short-depth trial instance) plus the sparse check matrix used
 /// for trial-syndrome generation `s′ = s ⊕ H·t` (an SpMSpV, §VI).
 ///
+/// A decode is a pure function of `(H, priors, config, syndrome)`: it
+/// equals [`ParallelBpSf`](crate::ParallelBpSf)'s for any worker count,
+/// and does not depend on what was decoded before or in which order.
 /// Clone the decoder to decode concurrently on several threads.
 #[derive(Debug, Clone)]
 pub struct BpSfDecoder {
     h: SparseBitMatrix,
     initial: MinSumDecoder,
-    /// Shot-interleaved engine for the initial BP stage of
-    /// [`Self::decode_batch_results`]; built lazily on the first batched
-    /// call (the configuration and priors are fixed after construction,
-    /// so the cache can never go stale).
-    initial_batch: Option<BatchMinSumDecoder>,
     trial: MinSumDecoder,
     config: BpSfConfig,
-    rng: StdRng,
 }
 
 impl BpSfDecoder {
@@ -209,10 +262,8 @@ impl BpSfDecoder {
         Self {
             h: h.clone(),
             initial: MinSumDecoder::new(h, priors, initial_cfg),
-            initial_batch: None,
             trial: MinSumDecoder::new(h, priors, trial_cfg),
             config,
-            rng: StdRng::seed_from_u64(config.seed),
         }
     }
 
@@ -226,21 +277,9 @@ impl BpSfDecoder {
         &self.h
     }
 
-    /// Generates the trial vectors for a failed initial decode, given the
-    /// selected candidate set (exposed for the parallel executor and for
-    /// the Fig. 3 analysis).
-    pub fn generate_trials(&mut self, candidates: &[usize]) -> TrialVectors {
-        match self.config.sampling {
-            TrialSampling::Exhaustive => {
-                TrialVectors::exhaustive(candidates, self.config.max_flip_weight)
-            }
-            TrialSampling::Sampled { per_weight } => TrialVectors::sampled(
-                candidates,
-                self.config.max_flip_weight,
-                per_weight,
-                &mut self.rng,
-            ),
-        }
+    /// The short-depth trial decoder (the pool clones it per worker).
+    pub(crate) fn trial_decoder(&self) -> &MinSumDecoder {
+        &self.trial
     }
 
     /// Decodes a syndrome (paper Algorithm 1, serial early-exit execution).
@@ -250,135 +289,121 @@ impl BpSfDecoder {
     /// Panics if the syndrome length differs from the number of checks.
     pub fn decode(&mut self, syndrome: &BitVec) -> BpSfResult {
         let initial = self.initial.decode(syndrome);
-        self.post_process(syndrome, initial)
+        post_process(&self.h, &self.config, &mut self.trial, syndrome, initial)
+    }
+
+    /// [`Self::decode`] with the trial list run by `executor` instead of
+    /// the serial loop.
+    pub(crate) fn decode_on(
+        &mut self,
+        executor: &mut impl TrialExecutor,
+        syndrome: &BitVec,
+    ) -> BpSfResult {
+        let initial = self.initial.decode(syndrome);
+        post_process(&self.h, &self.config, executor, syndrome, initial)
     }
 
     /// Decodes a batch of syndromes, running the **initial BP stage
-    /// through the shot-interleaved batch kernel** and post-processing
-    /// the failed shots serially in input order.
-    ///
-    /// Because the batch kernel is bit-identical to the scalar initial
-    /// decoder (and the trial RNG is consumed in the same shot order as a
-    /// sequential loop — converged shots never touch it), the results
-    /// equal a per-shot [`Self::decode`] loop exactly.
+    /// through the shot-interleaved batch kernel** (bit-identical to the
+    /// scalar decoder) and post-processing only the failed shots. The
+    /// results equal a per-shot [`Self::decode`] loop exactly.
     pub fn decode_batch_results(&mut self, syndromes: &[BitVec]) -> Vec<BpSfResult> {
-        if syndromes.len() < 2 {
-            return syndromes.iter().map(|s| self.decode(s)).collect();
-        }
-        if self.initial_batch.is_none() {
-            self.initial_batch = Some(BatchMinSumDecoder::from_scalar(&self.initial));
-        }
-        let initials = self
-            .initial_batch
-            .as_mut()
-            .expect("engine built above")
-            .decode_batch_results(syndromes);
+        let initials = self.initial.decode_batch_results(syndromes);
         initials
             .into_iter()
             .zip(syndromes)
-            .map(|(initial, s)| self.post_process(s, initial))
+            .map(|(initial, s)| post_process(&self.h, &self.config, &mut self.trial, s, initial))
             .collect()
     }
+}
 
-    /// Algorithm 1 after the initial BP attempt: candidate selection,
-    /// trial generation, and the serial early-exit trial loop.
-    fn post_process(&mut self, syndrome: &BitVec, initial: BpResult) -> BpSfResult {
-        if initial.converged {
-            return BpSfResult {
-                success: true,
-                error_hat: initial.error_hat,
-                initial_converged: true,
-                initial_iterations: initial.iterations,
-                candidates: Vec::new(),
-                trials_executed: 0,
-                winning_trial: None,
-                serial_iterations: initial.iterations,
-                critical_path_iterations: initial.iterations,
-            };
+/// Algorithm 1 after the initial BP attempt: candidate selection, trial
+/// generation, the executor's trial run, winner selection.
+fn post_process(
+    h: &SparseBitMatrix,
+    config: &BpSfConfig,
+    executor: &mut impl TrialExecutor,
+    syndrome: &BitVec,
+    initial: BpResult,
+) -> BpSfResult {
+    let mut result = BpSfResult {
+        success: initial.converged,
+        error_hat: initial.error_hat,
+        initial_converged: initial.converged,
+        initial_iterations: initial.iterations,
+        candidates: Vec::new(),
+        trials_executed: 0,
+        winning_trial: None,
+        serial_iterations: initial.iterations,
+        critical_path_iterations: initial.iterations,
+    };
+    if initial.converged {
+        return result;
+    }
+
+    result.candidates = select_candidates_ranked(
+        &initial.flip_counts,
+        &initial.posteriors,
+        config.candidates,
+        config.pad_candidates,
+        config.ranking,
+    );
+    let trials = match config.sampling {
+        TrialSampling::Exhaustive => {
+            TrialVectors::exhaustive(&result.candidates, config.max_flip_weight)
         }
+        TrialSampling::Sampled { per_weight } => TrialVectors::sampled(
+            &result.candidates,
+            config.max_flip_weight,
+            per_weight,
+            &mut shot_rng(config.seed, syndrome),
+        ),
+    };
+    let flipped = trials.iter().map(|t| {
+        // s′ = s ⊕ H·t  (flip the candidate bits in the syndrome domain).
+        let mut flipped = h.mul_sparse_vec(t);
+        flipped.xor_assign(syndrome);
+        flipped
+    });
+    let first_success = config.selection == TrialSelection::FirstSuccess;
+    let outcomes = executor.run_trials(flipped, first_success);
 
-        let candidates = select_candidates_ranked(
-            &initial.flip_counts,
-            &initial.posteriors,
-            self.config.candidates,
-            self.config.pad_candidates,
-            self.config.ranking,
-        );
-        let trials = self.generate_trials(&candidates);
-
-        let mut serial_iterations = initial.iterations;
-        let mut best: Option<(usize, BitVec, usize)> = None; // (trial idx, ê⊕t, iters)
-        let mut executed = 0usize;
-        // Trials stay on the scalar decoder: early exit usually stops
-        // after a handful of them, and a fixed interleaved tile would
-        // decode past the winner — measurably worse than the loop on the
-        // latency-sensitive post-processing path.
-        for (idx, t) in trials.iter().enumerate() {
-            // s′ = s ⊕ H·t  (flip the candidate bits in the syndrome domain).
-            let mut flipped = self.h.mul_sparse_vec(t);
-            flipped.xor_assign(syndrome);
-            let r = self.trial.decode(&flipped);
-            executed += 1;
-            serial_iterations += r.iterations;
-            if r.converged {
-                // Undo the flips in the error domain: ê ⊕ t.
-                let mut e = r.error_hat;
-                for &bit in t {
-                    e.flip(bit);
-                }
-                debug_assert_eq!(self.h.mul_vec(&e), *syndrome);
-                match self.config.selection {
-                    TrialSelection::FirstSuccess => {
-                        best = Some((idx, e, r.iterations));
-                        break;
-                    }
-                    TrialSelection::MinWeight => {
-                        let better = match &best {
-                            Some((_, prev, _)) => e.weight() < prev.weight(),
-                            None => true,
-                        };
-                        if better {
-                            best = Some((idx, e, r.iterations));
-                        }
-                    }
-                }
-            }
+    result.trials_executed = outcomes.len();
+    result.serial_iterations += outcomes.iter().map(|o| o.iterations).sum::<usize>();
+    // A failed parallel pass still waits for the slowest lane, which
+    // exhausts its full budget.
+    let mut critical_trial_iterations = config.trial_bp_iters;
+    // The winner: the lightest convergent trial, earliest on ties — under
+    // `FirstSuccess` the prefix holds exactly one.
+    let mut best_weight = usize::MAX;
+    for (idx, (outcome, t)) in outcomes.into_iter().zip(&trials).enumerate() {
+        let Some(mut e) = outcome.error_hat else {
+            continue;
+        };
+        // Undo the flips in the error domain: ê ⊕ t.
+        for &bit in t {
+            e.flip(bit);
         }
-
-        match best {
-            Some((idx, error_hat, trial_iters)) => BpSfResult {
-                success: true,
-                error_hat,
-                initial_converged: false,
-                initial_iterations: initial.iterations,
-                candidates,
-                trials_executed: executed,
-                winning_trial: Some(idx),
-                serial_iterations,
-                critical_path_iterations: initial.iterations + trial_iters,
-            },
-            None => BpSfResult {
-                success: false,
-                error_hat: initial.error_hat,
-                initial_converged: false,
-                initial_iterations: initial.iterations,
-                candidates,
-                trials_executed: executed,
-                winning_trial: None,
-                serial_iterations,
-                // A failed parallel pass still waits for the slowest lane,
-                // which exhausts its full budget.
-                critical_path_iterations: initial.iterations + self.config.trial_bp_iters,
-            },
+        debug_assert_eq!(h.mul_vec(&e), *syndrome);
+        let weight = e.weight();
+        if weight < best_weight {
+            best_weight = weight;
+            result.success = true;
+            result.error_hat = e;
+            result.winning_trial = Some(idx);
+            critical_trial_iterations = outcome.iterations;
         }
     }
+    result.critical_path_iterations += critical_trial_iterations;
+    result
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use qldpc_codes::{bb, coprime_bb};
-    use rand::Rng;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn zero_syndrome_short_circuits() {

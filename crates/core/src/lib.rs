@@ -15,9 +15,19 @@
 //!    selection: code degeneracy makes the first satisfying solution almost
 //!    always coset-correct).
 //!
-//! Both a serial executor ([`BpSfDecoder`]) and a persistent worker-pool
-//! parallel executor ([`ParallelBpSf`]) are provided, mirroring the paper's
-//! serial-CPU and multi-process-CPU implementations.
+//! The algorithm is written once and run by two executors that differ only
+//! in how a list of trials is decoded: one after another
+//! ([`BpSfDecoder`]) or on a persistent worker pool ([`ParallelBpSf`]),
+//! mirroring the paper's serial-CPU and multi-process-CPU implementations.
+//!
+//! # Determinism
+//!
+//! A decode is a pure function of `(H, priors, config, syndrome)`: sampled
+//! trials are drawn from a generator seeded by [`BpSfConfig::seed`] and the
+//! syndrome, and the winner is the lowest-index convergent trial (the
+//! lightest one under [`TrialSelection::MinWeight`]), never the first to
+//! finish. Hence serial ≡ pool(P) for every P ≡ any batch order ≡ any
+//! decode history ≡ a remote instance built from the same inputs.
 //!
 //! # Examples
 //!

@@ -1,8 +1,9 @@
 //! Trial-vector generation over the candidate set Φ.
 
+use qldpc_gf2::BitVec;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::Rng;
+use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
 
 /// An ordered collection of trial vectors, each a subset of the candidate
@@ -115,6 +116,20 @@ impl<'a> IntoIterator for &'a TrialVectors {
     }
 }
 
+/// The sampled-trial generator of one post-processed shot: a pure function
+/// of `(seed, syndrome)`, so a decode depends on no earlier decode. The mix
+/// is the SplitMix64 finalizer folded over the syndrome words — fixed
+/// constants, identical on every platform.
+pub(crate) fn shot_rng(seed: u64, syndrome: &BitVec) -> StdRng {
+    let mixed = syndrome.as_words().iter().fold(seed, |h, &word| {
+        let z = (h ^ word).wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    });
+    StdRng::seed_from_u64(mixed)
+}
+
 /// Uniformly samples a `w`-element subset of `pool` (Floyd-like via partial
 /// shuffle of an index scratch).
 fn sample_subset(pool: &[usize], w: usize, rng: &mut StdRng) -> Vec<usize> {
@@ -130,7 +145,6 @@ fn sample_subset(pool: &[usize], w: usize, rng: &mut StdRng) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn exhaustive_counts_match_binomials() {
@@ -186,6 +200,33 @@ mod tests {
         // Weight 1: at most 2 distinct; weight 2: at most 1 distinct.
         assert!(t.len() <= 3);
         assert!(t.len() >= 3, "all distinct subsets should be found");
+    }
+
+    /// Pins the `(seed, syndrome) → trials` stream to literal values: a
+    /// change to the mix or to the sampler silently changes every sampled
+    /// BP-SF outcome, recorded campaign rows included.
+    #[test]
+    fn shot_rng_stream_is_pinned() {
+        let c: Vec<usize> = (0..50).collect();
+        let syndrome = BitVec::from_indices(130, &[0, 63, 64, 129]);
+        let trials = |seed, s: &BitVec| TrialVectors::sampled(&c, 3, 2, &mut shot_rng(seed, s));
+        let pinned: [&[usize]; 6] = [
+            &[8],
+            &[22],
+            &[39, 43],
+            &[3, 28],
+            &[19, 39, 48],
+            &[15, 29, 38],
+        ];
+        assert_eq!(trials(0, &syndrome).vectors(), pinned);
+        assert_ne!(trials(0, &syndrome), trials(1, &syndrome));
+        assert_ne!(trials(0, &syndrome), trials(0, &BitVec::zeros(130)));
+        // Word position matters, not only the multiset of words.
+        let swapped = BitVec::from_words(128, vec![2, 1]);
+        assert_ne!(
+            trials(0, &BitVec::from_words(128, vec![1, 2])),
+            trials(0, &swapped)
+        );
     }
 
     #[test]

@@ -330,10 +330,9 @@ pub trait SyndromeDecoder {
     ///   `decode_syndrome` is a pure function of the syndrome, the
     ///   outcome of lane `i` may depend only on `syndromes[i]` — the same
     ///   syndrome placed at lane 0 and lane B−1 of one call must produce
-    ///   identical outcomes. (Decoders that legitimately thread state
-    ///   across shots — e.g. an RNG consumed by sampled trials — must
-    ///   consume it in loop order, which is the same guarantee in
-    ///   stateful form.)
+    ///   identical outcomes — every in-tree decoder is one. (A decoder
+    ///   that legitimately threads state across shots must consume it in
+    ///   loop order, which is the same guarantee in stateful form.)
     /// * **Ragged tails.** Any batch length is valid, including `0`
     ///   (returns an empty vector) and lengths that do not divide an
     ///   implementation's internal tile/lane width; padding lanes, if

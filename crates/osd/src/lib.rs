@@ -35,7 +35,7 @@
 //! assert_eq!(r.error_hat, e);
 //! ```
 
-use qldpc_bp::{BatchMinSumDecoder, BpConfig, BpResult, MinSumDecoder, Schedule};
+use qldpc_bp::{BpConfig, BpResult, MinSumDecoder, Schedule};
 pub use qldpc_decoder_api::{DecodeOutcome, DecodeTelemetry, SyndromeDecoder};
 use qldpc_gf2::{BitMatrix, BitVec, OrderedEliminator, SparseBitMatrix};
 
@@ -97,9 +97,6 @@ pub struct OsdResult {
 #[derive(Debug, Clone)]
 pub struct BpOsdDecoder {
     bp: MinSumDecoder,
-    /// Batch engine for [`SyndromeDecoder::decode_batch`], built lazily
-    /// from the scalar decoder on the first batched call.
-    bp_batch: Option<BatchMinSumDecoder>,
     elim: OrderedEliminator,
     cost: Vec<f64>,
     config: OsdConfig,
@@ -115,7 +112,6 @@ impl BpOsdDecoder {
         assert_eq!(priors.len(), h.cols(), "one prior per variable required");
         Self {
             bp: MinSumDecoder::new(h, priors, bp),
-            bp_batch: None,
             elim: OrderedEliminator::new(&h.to_dense()),
             cost: soft_costs(priors),
             config,
@@ -562,18 +558,8 @@ impl SyndromeDecoder for BpOsdDecoder {
     /// OSD stage, in input order. Outcomes equal a sequential
     /// [`BpOsdDecoder::decode`] loop exactly.
     fn decode_batch(&mut self, syndromes: &[BitVec]) -> Vec<DecodeOutcome> {
-        if syndromes.len() < 2 {
-            return syndromes.iter().map(|s| self.decode_syndrome(s)).collect();
-        }
-        if self.bp_batch.is_none() {
-            self.bp_batch = Some(BatchMinSumDecoder::from_scalar(&self.bp));
-        }
-        let bp_results = self
-            .bp_batch
-            .as_mut()
-            .expect("engine built above")
-            .decode_batch_results(syndromes);
-        bp_results
+        self.bp
+            .decode_batch_results(syndromes)
             .into_iter()
             .zip(syndromes)
             .map(|(bp_result, s)| outcome_from(self.finish(s, bp_result)))

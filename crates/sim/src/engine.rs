@@ -5,9 +5,8 @@
 //!   (earlier threads take the remainder, and empty chunks are dropped).
 //! * Thread `t` runs with the *deterministic* seed `seed + t`, so a
 //!   T-thread run is exactly the thread-ordered union of T seeded
-//!   single-thread runs — reproducible regardless of scheduling whenever
-//!   the decoder itself is deterministic (the worker-pool `ParallelBpSf`
-//!   is not: its winning trial depends on its own workers' scheduling).
+//!   single-thread runs — reproducible regardless of scheduling, since
+//!   every decoder's outcome is a pure function of the syndrome.
 //! * Every thread builds its own decoder instances from the shared
 //!   [`DecoderFactory`](crate::DecoderFactory) (decoders are stateful and
 //!   not `Sync`; factories are).

@@ -1,8 +1,7 @@
 //! Properties of the one shot loop behind `run_code_capacity` and
-//! `run_circuit_level`, checked on both noise models × the three
-//! deterministic decoder families (plain BP, BP-OSD, serial BP-SF with
-//! sampled trials — the one that threads decoder-local RNG state across
-//! a batch):
+//! `run_circuit_level`, checked on both noise models × every decoder
+//! family (plain BP, BP-OSD, and BP-SF with sampled trials, serial and
+//! on a two-worker trial pool):
 //!
 //! * the batch width never changes a record;
 //! * a T-thread run is the thread-ordered union of T
@@ -63,6 +62,10 @@ fn cases() -> Vec<(String, Model, DecoderFactory)> {
             (
                 "bpsf",
                 decoders::bp_sf(BpSfConfig::circuit_level(30, 20, 3, 3)),
+            ),
+            (
+                "bpsf-pool",
+                decoders::parallel_bp_sf(BpSfConfig::circuit_level(30, 20, 3, 3), 2),
             ),
         ] {
             cases.push((format!("{model:?}/{name}"), model, factory));

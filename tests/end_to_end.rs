@@ -132,7 +132,7 @@ fn parallel_pool_agrees_with_serial_on_stream() {
         let s = hz.mul_vec(&ex);
         let rs = serial.decode(&s);
         let (rp, _) = pool.decode(&s);
-        assert_eq!(rs.success, rp.success);
+        assert_eq!(rs, rp);
         if rp.success {
             assert_eq!(hz.mul_vec(&rp.error_hat), s);
         }
