@@ -17,12 +17,13 @@
 //! ([`wide`](crate::wide)) on the instruction set picked at runtime —
 //! AVX-512 → AVX2 → NEON → scalar, overridable per config
 //! ([`BpConfig::simd_target`]) or process-wide (`QLDPC_SIMD_TARGET`).
-//! On the scalar target, check-node updates go through the same
-//! [`kernel`](crate::kernel) core the scalar decoder uses; the wide
-//! targets re-express those loops with compare-blend selects chosen so
-//! each lane executes the identical float stream. Either way every lane
-//! performs the same floating-point operations in the same order as a
-//! scalar [`MinSumDecoder::decode`] of that shot — the outputs are
+//! On the scalar target, check-node updates go through the lane-generic
+//! [`kernel`](crate::kernel) core, the oracle; the wide targets
+//! re-express those loops with compare-blend selects chosen so each lane
+//! executes the identical float stream. Either way every lane produces
+//! the same floats, summed in the same order, as a scalar
+//! [`MinSumDecoder::decode`] of that shot (whose check-major sweep is a
+//! one-lane re-expression of the same arithmetic) — the outputs are
 //! **bit-identical on every dispatch target**, enforced by the property
 //! suite in `crates/bp/tests/batch_equivalence.rs`.
 //!
@@ -93,8 +94,10 @@ pub const DEFAULT_MAX_LANES: usize = 8 * qldpc_simd::MAX_F32_LANES;
 /// Supports everything the scalar decoder does — flooding and layered
 /// schedules, adaptive and fixed damping, posterior memory, min-sum and
 /// sum-product check rules, per-lane oscillation tracking for BP-SF —
-/// because both decoders share one check-update core and mirror each
-/// other's variable-phase operation order per lane.
+/// because both decoders compute the check update of `kernel.rs` (this
+/// one by running it, the scalar sweep as a one-lane re-expression) and
+/// sum each variable's messages in the same ascending-edge order per
+/// lane.
 ///
 /// The decoder owns all slabs and grows them lazily to the widest tile it
 /// has seen; repeated batch decodes do not allocate (beyond the returned
@@ -702,7 +705,7 @@ impl<T: Llr> BatchMinSumDecoderOf<T> {
     }
 
     /// Recomputes check `c`'s C2V messages for the live lanes via the
-    /// shared check-update core.
+    /// lane-generic check-update core.
     fn update_check(&mut self, c: usize, lanes: usize, width: usize, alpha: T) {
         let range = self.graph.check_edges(c);
         kernel::update_check_lanes(

@@ -106,8 +106,8 @@ pub struct BpConfig {
     /// carries state across checks.
     pub memory_strength: f64,
     /// Whether to record per-bit hard-decision flip counts (the BP-SF
-    /// oscillation signal). Costs one pass over the variables per
-    /// iteration.
+    /// oscillation signal). Counted in the per-iteration pass over the
+    /// variables that takes the hard decision.
     pub track_oscillations: bool,
     /// Explicit-SIMD dispatch pin for the batch engine's wide kernels.
     /// `None` (the default) auto-selects the widest instruction set the
@@ -171,10 +171,15 @@ pub struct MinSumDecoderOf<T: Llr> {
     channel_llrs: Vec<T>,
     // Working buffers, reused across decodes.
     c2v: Vec<T>,
-    v2c: Vec<T>,
+    /// Per variable, what V2C messages are formed from: flooding, the
+    /// unclamped `l_ch + Σ c2v` of the last sweep; layered, the running
+    /// posterior. `next_total` is where a flooding sweep sums the next one.
+    total: Vec<T>,
+    next_total: Vec<T>,
+    /// One check's V2C messages, sized to the largest check degree.
+    incoming: Vec<T>,
     posterior: Vec<T>,
     hard: Vec<bool>,
-    hard_prev: Vec<bool>,
     flip_counts: Vec<u32>,
     scratch: CheckScratch<T>,
     /// Cached interleaved engine behind [`Self::decode_batch_results`].
@@ -216,16 +221,19 @@ impl<T: Llr> MinSumDecoderOf<T> {
         let graph = TannerGraph::new(h);
         let edges = graph.num_edges();
         let vars = graph.num_vars();
+        let max_degree = (0..graph.num_checks()).map(|c| graph.check_edges(c).len());
+        let max_degree = max_degree.max().unwrap_or(0);
         Self {
             graph,
             h: h.clone(),
             config,
             channel_llrs: priors.iter().map(|&p| T::from_f64(prior_llr(p))).collect(),
             c2v: vec![T::ZERO; edges],
-            v2c: vec![T::ZERO; edges],
+            total: vec![T::ZERO; vars],
+            next_total: vec![T::ZERO; vars],
+            incoming: vec![T::ZERO; max_degree],
             posterior: vec![T::ZERO; vars],
             hard: vec![false; vars],
-            hard_prev: vec![false; vars],
             flip_counts: vec![0; vars],
             scratch: CheckScratch::new(1),
             batch: None,
@@ -317,34 +325,40 @@ impl<T: Llr> MinSumDecoderOf<T> {
             "syndrome length must equal the number of checks"
         );
         let vars = self.graph.num_vars();
-        // Reset state.
-        self.c2v.iter_mut().for_each(|m| *m = T::ZERO);
+        let flooding = self.config.schedule == Schedule::Flooding;
+        let track = self.config.track_oscillations;
+        // Posterior memory (flooding only): `Some(γ)` when enabled.
+        let gamma = self.config.memory_strength;
+        let memory = (flooding && gamma != 0.0).then(|| T::from_f64(gamma));
+        // Reset; `hard` and the counts are read before they are written
+        // only by flip tracking.
+        self.c2v.fill(T::ZERO);
         self.posterior.copy_from_slice(&self.channel_llrs);
-        self.hard.iter_mut().for_each(|b| *b = false);
-        self.hard_prev.iter_mut().for_each(|b| *b = false);
-        self.flip_counts.iter_mut().for_each(|c| *c = 0);
+        self.total.copy_from_slice(&self.channel_llrs);
+        if track {
+            self.hard.fill(false);
+            self.flip_counts.fill(0);
+        }
 
         let mut converged = false;
         let mut iterations = 0;
         for iter in 1..=self.config.max_iters {
             iterations = iter;
             let alpha = T::from_f64(self.config.damping.factor(iter));
-            match self.config.schedule {
-                Schedule::Flooding => self.flooding_iteration(syndrome, alpha),
-                Schedule::Layered => self.layered_iteration(syndrome, alpha),
+            if let Some(gamma) = memory {
+                self.blend_memory(gamma);
             }
-            // Hard decision (paper Eq. 8): error where the posterior says
-            // "1 more likely", i.e. LLR <= 0.
-            for v in 0..vars {
-                self.hard[v] = self.posterior[v] <= T::ZERO;
-            }
-            if self.config.track_oscillations {
-                for v in 0..vars {
-                    if self.hard[v] != self.hard_prev[v] {
-                        self.flip_counts[v] += 1;
-                    }
-                    self.hard_prev[v] = self.hard[v];
+            self.sweep_checks(syndrome, alpha, flooding);
+            // Posteriors (paper Eq. 7) and hard decision (paper Eq. 8):
+            // error where the posterior says "1 more likely", LLR <= 0.
+            for (v, &total) in self.total.iter().enumerate() {
+                let posterior = total.clamp_llr();
+                let bit = posterior <= T::ZERO;
+                if track {
+                    self.flip_counts[v] += u32::from(bit != self.hard[v]);
                 }
+                self.posterior[v] = posterior;
+                self.hard[v] = bit;
             }
             if self.syndrome_satisfied(syndrome) {
                 converged = true;
@@ -363,7 +377,7 @@ impl<T: Llr> MinSumDecoderOf<T> {
             error_hat,
             iterations,
             posteriors: self.posterior.clone(),
-            flip_counts: if self.config.track_oscillations {
+            flip_counts: if track {
                 self.flip_counts.clone()
             } else {
                 Vec::new()
@@ -371,82 +385,73 @@ impl<T: Llr> MinSumDecoderOf<T> {
         }
     }
 
-    /// Effective channel term for variable `v`: plain `l_ch`, or blended
-    /// with the previous posterior when memory is enabled.
-    #[inline]
-    fn effective_channel(&self, v: usize) -> T {
-        let gamma = self.config.memory_strength;
-        if gamma == 0.0 {
-            self.channel_llrs[v]
-        } else {
-            let g = T::from_f64(gamma);
-            (T::ONE - g) * self.channel_llrs[v] + g * self.posterior[v]
+    /// One pass over the checks in order: the whole message passing of an
+    /// iteration. Per check, V2C (paper Eq. 5) is formed on the fly as
+    /// `clamp(total[v] − c2v[e])`, the check rule writes the new C2V in
+    /// place, and it is folded back: flooding adds it into `next_total`
+    /// (started at `l_ch`; it becomes `total` when the sweep ends), layered
+    /// writes the running posterior through at once. Checks ascending and
+    /// edges ascending within a check hand every variable its C2V terms in
+    /// ascending edge id: the association order of the batch engine's
+    /// variable-major sums, which keeps this sweep bit-identical to it.
+    fn sweep_checks(&mut self, syndrome: &BitVec, alpha: T, flooding: bool) {
+        self.next_total.copy_from_slice(&self.channel_llrs);
+        let (total, next_total) = (&mut self.total[..], &mut self.next_total[..]);
+        for c in 0..self.graph.num_checks() {
+            let vars = self.graph.check_vars(c);
+            let c2v = &mut self.c2v[self.graph.check_edges(c)];
+            let incoming = &mut self.incoming[..vars.len()];
+            let bit = syndrome.get(c);
+            let (min1, min2, negative) = form_incoming(total, vars, c2v, incoming, bit);
+            match self.config.algorithm {
+                // Normalized min-sum (paper Eq. 6) in one lane. The oracle
+                // (`kernel::update_check_lanes`, which `batch_equivalence.rs`
+                // holds this against) writes `clamp(sign · own_sign · α ·
+                // mag)`: four values per check, computed once — `sign ·
+                // own_sign` is ±1 and multiplying by it is exact.
+                BpAlgorithm::MinSum => {
+                    let signed = if negative { -alpha } else { alpha };
+                    let others = [(signed * min1).clamp_llr(), (-signed * min1).clamp_llr()];
+                    let own = [(signed * min2).clamp_llr(), (-signed * min2).clamp_llr()];
+                    for (out, &m) in c2v.iter_mut().zip(incoming.iter()) {
+                        // The edge holding the minimum sees the second one;
+                        // the oracle takes the first such edge, and with two
+                        // of them `min2 == min1`.
+                        let [plus, minus] = if m.abs() == min1 { own } else { others };
+                        *out = if m < T::ZERO { minus } else { plus };
+                    }
+                }
+                BpAlgorithm::SumProduct => {
+                    let base_sign = [if bit { -T::ONE } else { T::ONE }];
+                    let (rule, scratch) = (BpAlgorithm::SumProduct, &mut self.scratch);
+                    kernel::update_check_lanes(
+                        rule, incoming, c2v, 1, 1, &base_sign, alpha, scratch,
+                    );
+                }
+            }
+            for ((&m, &v), &new) in incoming.iter().zip(vars).zip(c2v.iter()) {
+                if flooding {
+                    next_total[v as usize] += new;
+                } else {
+                    total[v as usize] = (m + new).clamp_llr();
+                }
+            }
+        }
+        if flooding {
+            std::mem::swap(&mut self.total, &mut self.next_total);
         }
     }
 
-    /// One flooding iteration: all V2C messages, then all C2V messages,
-    /// then the posteriors.
-    fn flooding_iteration(&mut self, syndrome: &BitVec, alpha: T) {
-        // V2C (paper Eq. 5): v2c[e] = lch[v] + Σ_{e'≠e} c2v[e'].
-        for v in 0..self.graph.num_vars() {
-            let mut sum = self.effective_channel(v);
+    /// Posterior memory: re-forms `total` with `(1−γ)·l_ch + γ·posterior`
+    /// in place of `l_ch`. The one variable-major pass over `c2v`, paid
+    /// only by the configuration that needs it.
+    fn blend_memory(&mut self, gamma: T) {
+        for (v, total) in self.total.iter_mut().enumerate() {
+            let mut sum = (T::ONE - gamma) * self.channel_llrs[v] + gamma * self.posterior[v];
             for &e in self.graph.var_edges(v) {
                 sum += self.c2v[e as usize];
             }
-            for &e in self.graph.var_edges(v) {
-                self.v2c[e as usize] = (sum - self.c2v[e as usize]).clamp_llr();
-            }
-        }
-        // C2V (paper Eq. 6, or the exact tanh rule).
-        for c in 0..self.graph.num_checks() {
-            self.update_check(c, syndrome.get(c), alpha);
-        }
-        // Posteriors (paper Eq. 7).
-        for v in 0..self.graph.num_vars() {
-            let mut sum = self.channel_llrs[v];
-            for &e in self.graph.var_edges(v) {
-                sum += self.c2v[e as usize];
-            }
-            self.posterior[v] = sum.clamp_llr();
-        }
-    }
-
-    /// Recomputes the C2V messages of check `c` from the current V2C
-    /// messages under the configured check-node rule.
-    ///
-    /// Delegates to the lane-generic core shared with
-    /// [`BatchMinSumDecoder`](crate::BatchMinSumDecoder), at lane width 1.
-    fn update_check(&mut self, c: usize, syndrome_bit: bool, alpha: T) {
-        let range = self.graph.check_edges(c);
-        let base_sign = [if syndrome_bit { -T::ONE } else { T::ONE }];
-        kernel::update_check_lanes(
-            self.config.algorithm,
-            &self.v2c[range.clone()],
-            &mut self.c2v[range],
-            1,
-            1,
-            &base_sign,
-            alpha,
-            &mut self.scratch,
-        );
-    }
-
-    /// One layered iteration: checks processed sequentially, posteriors
-    /// updated immediately after each check.
-    fn layered_iteration(&mut self, syndrome: &BitVec, alpha: T) {
-        for c in 0..self.graph.num_checks() {
-            let range = self.graph.check_edges(c);
-            // Fresh V2C from the running posterior, removing this check's
-            // previous contribution.
-            for e in range.clone() {
-                let v = self.graph.edge_var(e);
-                self.v2c[e] = (self.posterior[v] - self.c2v[e]).clamp_llr();
-            }
-            self.update_check(c, syndrome.get(c), alpha);
-            for e in range {
-                let v = self.graph.edge_var(e);
-                self.posterior[v] = (self.v2c[e] + self.c2v[e]).clamp_llr();
-            }
+            *total = sum;
         }
     }
 
@@ -463,6 +468,38 @@ impl<T: Llr> MinSumDecoderOf<T> {
         }
         true
     }
+}
+
+/// Forms one check's V2C messages and, in the same loop, reduces them as
+/// min-sum needs: the two smallest magnitudes and the parity of the
+/// negative signs, seeded with the syndrome bit. (Sum-product ignores the
+/// reduction; beside a tanh and a ln per edge it costs nothing.)
+///
+/// Out of line on purpose: inlined, LLVM's SLP vectorizer packs the two
+/// minima into one register to feed the four products of the min-sum
+/// arm, and the min/max chain becomes a flag-to-mask shuffle sequence
+/// five times as long.
+#[inline(never)]
+fn form_incoming<T: Llr>(
+    total: &[T],
+    vars: &[u32],
+    c2v: &[T],
+    incoming: &mut [T],
+    syndrome_bit: bool,
+) -> (T, T, bool) {
+    let (mut min1, mut min2, mut negative) = (T::INFINITY, T::INFINITY, syndrome_bit);
+    for ((slot, &v), &old) in incoming.iter_mut().zip(vars).zip(c2v) {
+        let m = (total[v as usize] - old).clamp_llr();
+        *slot = m;
+        let mag = m.abs();
+        // The larger of `mag` and the old minimum competes for second
+        // place: the same values as the oracle's three-way select.
+        let runner_up = if mag < min1 { min1 } else { mag };
+        min2 = if runner_up < min2 { runner_up } else { min2 };
+        min1 = if mag < min1 { mag } else { min1 };
+        negative ^= m < T::ZERO;
+    }
+    (min1, min2, negative)
 }
 
 #[cfg(test)]

@@ -6,8 +6,9 @@ use qldpc_gf2::SparseBitMatrix;
 ///
 /// Edges are numbered in row-major order of the check matrix: edge `e`
 /// connects check `edge_check[e]` with variable `edge_var[e]`. Both
-/// check-major and variable-major traversals are precomputed since every
-/// BP iteration needs both directions.
+/// check-major and variable-major traversals are precomputed: the batch
+/// engine walks both every iteration, the scalar decoder the check-major
+/// one (and the variable-major one only under posterior memory).
 ///
 /// # The check-major edge-ordering invariant
 ///
@@ -15,7 +16,7 @@ use qldpc_gf2::SparseBitMatrix;
 /// edges of check `c` occupy the **contiguous, ascending** id range
 /// returned by [`Self::check_edges`], and ranges of successive checks
 /// are adjacent (`check_edges(c).end == check_edges(c + 1).start`). The
-/// shared check-update kernel relies on this: it slices one check's
+/// check-update kernel relies on this: it slices one check's
 /// `deg × stride` message sub-slab out of the edge-major slabs with a
 /// single range index (`range.start * stride..range.end * stride`), and
 /// the scalar and batch decoders iterate a check's edges in exactly this
@@ -23,7 +24,9 @@ use qldpc_gf2::SparseBitMatrix;
 /// contract, since a different traversal order would reassociate the
 /// floating-point reductions. [`Self::check_vars`] is parallel to this
 /// range, and the variable-major view ([`Self::var_edges`]) lists each
-/// variable's edges in ascending id order for the same reason.
+/// variable's edges in ascending id order for the same reason: the
+/// scalar decoder's check-major sweep adds a variable's messages as it
+/// meets them, checks ascending, which is this order.
 ///
 /// # Examples
 ///

@@ -1,32 +1,37 @@
-//! The check-node update core shared by the scalar and batched decoders.
+//! The lane-generic check-node update core: the batch engine's scalar
+//! target, and the oracle every other check update is held against.
 //!
 //! [`update_check_lanes`] recomputes the check-to-variable messages of a
 //! single check for a prefix of `width` live lanes out of a slab with
 //! `stride` interleaved lanes. Message slabs are laid out edge-major,
 //! lane-minor: the message of local edge `j` in lane `b` lives at index
 //! `j * stride + b`, so the per-lane inner loops walk contiguous memory
-//! and auto-vectorize over the batch dimension. The scalar
-//! [`MinSumDecoder`](crate::MinSumDecoder) calls the same core with
-//! `stride == width == 1`, which degenerates to the classic per-edge
-//! loop — both decoders therefore execute the *same floating-point
-//! operations in the same order per shot*, the invariant the
-//! batch-vs-scalar property suite
-//! (`crates/bp/tests/batch_equivalence.rs`) pins bit-for-bit.
+//! and auto-vectorize over the batch dimension.
 //!
 //! The core is generic over the [`Llr`] scalar (`f64` or `f32`): every
 //! arithmetic step, constant and clamp comes from the trait, so the two
 //! precisions run the same algorithm at different widths and the
 //! bit-identity invariant holds *per precision*.
 //!
-//! This module is also the **oracle** for the explicit-SIMD twins in
-//! `crates/bp/src/wide.rs`: the min-sum branches of the wide kernels
-//! re-express these exact loops in vector ops chosen for bit-equality
-//! (ordered compares + blends, sign-bit abs/neg, no FMA, identical
-//! association order), and every dispatch target is pinned against this
-//! scalar path by the same equivalence suites. Any numerical change
-//! here must land in `wide.rs` in the same commit — the forced-target
-//! tests fail loudly if the two drift. The sum-product branch has no
-//! wide twin and always runs here.
+//! This module is the **oracle** for two re-expressions of its min-sum
+//! branch, each of which must produce *the same floats in the same
+//! association order per shot*:
+//!
+//! * the explicit-SIMD twins in `crates/bp/src/wide.rs`, which redo these
+//!   exact loops in vector ops chosen for bit-equality (ordered compares
+//!   and blends, sign-bit abs/neg, no FMA) and are pinned against this
+//!   path by the forced-target equivalence suites;
+//! * the scalar [`MinSumDecoder`](crate::MinSumDecoder)'s check-major
+//!   sweep (`crates/bp/src/decoder.rs`), which keeps one lane's
+//!   two-minimum reduction in registers instead of calling this core at
+//!   `stride == width == 1`, and is pinned to it through the
+//!   batch-vs-scalar property suite
+//!   (`crates/bp/tests/batch_equivalence.rs`) and the golden fingerprints.
+//!
+//! Any numerical change here must land in both in the same commit — the
+//! suites fail loudly if they drift. The sum-product branch has no twin:
+//! the batch engine and the scalar sweep (at width 1, on its per-check
+//! scratch) both run it here.
 
 use crate::llr::Llr;
 use crate::BpAlgorithm;

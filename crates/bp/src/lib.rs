@@ -27,11 +27,15 @@
 //! same precision: for every lane, [`BatchMinSumDecoder`] produces the
 //! same posteriors (to the last ulp), iteration counts, convergence
 //! flags and oscillation sets as a scalar [`MinSumDecoder`] decode of
-//! that lane's syndrome. This is structural, not coincidental — both
-//! paths run the one width-generic check-update core in
-//! `crates/bp/src/kernel.rs` (the scalar decoder calls it with
-//! `stride = width = 1`) — and it is pinned per precision by the
-//! property suite in `crates/bp/tests/batch_equivalence.rs`.
+//! that lane's syndrome. The lane-generic check-update core in
+//! `crates/bp/src/kernel.rs` is the oracle: the batch engine runs it (or
+//! an explicit-SIMD twin held to its bits), and the scalar decoder's
+//! check-major sweep — one pass over the checks per iteration, one
+//! lane's reduction in registers — computes the same floats in the same
+//! association order. The property suite in
+//! `crates/bp/tests/batch_equivalence.rs` pins the two against each
+//! other per precision, and `tests/golden_minsum.rs` pins both to fixed
+//! fingerprints on the code-capacity and circuit-level graphs.
 //!
 //! Per-shot early exit inside a batch uses **lane compaction**: when a
 //! lane's hard decision satisfies its syndrome, its column is swapped

@@ -41,6 +41,43 @@ fn sparse_matrix() -> impl Strategy<Value = SparseBitMatrix> {
     })
 }
 
+/// Index of the empty check row in every [`dem_like_matrix`].
+const EMPTY_ROW: usize = 2;
+
+/// Circuit-level shapes [`sparse_matrix`] never reaches: a check of
+/// weight 40–96 (a detector-error-model row, past any inline buffer a
+/// per-check scratch might use), an empty check row, four zero-degree
+/// columns at the end, and a chain of checks in which each shares a
+/// variable with the one before it.
+fn dem_like_matrix() -> impl Strategy<Value = SparseBitMatrix> {
+    (100usize..140, 40usize..=96, 2usize..8, 0u64..1_000_000).prop_map(
+        |(cols, heavy, light_rows, seed)| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let used = cols - 4;
+            let mut row = |weight: usize, shared: usize| {
+                let mut set = std::collections::BTreeSet::from([shared]);
+                while set.len() < weight {
+                    set.insert(rng.random_range(0..used));
+                }
+                set.into_iter().collect::<Vec<usize>>()
+            };
+            let mut rows = vec![row(heavy, 0)];
+            for i in 0..=light_rows {
+                if rows.len() == EMPTY_ROW {
+                    rows.push(Vec::new());
+                }
+                let shared = *rows
+                    .iter()
+                    .rev()
+                    .find_map(|r| r.last())
+                    .expect("row 0 is not empty");
+                rows.push(row(1 + (seed as usize + i) % 12, shared));
+            }
+            SparseBitMatrix::from_row_indices(rows.len(), cols, &rows)
+        },
+    )
+}
+
 /// A mixed batch: syndromes of random errors (mostly decodable) plus raw
 /// random syndromes (often inconsistent, exercising non-convergence).
 fn random_batch(h: &SparseBitMatrix, shots: usize, seed: u64) -> Vec<BitVec> {
@@ -83,35 +120,82 @@ fn assert_bit_identical<T: Llr>(batch: &BpResult<T>, scalar: &BpResult<T>, ctx: 
     }
 }
 
-fn check_config_at<T: Llr>(h: &SparseBitMatrix, syndromes: &[BitVec], config: BpConfig) {
-    let priors = vec![0.2; h.cols()];
-    let mut batch = BatchMinSumDecoderOf::<T>::new(h, &priors, config);
-    let mut scalar = MinSumDecoderOf::<T>::new(h, &priors, config);
+/// Batch ≡ scalar at one precision; returns the scalar results.
+fn check_config_at<T: Llr>(
+    h: &SparseBitMatrix,
+    priors: &[f64],
+    syndromes: &[BitVec],
+    config: BpConfig,
+) -> Vec<BpResult<T>> {
+    let mut batch = BatchMinSumDecoderOf::<T>::new(h, priors, config);
+    let mut scalar = MinSumDecoderOf::<T>::new(h, priors, config);
     let results = batch.decode_batch_results(syndromes);
     assert_eq!(results.len(), syndromes.len());
-    for (i, (rb, s)) in results.iter().zip(syndromes).enumerate() {
-        let rs = scalar.decode(s);
+    let scalar_results: Vec<_> = syndromes.iter().map(|s| scalar.decode(s)).collect();
+    for (i, (rb, rs)) in results.iter().zip(&scalar_results).enumerate() {
         assert_bit_identical(
             rb,
-            &rs,
+            rs,
             &format!("shot {i} at {} under {config:?}", T::PRECISION),
         );
     }
+    scalar_results
 }
 
 /// Runs one configuration's batch≡scalar check at f64 *and* f32, with
 /// the batch engine pinned to every compiled-in SIMD dispatch target in
 /// turn. The scalar reference always runs the scalar kernel, so each
 /// pass proves one wide target reproduces the oracle bits exactly.
-fn check_config(h: &SparseBitMatrix, syndromes: &[BitVec], config: BpConfig) {
+/// Returns the scalar results (the same on every pass) per precision.
+fn check_config_with(
+    h: &SparseBitMatrix,
+    priors: &[f64],
+    syndromes: &[BitVec],
+    config: BpConfig,
+) -> (Vec<BpResult<f64>>, Vec<BpResult<f32>>) {
+    let mut scalar = (Vec::new(), Vec::new());
     for &target in qldpc_bp::supported_simd_targets() {
         let forced = BpConfig {
             simd_target: Some(target),
             ..config
         };
-        check_config_at::<f64>(h, syndromes, forced);
-        check_config_at::<f32>(h, syndromes, forced);
+        scalar = (
+            check_config_at::<f64>(h, priors, syndromes, forced),
+            check_config_at::<f32>(h, priors, syndromes, forced),
+        );
     }
+    scalar
+}
+
+/// [`check_config_with`] at the suite's default priors.
+fn check_config(h: &SparseBitMatrix, syndromes: &[BitVec], config: BpConfig) {
+    check_config_with(h, &vec![0.2; h.cols()], syndromes, config);
+}
+
+/// Every combination of schedule, check rule, posterior memory, damping
+/// mode and oscillation tracking.
+fn all_configs(max_iters: usize) -> Vec<BpConfig> {
+    let mut configs = Vec::new();
+    for schedule in [Schedule::Flooding, Schedule::Layered] {
+        for algorithm in [BpAlgorithm::MinSum, BpAlgorithm::SumProduct] {
+            for memory_strength in [0.0, 0.4] {
+                for damping in [DampingSchedule::Adaptive, DampingSchedule::Fixed(0.75)] {
+                    for track_oscillations in [false, true] {
+                        configs.push(BpConfig {
+                            max_iters,
+                            schedule,
+                            algorithm,
+                            damping,
+                            memory_strength,
+                            track_oscillations,
+                            ..BpConfig::default()
+                        });
+                    }
+                }
+            }
+        }
+    }
+    configs
 }
 
 /// Tiling invisibility at one precision: a narrow lane cap (forcing
@@ -167,10 +251,12 @@ proptest! {
         }
     }
 
-    /// The exact sum-product rule and the posterior-memory term go
-    /// through the same shared core and must stay bit-identical too —
-    /// in both precisions (sum-product exercises the per-precision
-    /// tanh/atanh guard constants).
+    /// The exact sum-product rule (both decoders run the lane-generic
+    /// core, the scalar one at width 1 on its per-check scratch) and the
+    /// posterior-memory term (the scalar sweep's one variable-major
+    /// pass) must stay bit-identical too — in both precisions
+    /// (sum-product exercises the per-precision tanh/atanh guard
+    /// constants).
     #[test]
     fn sum_product_and_memory_stay_bit_identical(
         h in sparse_matrix(),
@@ -206,6 +292,86 @@ proptest! {
         let syndromes = random_batch(&h, shots, seed);
         check_lane_cap_at::<f64>(&h, &syndromes, cap);
         check_lane_cap_at::<f32>(&h, &syndromes, cap);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The full configuration cross product on circuit-level shapes,
+    /// with the empty check's syndrome bit both clear and set (set, the
+    /// syndrome is unsatisfiable and the decode runs out its budget).
+    #[test]
+    fn dem_like_shapes_stay_bit_identical(
+        h in dem_like_matrix(),
+        shots in 2usize..6,
+        seed in 0u64..1000,
+    ) {
+        let mut syndromes = random_batch(&h, shots, seed);
+        let mut unsatisfiable = syndromes[0].clone();
+        assert!(!unsatisfiable.get(EMPTY_ROW));
+        unsatisfiable.set(EMPTY_ROW, true);
+        syndromes.push(unsatisfiable);
+        for config in all_configs(12) {
+            check_config(&h, &syndromes, config);
+        }
+    }
+}
+
+/// Priors of exactly 0, 0.5 and 1 mixed in one graph. `prior_llr`
+/// clamps probabilities to `[1e-12, 1 − 1e-12]`, so the channel LLRs
+/// are ±27.6 and 0 rather than ±∞: this pins that behaviour — batch ≡
+/// scalar bit for bit, no panic, and an unsatisfiable syndrome (two
+/// identical checks, one bit set) stops at the iteration budget.
+#[test]
+fn degenerate_priors_stay_bit_identical_and_terminate() {
+    let h = SparseBitMatrix::from_row_indices(
+        4,
+        7,
+        &[vec![0, 1], vec![0, 1], vec![1, 2, 3, 4], vec![3, 4, 5]],
+    );
+    let priors = [0.0, 1.0, 0.5, 0.0, 0.5, 1.0, 0.5];
+    let syndromes = [
+        BitVec::from_indices(4, &[0]),
+        BitVec::zeros(4),
+        h.mul_vec(&BitVec::from_indices(7, &[1, 5])),
+        BitVec::from_indices(4, &[2, 3]),
+    ];
+    for config in all_configs(9) {
+        let (r64, r32) = check_config_with(&h, &priors, &syndromes, config);
+        for (converged, iterations) in [
+            (r64[0].converged, r64[0].iterations),
+            (r32[0].converged, r32[0].iterations),
+        ] {
+            assert!(!converged, "{config:?}");
+            assert_eq!(iterations, 9, "{config:?}");
+        }
+    }
+}
+
+/// The one reachable NaN: zero damping on a degree-1 check multiplies
+/// `0 · INF` (the lone edge's "minimum over the others"). The NaN then
+/// spreads through the posteriors; its bits — sign included — must be the
+/// batch engine's on every target, the decode must neither panic nor
+/// converge, and it must stop at the budget.
+#[test]
+fn zero_damping_nan_is_bit_identical() {
+    let h = SparseBitMatrix::from_row_indices(3, 4, &[vec![0, 1], vec![1, 2, 3], vec![3]]);
+    let syndromes = [BitVec::from_indices(3, &[1, 2]), BitVec::zeros(3)];
+    for schedule in [Schedule::Flooding, Schedule::Layered] {
+        for memory_strength in [0.0, 0.4] {
+            let config = BpConfig {
+                max_iters: 6,
+                schedule,
+                damping: DampingSchedule::Fixed(0.0),
+                memory_strength,
+                track_oscillations: true,
+                ..BpConfig::default()
+            };
+            let (r64, _) = check_config_with(&h, &[0.2; 4], &syndromes, config);
+            assert!(r64[0].posteriors[3].is_nan(), "{config:?}");
+            assert!(!r64[0].converged && r64[0].iterations == 6, "{config:?}");
+        }
     }
 }
 

@@ -1,7 +1,11 @@
 //! Fixed-seed golden regression: pins the scalar min-sum reference on the
 //! gross code — at **both** message precisions — so kernel refactors
 //! cannot silently drift the baselines the batch kernel is checked
-//! against.
+//! against. Two graphs are pinned: the code-capacity check matrix (every
+//! check of degree 6, uniform priors) and the circuit-level DEM the
+//! benchmark's `cl_*` workloads decode (216 × 1584, check degrees up to
+//! 36, 6336 edges, non-uniform priors, BP100) — the graph whose float
+//! stream the scalar decoder's check-major sweep must reproduce.
 //!
 //! The pinned values capture the *exact float stream* of each decoder
 //! (posteriors are fingerprinted via their raw bit patterns), on the
@@ -16,8 +20,8 @@
 //! `scout_seeds` with `-- --ignored --nocapture` and re-pin from the
 //! printed rows for **each** precision.
 
+use bpsf::bp::{BatchMinSumDecoderOf, BpResult, MinSumDecoderOf};
 use bpsf::prelude::*;
-use gf2::BitVec;
 
 /// One pinned decode: seed → (converged, iterations, error-estimate
 /// weight, posterior fingerprint).
@@ -85,107 +89,271 @@ const GOLDENS_F32: &[Golden] = &[
     },
 ];
 
-use bpsf::gf2;
-
-/// Order-sensitive fold of the exact posterior bit patterns (works for
-/// either precision through `Llr::to_bits_u64`).
-fn fingerprint<T: Llr>(posteriors: &[T]) -> u64 {
-    posteriors
-        .iter()
-        .fold(0u64, |acc, p| acc.rotate_left(7) ^ p.to_bits_u64())
+/// One pinned decode on the circuit-level DEM: the same four outcomes
+/// plus a fingerprint of the oscillation flip counts (BP-SF's candidate
+/// ranking reads them, so they are part of the stream to hold).
+struct DemGolden {
+    row: Golden,
+    flip_fingerprint: u64,
 }
 
-/// The pinned workload's syndrome: gross-code Z checks, i.i.d. errors
-/// from a seeded stream (identical for both precisions — only the
-/// decoder arithmetic differs).
-fn syndrome_for_seed(seed: u64) -> BitVec {
+/// The `f64` DEM rows, generated at the commit before the check-major
+/// sweep (`cargo test --release --test golden_minsum scout_seeds --
+/// --ignored --nocapture`).
+const DEM_GOLDENS_F64: &[DemGolden] = &[
+    // A slow convergence: forty iterations of the stream before the
+    // hard decision settles.
+    DemGolden {
+        row: Golden {
+            seed: 0,
+            converged: true,
+            iterations: 40,
+            error_weight: 3,
+            posterior_fingerprint: 0x6d250dd3679a47ff,
+        },
+        flip_fingerprint: 0x5c0c2ce469c72ca3,
+    },
+    DemGolden {
+        row: Golden {
+            seed: 4,
+            converged: true,
+            iterations: 13,
+            error_weight: 8,
+            posterior_fingerprint: 0x36df2a42e33a055d,
+        },
+        flip_fingerprint: 0x08156250541a9275,
+    },
+    // Two non-convergent shots — BP-SF's input: the full BP100
+    // trajectory and the flip counts its candidate ranking reads.
+    DemGolden {
+        row: Golden {
+            seed: 63,
+            converged: false,
+            iterations: 100,
+            error_weight: 6,
+            posterior_fingerprint: 0x29a0d28bb0a8ffc6,
+        },
+        flip_fingerprint: 0x1637c52c3e2529bc,
+    },
+    DemGolden {
+        row: Golden {
+            seed: 190,
+            converged: false,
+            iterations: 100,
+            error_weight: 5,
+            posterior_fingerprint: 0xdf1c35559bd5a24c,
+        },
+        flip_fingerprint: 0xc3b3ae410840f10a,
+    },
+];
+
+/// The `f32` DEM rows: same seeds, same syndromes.
+const DEM_GOLDENS_F32: &[DemGolden] = &[
+    // The f32 stream leaves the f64 one here: five iterations earlier.
+    DemGolden {
+        row: Golden {
+            seed: 0,
+            converged: true,
+            iterations: 35,
+            error_weight: 3,
+            posterior_fingerprint: 0x5d41ca0ff7d8050b,
+        },
+        flip_fingerprint: 0xbb04152451c83682,
+    },
+    DemGolden {
+        row: Golden {
+            seed: 4,
+            converged: true,
+            iterations: 13,
+            error_weight: 8,
+            posterior_fingerprint: 0x581ca23c37495a38,
+        },
+        flip_fingerprint: 0x08156250541a9275,
+    },
+    // Non-convergent at f32 too, with different estimates.
+    DemGolden {
+        row: Golden {
+            seed: 63,
+            converged: false,
+            iterations: 100,
+            error_weight: 12,
+            posterior_fingerprint: 0x1c7e1e5f73f545bc,
+        },
+        flip_fingerprint: 0xbfd0004e7e440dab,
+    },
+    DemGolden {
+        row: Golden {
+            seed: 190,
+            converged: false,
+            iterations: 100,
+            error_weight: 5,
+            posterior_fingerprint: 0xde0ccab8c83fdeee,
+        },
+        flip_fingerprint: 0xf3adaa410440e90b,
+    },
+];
+
+/// Order-sensitive fold of a sequence of bit patterns.
+fn fold_bits(bits: impl Iterator<Item = u64>) -> u64 {
+    bits.fold(0u64, |acc, b| acc.rotate_left(7) ^ b)
+}
+
+/// Fingerprint of the exact posterior bit patterns (works for either
+/// precision through `Llr::to_bits_u64`).
+fn fingerprint<T: Llr>(posteriors: &[T]) -> u64 {
+    fold_bits(posteriors.iter().map(|p| p.to_bits_u64()))
+}
+
+/// The same fold over the oscillation flip counts.
+fn flip_fingerprint(flip_counts: &[u32]) -> u64 {
+    fold_bits(flip_counts.iter().map(|&c| u64::from(c)))
+}
+
+/// A pinned graph: check matrix, priors, and the decoder configuration
+/// (flooding, adaptive damping, oscillation tracking on).
+struct Workload {
+    h: SparseBitMatrix,
+    priors: Vec<f64>,
+    config: BpConfig,
+    /// The syndrome of `seed` (identical for both precisions — only the
+    /// decoder arithmetic differs).
+    syndrome: Box<dyn Fn(u64) -> BitVec>,
+}
+
+/// Gross-code Z checks, i.i.d. errors from a seeded stream, BP40.
+fn code_capacity() -> Workload {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    let code = bb::gross_code();
-    let hz = code.hz();
+    let hz = bb::gross_code().hz().clone();
     let n = hz.cols();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut e = BitVec::zeros(n);
-    for i in 0..n {
-        if rng.random_bool(0.06) {
-            e.set(i, true);
-        }
+    let h = hz.clone();
+    Workload {
+        priors: vec![0.02; n],
+        config: BpConfig {
+            max_iters: 40,
+            track_oscillations: true,
+            ..BpConfig::default()
+        },
+        syndrome: Box::new(move |seed| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut e = BitVec::zeros(n);
+            for i in 0..n {
+                if rng.random_bool(0.06) {
+                    e.set(i, true);
+                }
+            }
+            hz.mul_vec(&e)
+        }),
+        h,
     }
-    hz.mul_vec(&e)
 }
 
-/// The pinned decode at precision `T`: BP40 flooding with adaptive
-/// damping and oscillation tracking on the gross code.
-fn decode_for_seed<T: Llr>(seed: u64) -> (BitVec, bpsf::bp::BpResult<T>) {
-    let code = bb::gross_code();
-    let hz = code.hz();
-    let n = hz.cols();
-    let s = syndrome_for_seed(seed);
-    let config = BpConfig {
-        max_iters: 40,
-        track_oscillations: true,
-        ..BpConfig::default()
-    };
-    let mut dec = bpsf::bp::MinSumDecoderOf::<T>::new(hz, &vec![0.02; n], config);
-    let r = dec.decode(&s);
-    (s, r)
+/// The benchmark's `cl_*` graph: the two-round gross-code memory
+/// experiment's DEM at p = 3e-3, one sampled shot per seed, BP100.
+fn circuit_level() -> Workload {
+    use rand::SeedableRng;
+    let noise = NoiseModel::uniform_depolarizing(3e-3);
+    let dem = MemoryExperiment::memory_z(&bb::gross_code(), 2, &noise).detector_error_model();
+    Workload {
+        h: dem.check_matrix().clone(),
+        priors: dem.priors().to_vec(),
+        config: BpConfig {
+            max_iters: 100,
+            track_oscillations: true,
+            ..BpConfig::default()
+        },
+        syndrome: Box::new(move |seed| {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            DemSampler::new(&dem).sample(&mut rng).syndrome
+        }),
+    }
+}
+
+fn row_of<T: Llr>(seed: u64, r: &BpResult<T>) -> String {
+    format!(
+        "[{}] seed {}: converged={} iterations={} error_weight={} fingerprint=0x{:016x} \
+         flip_fingerprint=0x{:016x}",
+        T::PRECISION,
+        seed,
+        r.converged,
+        r.iterations,
+        r.error_hat.weight(),
+        fingerprint(&r.posteriors),
+        flip_fingerprint(&r.flip_counts)
+    )
 }
 
 /// Golden scouting helper, per precision: prints re-pinnable rows for
-/// every candidate seed at the requested precision.
-fn scout<T: Llr>() {
-    for seed in 0..12u64 {
-        let (_, r) = decode_for_seed::<T>(seed);
-        println!(
-            "[{}] seed {}: converged={} iterations={} error_weight={} fingerprint=0x{:016x}",
-            T::PRECISION,
-            seed,
-            r.converged,
-            r.iterations,
-            r.error_hat.weight(),
-            fingerprint(&r.posteriors)
-        );
+/// the candidate seeds at the requested precision — every seed below
+/// `always`, and beyond it only the non-convergent ones (on the DEM one
+/// shot in seventy).
+fn scout<T: Llr>(w: &Workload, seeds: u64, always: u64) {
+    let mut dec = MinSumDecoderOf::<T>::new(&w.h, &w.priors, w.config);
+    for seed in 0..seeds {
+        let r = dec.decode(&(w.syndrome)(seed));
+        if seed < always || !r.converged {
+            println!("{}", row_of(seed, &r));
+        }
     }
 }
 
 #[test]
 #[ignore = "golden scouting helper"]
 fn scout_seeds() {
-    scout::<f64>();
-    scout::<f32>();
+    let w = code_capacity();
+    scout::<f64>(&w, 12, 12);
+    scout::<f32>(&w, 12, 12);
+    println!("circuit-level DEM:");
+    let w = circuit_level();
+    scout::<f64>(&w, 200, 6);
+    scout::<f32>(&w, 200, 6);
+}
+
+fn assert_row<T: Llr>(g: &Golden, r: &BpResult<T>, ctx: &str) {
+    let seed = g.seed;
+    assert_eq!(r.converged, g.converged, "seed {seed} ({ctx}): converged");
+    assert_eq!(
+        r.iterations, g.iterations,
+        "seed {seed} ({ctx}): iterations"
+    );
+    assert_eq!(
+        r.error_hat.weight(),
+        g.error_weight,
+        "seed {seed} ({ctx}): error weight"
+    );
+    assert_eq!(
+        fingerprint(&r.posteriors),
+        g.posterior_fingerprint,
+        "seed {seed} ({ctx}): posterior fingerprint"
+    );
+}
+
+fn assert_dem_row<T: Llr>(g: &DemGolden, r: &BpResult<T>, ctx: &str) {
+    assert_row(&g.row, r, ctx);
+    assert_eq!(
+        flip_fingerprint(&r.flip_counts),
+        g.flip_fingerprint,
+        "seed {} ({ctx}): flip-count fingerprint",
+        g.row.seed
+    );
+}
+
+/// Scalar decodes of the pinned seeds, one decoder reused across them.
+fn scalar_results<T: Llr>(w: &Workload, seeds: impl Iterator<Item = u64>) -> Vec<BpResult<T>> {
+    let mut dec = MinSumDecoderOf::<T>::new(&w.h, &w.priors, w.config);
+    seeds
+        .map(|seed| {
+            let r = dec.decode(&(w.syndrome)(seed));
+            println!("{}", row_of(seed, &r));
+            r
+        })
+        .collect()
 }
 
 fn check_scalar_goldens<T: Llr>(goldens: &[Golden]) {
-    for g in goldens {
-        let (_, r) = decode_for_seed::<T>(g.seed);
-        println!(
-            "[{}] seed {}: converged={} iterations={} error_weight={} fingerprint=0x{:016x}",
-            T::PRECISION,
-            g.seed,
-            r.converged,
-            r.iterations,
-            r.error_hat.weight(),
-            fingerprint(&r.posteriors)
-        );
-        let p = T::PRECISION;
-        assert_eq!(r.converged, g.converged, "seed {} ({p}): converged", g.seed);
-        assert_eq!(
-            r.iterations, g.iterations,
-            "seed {} ({p}): iterations",
-            g.seed
-        );
-        assert_eq!(
-            r.error_hat.weight(),
-            g.error_weight,
-            "seed {} ({p}): error weight",
-            g.seed
-        );
-        assert_eq!(
-            fingerprint(&r.posteriors),
-            g.posterior_fingerprint,
-            "seed {} ({p}): posterior fingerprint",
-            g.seed
-        );
+    let results = scalar_results::<T>(&code_capacity(), goldens.iter().map(|g| g.seed));
+    for (g, r) in goldens.iter().zip(&results) {
+        assert_row(g, r, &T::PRECISION.to_string());
     }
 }
 
@@ -199,52 +367,58 @@ fn scalar_minsum_f32_matches_pinned_goldens() {
     check_scalar_goldens::<f32>(GOLDENS_F32);
 }
 
+fn check_scalar_dem_goldens<T: Llr>(goldens: &[DemGolden]) {
+    assert!(goldens.iter().any(|g| !g.row.converged));
+    let results = scalar_results::<T>(&circuit_level(), goldens.iter().map(|g| g.row.seed));
+    for (g, r) in goldens.iter().zip(&results) {
+        assert_dem_row(g, r, &T::PRECISION.to_string());
+    }
+}
+
+#[test]
+fn scalar_minsum_matches_pinned_dem_goldens() {
+    check_scalar_dem_goldens::<f64>(DEM_GOLDENS_F64);
+}
+
+#[test]
+fn scalar_minsum_f32_matches_pinned_dem_goldens() {
+    check_scalar_dem_goldens::<f32>(DEM_GOLDENS_F32);
+}
+
+/// The pinned syndromes decoded as one batch on **every SIMD dispatch
+/// target compiled into this binary**, one result list per target.
+fn batch_results<T: Llr>(
+    w: &Workload,
+    seeds: impl Iterator<Item = u64>,
+) -> Vec<(String, Vec<BpResult<T>>)> {
+    let syndromes: Vec<BitVec> = seeds.map(|seed| (w.syndrome)(seed)).collect();
+    bpsf::bp::supported_simd_targets()
+        .iter()
+        .map(|&target| {
+            let config = BpConfig {
+                simd_target: Some(target),
+                ..w.config
+            };
+            let mut batch = BatchMinSumDecoderOf::<T>::new(&w.h, &w.priors, config);
+            (
+                format!("{}, {target}", T::PRECISION),
+                batch.decode_batch_results(&syndromes),
+            )
+        })
+        .collect()
+}
+
 /// The batch kernel must reproduce the same pinned reference *at each
-/// precision* — and on **every SIMD dispatch target compiled into this
-/// binary**: decoding the three golden syndromes as one batch gives the
-/// same bits as the three scalar decodes of that precision, whether the
-/// batch runs the scalar oracle kernel or an explicit AVX2/AVX-512/NEON
-/// wide kernel. The golden rows are shared across targets by design —
-/// the explicit-SIMD kernels are exact re-expressions, not
-/// approximations.
+/// precision* — and on every dispatch target: decoding the golden
+/// syndromes as one batch gives the same bits as the scalar decodes of
+/// that precision, whether the batch runs the scalar oracle kernel or an
+/// explicit AVX2/AVX-512/NEON wide kernel. The golden rows are shared
+/// across targets by design — the explicit-SIMD kernels are exact
+/// re-expressions, not approximations.
 fn check_batch_goldens<T: Llr>(goldens: &[Golden]) {
-    let code = bb::gross_code();
-    let hz = code.hz();
-    let n = hz.cols();
-    let syndromes: Vec<BitVec> = goldens.iter().map(|g| syndrome_for_seed(g.seed)).collect();
-    let p = T::PRECISION;
-    for &target in bpsf::bp::supported_simd_targets() {
-        let config = BpConfig {
-            max_iters: 40,
-            track_oscillations: true,
-            simd_target: Some(target),
-            ..BpConfig::default()
-        };
-        let mut batch = bpsf::bp::BatchMinSumDecoderOf::<T>::new(hz, &vec![0.02; n], config);
-        let results = batch.decode_batch_results(&syndromes);
+    for (ctx, results) in batch_results::<T>(&code_capacity(), goldens.iter().map(|g| g.seed)) {
         for (g, r) in goldens.iter().zip(&results) {
-            assert_eq!(
-                r.converged, g.converged,
-                "seed {} ({p}, {target}): converged",
-                g.seed
-            );
-            assert_eq!(
-                r.iterations, g.iterations,
-                "seed {} ({p}, {target}): iterations",
-                g.seed
-            );
-            assert_eq!(
-                r.error_hat.weight(),
-                g.error_weight,
-                "seed {} ({p}, {target}): error weight",
-                g.seed
-            );
-            assert_eq!(
-                fingerprint(&r.posteriors),
-                g.posterior_fingerprint,
-                "seed {} ({p}, {target}): posterior fingerprint",
-                g.seed
-            );
+            assert_row(g, r, &ctx);
         }
     }
 }
@@ -257,4 +431,23 @@ fn batch_kernel_matches_pinned_goldens() {
 #[test]
 fn batch_kernel_f32_matches_pinned_goldens() {
     check_batch_goldens::<f32>(GOLDENS_F32);
+}
+
+fn check_batch_dem_goldens<T: Llr>(goldens: &[DemGolden]) {
+    let seeds = goldens.iter().map(|g| g.row.seed);
+    for (ctx, results) in batch_results::<T>(&circuit_level(), seeds) {
+        for (g, r) in goldens.iter().zip(&results) {
+            assert_dem_row(g, r, &ctx);
+        }
+    }
+}
+
+#[test]
+fn batch_kernel_matches_pinned_dem_goldens() {
+    check_batch_dem_goldens::<f64>(DEM_GOLDENS_F64);
+}
+
+#[test]
+fn batch_kernel_f32_matches_pinned_dem_goldens() {
+    check_batch_dem_goldens::<f32>(DEM_GOLDENS_F32);
 }

@@ -16,15 +16,19 @@ use bpsf::prelude::*;
 /// — while OSD's elimination is inherently serial (the paper's point)
 /// and its wall time stands as measured.
 ///
-/// Against this repo's word-parallel OSD fast path the absolute
-/// crossover sits beyond smoke-test depth (the paper compares against
-/// conventional per-bit BP-OSD implementations; our baseline is now an
-/// order of magnitude faster, which is exactly the honest comparison
-/// EXPERIMENTS.md reports). What survives at reduced scale, robustly,
-/// is the *scaling separation*: the BP-SF-to-OSD cost ratio must
-/// shrink markedly from shallow to deep circuits, and at paper-like
-/// depth the parallelized SF cost must already sit within a small
-/// factor of even the optimized elimination.
+/// The baseline is this repo's word-parallel OSD fast path, an order of
+/// magnitude faster than the conventional per-bit BP-OSD the paper
+/// compares against — the honest comparison EXPERIMENTS.md reports.
+/// Against it the absolute crossover used to sit beyond smoke-test
+/// depth; since the scalar decoder's check-major sweep halved the cost
+/// of a BP iteration it falls inside: at twelve rounds the parallelized
+/// SF cost was below the elimination's in ten of ten release runs on a
+/// 2-core container (ratio 0.59–0.87, median 0.73; 0.76–1.26, median
+/// 1.03 before). These are wall-clock ratios over a few dozen shots on
+/// a shared machine, so what is asserted stays a trend with margins:
+/// the BP-SF-to-OSD cost ratio must shrink markedly from shallow to
+/// deep circuits, and at paper-like depth the parallelized SF cost
+/// must sit within a small factor of even the optimized elimination.
 ///
 /// Lives alone in this file, and must stay alone: cargo runs test
 /// binaries one after another but the tests inside one in parallel, and
