@@ -21,7 +21,6 @@
 //! iteration counts the work per shot is precision-independent, so this
 //! sweep is a pure arithmetic/bandwidth comparison.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use qldpc_bp::{
     active_simd_target, simd_cpu_features, supported_simd_targets, BatchMinSumDecoderOf, BpConfig,
     Llr, MinSumDecoderOf, Precision, SimdTarget, DEFAULT_MAX_LANES,
@@ -152,7 +151,7 @@ fn sweep_forced_targets<T: Llr>(
 
 /// The sweep driver. Emits `BENCH_bp_precision.json` with one series per
 /// precision and the headline f32/f64 ratio at the widest batch.
-fn bench_bp_precision(_c: &mut Criterion) {
+fn main() {
     // `cargo bench` invokes bench binaries with `--bench`; anything else
     // (`cargo test --benches` runs them with NO marker argument, and in
     // the dev profile at that) gets a fast smoke pass that must not
@@ -253,6 +252,3 @@ fn bench_bp_precision(_c: &mut Criterion) {
         Err(e) => eprintln!("bp_precision_sweep: could not write {path}: {e}"),
     }
 }
-
-criterion_group!(benches, bench_bp_precision);
-criterion_main!(benches);

@@ -9,7 +9,6 @@
 //! at the repo root; the single-window row doubles as an offline
 //! baseline (one window covering the whole experiment).
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use qldpc_circuit::{window_plan, MemoryExperiment, NoiseModel};
 use qldpc_codes::CssCode;
 use qldpc_sim::{decoders, run_streaming, StreamingConfig, StreamingReport};
@@ -50,9 +49,9 @@ fn run_case(case: &Case, shots: usize) -> StreamingReport {
     )
 }
 
-fn bench_streaming(_c: &mut Criterion) {
+fn main() {
     // Smoke pass under `cargo test --benches`: tiny load, no artifact
-    // (same convention as service.rs / bp_precision.rs).
+    // (same convention as bp_precision.rs).
     let smoke = !std::env::args().any(|a| a == "--bench");
     let shots = if smoke { 8 } else { 200 };
 
@@ -123,6 +122,3 @@ fn bench_streaming(_c: &mut Criterion) {
         Err(e) => eprintln!("streaming: could not write {path}: {e}"),
     }
 }
-
-criterion_group!(benches, bench_streaming);
-criterion_main!(benches);

@@ -1,193 +1,274 @@
-//! Generic decoding CLI: pick a code, noise model, decoder and shot
-//! budget; get a LER + latency report. The Swiss-army knife for
-//! exploring the stack beyond the fixed paper figures.
+//! The one-cell anatomy tool: one campaign cell given on the command
+//! line, run once at a fixed shot count with one decode call per shot,
+//! and everything the run's `RunReport` knows printed — LER, iteration
+//! and wall-clock statistics, text histograms, and the hardware latency
+//! models replayed over the iteration records.
 //!
 //! ```text
 //! cargo run --release -p qldpc-bench --bin decode -- \
-//!     --code gross --model circuit --p 3e-3 --rounds 12 \
-//!     --decoder bpsf --shots 500 --threads 2
+//!     --code gross --noise circuit-level --p 3e-3 --rounds 12 \
+//!     --decoder bp-sf:100:50:10:10 --shots 300
 //! ```
 //!
-//! Codes: `bb72`, `gross`, `bb288`, `coprime126`, `coprime154`, `gb254`,
-//! `shyps225`. Models: `capacity`, `circuit`. Decoders: `bp`, `layered-bp`,
-//! `bposd`, `bpsf`, `bpsf-parallel`. The plain-BP decoders also take
-//! `--precision f32` for the half-width message fast path.
+//! The flags speak the campaign spec's vocabulary and are parsed by its
+//! parser: `--code`, `--noise`, `--rounds`, `--decoder`, `--precision`
+//! take exactly the strings the spec keys `codes`, `noise`, `rounds`,
+//! `decoders`, `precisions` take (EXPERIMENTS.md, "Campaigns"). The
+//! paper's latency figures (2, 12–16, Table I) are invocations of this
+//! binary; EXPERIMENTS.md ("Paper figures") lists them with the line of
+//! the output to read.
 
-use bpsf_core::BpSfConfig;
-use qldpc_bench::build_dem;
-use qldpc_codes::CssCode;
+use qldpc_bench::{build_dem, exit_with_usage};
+use qldpc_campaign::{CampaignSpec, Cell, DecoderSpec, NoiseSpec};
 use qldpc_sim::{
-    decoders, decoders::Precision, run_circuit_level, run_code_capacity, BatchConfig,
-    CircuitLevelConfig, CodeCapacityConfig, DecoderFactory,
+    decoders, run_circuit_level, run_code_capacity, BatchConfig, CircuitLevelConfig,
+    CodeCapacityConfig, HardwareLatencyModel, LatencyStats,
 };
+use std::fmt::Write as _;
 
+const USAGE: &str = "\
+usage: decode --code SLUG --noise code-capacity|circuit-level --p F --decoder SPEC
+              [--rounds N|d] [--precision f64|f32] [--pool P]
+              [--shots N] [--threads N] [--seed N]
+  --code       bb72 | gross | bb288 | coprime126 | coprime154 | gb254 | shyps225
+  --decoder    bp:ITERS | bp-osd:ITERS:ORDER | bp-sf:ITERS:CANDS:WMAX[:NS],
+               each optionally prefixed layered-
+  --rounds     circuit-level only; default d, the code's distance
+  --precision  f32 exists for bp / layered-bp only (default f64)
+  --pool P     run a bp-sf decoder's trials on a pool of P worker threads
+  --shots N    shots to decode (default 500), split over --threads streams
+               (default 1); every decode call takes one syndrome, so wall
+               clock is per-shot latency";
+
+/// Each flag that is a campaign-spec key under another name.
+const SPEC_FLAGS: [(&str, &str); 9] = [
+    ("--code", "codes"),
+    ("--noise", "noise"),
+    ("--p", "p"),
+    ("--decoder", "decoders"),
+    ("--rounds", "rounds"),
+    ("--precision", "precisions"),
+    ("--shots", "max_shots"),
+    ("--threads", "threads"),
+    ("--seed", "seed"),
+];
+
+/// The parsed command line: the one cell to run and how.
 struct Cli {
-    code: String,
-    model: String,
-    decoder: String,
-    precision: Precision,
-    p: f64,
-    rounds: Option<usize>,
-    shots: usize,
-    threads: usize,
-    seed: u64,
-    bp_iters: usize,
-    osd_order: usize,
-    candidates: usize,
-    w_max: usize,
-    n_s: usize,
+    spec: CampaignSpec,
+    cell: Cell,
+    pool: Option<usize>,
 }
 
 impl Cli {
-    fn parse() -> Self {
-        let mut cli = Self {
-            code: "gross".into(),
-            model: "capacity".into(),
-            decoder: "bpsf".into(),
-            precision: Precision::F64,
-            p: 0.01,
-            rounds: None,
-            shots: 500,
-            threads: 1,
-            seed: 2026,
-            bp_iters: 100,
-            osd_order: 10,
-            candidates: 50,
-            w_max: 6,
-            n_s: 5,
-        };
-        let mut it = std::env::args().skip(1);
-        while let Some(a) = it.next() {
-            let mut val = || it.next().unwrap_or_else(|| panic!("{a} needs a value"));
-            match a.as_str() {
-                "--code" => cli.code = val(),
-                "--model" => cli.model = val(),
-                "--decoder" => cli.decoder = val(),
-                "--precision" => {
-                    cli.precision = match val().as_str() {
-                        "f64" => Precision::F64,
-                        "f32" => Precision::F32,
-                        other => panic!("unknown precision {other:?} (f64|f32)"),
-                    }
+    /// Turns the arguments into a one-cell campaign spec — one spec line
+    /// per flag — and lets the campaign parser validate it, so an error
+    /// names the flag whose line it points at.
+    fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
+        let mut text = String::from("name = decode\n");
+        let mut flags: Vec<String> = Vec::new();
+        let mut pool = None;
+        let mut it = args.into_iter();
+        while let Some(flag) = it.next() {
+            if flag == "--help" || flag == "-h" {
+                println!("{USAGE}");
+                std::process::exit(0);
+            }
+            let value = it.next().ok_or(format!("{flag} needs a value"))?;
+            if flag == "--pool" {
+                pool = match value.parse() {
+                    Ok(workers) if workers > 0 => Some(workers),
+                    _ => return Err(format!("--pool needs a positive count, got '{value}'")),
+                };
+            } else if let Some((_, key)) = SPEC_FLAGS.iter().find(|(f, _)| *f == flag) {
+                // One value, one spec line: list separators and comment
+                // markers would make it a grid or hide the rest.
+                if value.contains([',', '#', '\n']) {
+                    return Err(format!("{flag} takes a single value, got '{value}'"));
                 }
-                "--p" => cli.p = val().parse().expect("bad --p"),
-                "--rounds" => cli.rounds = Some(val().parse().expect("bad --rounds")),
-                "--shots" => cli.shots = val().parse().expect("bad --shots"),
-                "--threads" => cli.threads = val().parse().expect("bad --threads"),
-                "--seed" => cli.seed = val().parse().expect("bad --seed"),
-                "--bp-iters" => cli.bp_iters = val().parse().expect("bad --bp-iters"),
-                "--osd-order" => cli.osd_order = val().parse().expect("bad --osd-order"),
-                "--candidates" => cli.candidates = val().parse().expect("bad --candidates"),
-                "--w-max" => cli.w_max = val().parse().expect("bad --w-max"),
-                "--ns" => cli.n_s = val().parse().expect("bad --ns"),
-                "--help" | "-h" => {
-                    println!(
-                        "usage: decode [--code NAME] [--model capacity|circuit] \
-                         [--decoder bp|layered-bp|bposd|bpsf|bpsf-parallel] \
-                         [--precision f64|f32 (bp/layered-bp only)] [--p F] \
-                         [--rounds N] [--shots N] [--threads N] [--seed N] \
-                         [--bp-iters N] [--osd-order N] [--candidates N] [--w-max N] [--ns N]"
-                    );
-                    std::process::exit(0);
-                }
-                other => panic!("unknown argument {other:?} (try --help)"),
+                writeln!(text, "{key} = {value}").expect("writing to a String");
+                flags.push(flag);
+            } else {
+                return Err(format!("unknown argument '{flag}'"));
             }
         }
-        cli
-    }
-
-    fn resolve_code(&self) -> CssCode {
-        let slug = match self.code.as_str() {
-            "bb144" => "gross",
-            slug => slug,
-        };
-        qldpc_codes::paper_code(slug).unwrap_or_else(|| panic!("unknown code {:?}", self.code))
-    }
-
-    fn resolve_decoder(&self) -> DecoderFactory {
-        // Only plain BP has a reduced-precision implementation; reject
-        // the flag elsewhere rather than silently decoding at f64.
-        if self.precision != Precision::F64 && !matches!(self.decoder.as_str(), "bp" | "layered-bp")
-        {
-            panic!("--precision f32 is only supported by bp/layered-bp");
+        for required in ["--code", "--noise", "--p", "--decoder"] {
+            if !flags.iter().any(|f| f == required) {
+                return Err(format!("{required} is required"));
+            }
         }
-        let sf_config = if self.model == "capacity" {
-            BpSfConfig::code_capacity(self.bp_iters, self.candidates, self.w_max)
-        } else {
-            BpSfConfig::circuit_level(self.bp_iters, self.candidates, self.w_max, self.n_s)
-        };
-        match self.decoder.as_str() {
-            "bp" => decoders::plain_bp_at(self.bp_iters, self.precision),
-            "layered-bp" => decoders::layered_bp_at(self.bp_iters, self.precision),
-            "bposd" => decoders::bp_osd(self.bp_iters, self.osd_order),
-            "bpsf" => decoders::bp_sf(sf_config),
-            "bpsf-parallel" => decoders::parallel_bp_sf(sf_config, self.threads.max(2)),
-            other => panic!("unknown decoder {other:?}"),
+        for (flag, default) in [("--shots", "max_shots = 500"), ("--threads", "threads = 1")] {
+            if !flags.iter().any(|f| f == flag) {
+                writeln!(text, "{default}").expect("writing to a String");
+            }
         }
+        // Line 1 is the name; line k + 1 is the k-th flag's.
+        let spec =
+            CampaignSpec::parse(&text).map_err(|e| match flags.get(e.line.wrapping_sub(2)) {
+                Some(flag) => format!("{flag}: {}", e.message),
+                None => e.message,
+            })?;
+        let (decoder, precision) = (spec.decoders[0], spec.precisions[0]);
+        if !decoder.supports(precision) {
+            return Err(format!(
+                "--precision {precision}: {} has no {precision} variant",
+                decoder.spec_syntax()
+            ));
+        }
+        if pool.is_some() && !matches!(decoder, DecoderSpec::BpSf { layered: false, .. }) {
+            return Err(format!(
+                "--pool runs the trials of a bp-sf:… decoder, not of {}",
+                decoder.spec_syntax()
+            ));
+        }
+        if spec.threads == 0 {
+            return Err("--threads needs a positive count".into());
+        }
+        let cell = spec.cells().map_err(|e| e.message)?.remove(0);
+        Ok(Self { spec, cell, pool })
     }
 }
 
 fn main() {
-    let cli = Cli::parse();
-    let code = cli.resolve_code();
-    let factory = cli.resolve_decoder();
-    // One decode call per shot, so the reported wall clock is per-shot
-    // latency. `--threads` fans the shot stream out — except under
-    // `bpsf-parallel`, where it sizes the decoder's trial pool and the
-    // shots stay one stream (T streams of T-worker pools is T² threads).
-    let streams = if cli.decoder == "bpsf-parallel" {
-        1
-    } else {
-        cli.threads
+    let Cli { spec, cell, pool } = Cli::parse(std::env::args().skip(1))
+        .unwrap_or_else(|error| exit_with_usage("decode", &error, USAGE));
+    let code = qldpc_codes::paper_code(&cell.code_slug).expect("the spec parser checked the slug");
+    let factory = match pool {
+        None => cell.decoder.factory(cell.precision),
+        Some(workers) => decoders::parallel_bp_sf(
+            cell.decoder
+                .bp_sf_config()
+                .expect("--pool was checked against bp-sf"),
+            workers,
+        ),
     };
+    let (shots, seed) = (spec.max_shots, spec.seed);
     let batch = BatchConfig {
-        threads: streams,
+        threads: spec.threads,
         batch_size: 1,
     };
     println!(
-        "decoding {} under the {} model at p = {} ({} shots, {} thread(s))",
-        code, cli.model, cli.p, cli.shots, cli.threads
+        "decode: {} — {shots} shots, seed {seed}, {} thread(s){}",
+        cell.id(),
+        batch.threads,
+        pool.map_or_else(String::new, |p| format!(", trial pool of {p}")),
     );
 
-    let report = match cli.model.as_str() {
-        "capacity" => run_code_capacity(
+    let report = match spec.noise {
+        NoiseSpec::CodeCapacity => run_code_capacity(
             &code,
             &CodeCapacityConfig {
-                p: cli.p,
-                shots: cli.shots,
-                seed: cli.seed,
+                p: cell.p,
+                shots,
+                seed,
             },
             &factory,
             &batch,
         ),
-        "circuit" => {
-            let rounds = cli.rounds.unwrap_or_else(|| code.d().unwrap_or(4));
-            let dem = build_dem(&code, rounds, cli.p);
+        NoiseSpec::CircuitLevel { .. } => {
+            let dem = build_dem(&code, cell.rounds, cell.p);
             println!(
                 "DEM: {} detectors × {} mechanisms ({} rounds)",
                 dem.num_detectors(),
                 dem.num_mechanisms(),
-                rounds
+                cell.rounds
             );
-            let mut r = run_circuit_level(
+            run_circuit_level(
                 &dem,
-                &format!("{} r={rounds} p={}", code.name(), cli.p),
-                &CircuitLevelConfig {
-                    shots: cli.shots,
-                    seed: cli.seed,
-                },
+                &format!("{} r={} p={}", code.name(), cell.rounds, cell.p),
+                &CircuitLevelConfig { shots, seed },
                 &factory,
                 &batch,
-            );
-            println!("LER/round = {:.3e}", r.ler_per_round(rounds));
-            r.workload.push_str(" (circuit)");
-            r
+            )
         }
-        other => panic!("unknown model {other:?}"),
     };
 
     println!("{report}");
-    let iters = report.serial_iteration_stats();
-    println!("serial BP iterations: {}", iters.summary());
-    println!("wall clock [ms]:      {}", report.wall_stats_ms().summary());
+    let ci = report.ler_ci(0.95);
+    println!(
+        "LER                  {:.3e}  ({} failures, {} unsolved; Wilson 95% [{:.3e}, {:.3e}])",
+        report.ler(),
+        report.failures,
+        report.unsolved,
+        ci.lo,
+        ci.hi
+    );
+    if cell.rounds > 0 {
+        println!(
+            "LER/round            {:.3e}  ({} rounds)",
+            report.ler_per_round(cell.rounds),
+            cell.rounds
+        );
+    }
+    println!("post-processing rate {:.4}", report.postprocessing_rate());
+
+    let serial = report.serial_iteration_stats();
+    let wall = report.wall_stats_ms();
+    println!("\nserial BP iterations:   {}", serial.summary());
+    println!(
+        "critical BP iterations: {}",
+        report.critical_iteration_stats().summary()
+    );
+    println!("wall clock [ms], all shots:            {}", wall.summary());
+    println!(
+        "wall clock [ms], post-processed shots: {}",
+        report.postprocessed_wall_stats_ms().summary()
+    );
+
+    let records = &report.records;
+    let wall_ms: Vec<f64> = records.iter().map(|r| r.wall_ns as f64 / 1e6).collect();
+    let iterations: Vec<f64> = records.iter().map(|r| r.serial_iterations as f64).collect();
+    println!(
+        "\nwall clock [ms], log-histogram:\n{}",
+        wall.log_histogram(&wall_ms, 12)
+    );
+    println!(
+        "serial BP iterations, log-histogram:\n{}",
+        serial.log_histogram(&iterations, 12)
+    );
+
+    // The paper's GPU numbers are themselves a model over iteration
+    // counts (§VI); replay this run's records through the same profiles.
+    println!(
+        "hardware latency models over this run's iteration records:\n{:<34} {:>10} {:>10} {:>10} {:>10}",
+        "model", "mean", "median", "p99", "max"
+    );
+    let fpga = HardwareLatencyModel::fpga();
+    for (name, model, per_ms) in [
+        (
+            "GPU_Est, serial trials [ms]",
+            HardwareLatencyModel::gpu_estimate(),
+            1.0,
+        ),
+        (
+            "GPU, batched trials [ms]",
+            HardwareLatencyModel::gpu_batched(),
+            1.0,
+        ),
+        ("FPGA/ASIC, 20 ns/iteration [µs]", fpga, 1e3),
+    ] {
+        let LatencyStats {
+            mean,
+            median,
+            p99,
+            max,
+            ..
+        } = model.run_stats_ms(&report);
+        println!(
+            "{name:<34} {:>10.3} {:>10.3} {:>10.3} {:>10.3}",
+            mean * per_ms,
+            median * per_ms,
+            p99 * per_ms,
+            max * per_ms
+        );
+    }
+    let worst = records
+        .iter()
+        .map(|r| r.critical_iterations)
+        .max()
+        .unwrap_or(0);
+    println!(
+        "worst critical path: {worst} iterations → {:.3} µs on the FPGA profile (paper bound: 200 → 4 µs)",
+        fpga.time_us(worst)
+    );
 }

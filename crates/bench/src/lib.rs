@@ -1,30 +1,33 @@
-//! Shared harness for the per-figure benchmark binaries.
+//! What the `qldpc-bench` binaries share.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the BP-SF
-//! paper. The binaries print the measured series next to the paper's
-//! reported values (read off the published plots), so the *shape* of each
-//! result — who wins, by what factor, where the crossover sits — can be
-//! compared directly. Absolute values differ: the paper ran a Xeon
-//! E5-2698v4 + V100 with Stim-generated circuits; this reproduction runs a
-//! pure-Rust substrate (see EXPERIMENTS.md for the measurement recipes and
-//! the provenance of every recorded number).
+//! The paper's figures are reproduced by two front doors, not by a
+//! binary each: LER-vs-p figures are committed campaign specs
+//! (`specs/paper/*.campaign`, run by `campaign`), and latency/iteration
+//! figures are invocations of `decode`, the one-cell anatomy tool —
+//! EXPERIMENTS.md ("Paper figures") maps every figure to its spec or
+//! command line and to the paper's value. Two figure binaries remain,
+//! `fig03` and `ablations`, because they reach APIs no spec names; they
+//! share [`BenchArgs`], [`banner`] and [`paper_reference`]; `decode` and
+//! `fig03` share the DEM builder. The rest of this module is the soak
+//! harness's digest and syndrome stream (`soak_client`, `cluster_soak`).
 //!
-//! Common flags for all binaries:
-//!
-//! * `--shots N` — shots per data point (default: binary-specific),
-//! * `--rounds N` — override the number of syndrome-extraction rounds,
-//! * `--full` — run the paper's full parameter grid (slow!),
-//! * `--seed N` — RNG seed.
+//! Absolute values differ from the paper's: it ran a Xeon E5-2698v4 +
+//! V100 with Stim-generated circuits; this reproduction runs a pure-Rust
+//! substrate (see EXPERIMENTS.md for the measurement recipes and the
+//! provenance of every recorded number).
 
 use qldpc_circuit::{DetectorErrorModel, MemoryExperiment, NoiseModel};
 use qldpc_codes::CssCode;
-use qldpc_sim::{
-    run_circuit_level, run_code_capacity, BatchConfig, CircuitLevelConfig, CodeCapacityConfig,
-    DecoderFactory, RunReport,
-};
 
-/// Parsed common CLI arguments.
-#[derive(Debug, Clone, Copy)]
+/// Prints `tool: error` and the usage text to stderr and exits with
+/// status 2 — a command-line mistake is answered, not backtraced.
+pub fn exit_with_usage(tool: &str, error: &str, usage: &str) -> ! {
+    eprintln!("{tool}: {error}\n{usage}");
+    std::process::exit(2)
+}
+
+/// Parsed CLI arguments of the figure binaries (`fig03`, `ablations`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BenchArgs {
     /// Shots per data point.
     pub shots: usize,
@@ -37,37 +40,54 @@ pub struct BenchArgs {
 }
 
 impl BenchArgs {
-    /// Parses `--shots`, `--rounds`, `--full`, `--seed` from `std::env`.
+    const USAGE: &'static str = "usage: [--shots N] [--rounds N] [--seed N] [--full]
+  --shots N   shots per data point
+  --rounds N  syndrome-extraction rounds (default: the paper's)
+  --seed N    RNG seed (default 2026)
+  --full      run the paper's full parameter grid (slow)";
+
+    /// Parses `--shots`, `--rounds`, `--full`, `--seed` from `std::env`;
+    /// an unknown flag or a malformed number prints a one-line error plus
+    /// usage and exits with status 2.
     pub fn parse(default_shots: usize) -> Self {
-        let mut args = Self {
+        Self::parse_from(std::env::args().skip(1), default_shots).unwrap_or_else(|error| {
+            let tool = std::env::args().next().unwrap_or_default();
+            exit_with_usage(&tool, &error, Self::USAGE)
+        })
+    }
+
+    fn parse_from(
+        args: impl IntoIterator<Item = String>,
+        default_shots: usize,
+    ) -> Result<Self, String> {
+        let mut parsed = Self {
             shots: default_shots,
             full: false,
             rounds: None,
             seed: 2026,
         };
-        let mut it = std::env::args().skip(1);
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--shots" => {
-                    args.shots = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--shots needs a number");
+        let mut it = args.into_iter();
+        while let Some(flag) = it.next() {
+            let mut number = || -> Result<u64, String> {
+                let value = it.next().ok_or(format!("{flag} needs a value"))?;
+                match value.parse() {
+                    Ok(n) if n > 0 || flag == "--seed" => Ok(n),
+                    _ => Err(format!("{flag} needs a positive count, got '{value}'")),
                 }
-                "--rounds" => {
-                    args.rounds = it.next().and_then(|v| v.parse().ok());
+            };
+            match flag.as_str() {
+                "--shots" => parsed.shots = number()? as usize,
+                "--rounds" => parsed.rounds = Some(number()? as usize),
+                "--seed" => parsed.seed = number()?,
+                "--full" => parsed.full = true,
+                "--help" | "-h" => {
+                    println!("{}", Self::USAGE);
+                    std::process::exit(0);
                 }
-                "--seed" => {
-                    args.seed = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--seed needs a number");
-                }
-                "--full" => args.full = true,
-                other => eprintln!("ignoring unknown argument {other:?}"),
+                other => return Err(format!("unknown argument '{other}'")),
             }
         }
-        args
+        Ok(parsed)
     }
 }
 
@@ -89,84 +109,6 @@ pub fn banner(figure: &str, description: &str, args: &BenchArgs) {
 pub fn build_dem(code: &CssCode, rounds: usize, p: f64) -> DetectorErrorModel {
     let noise = NoiseModel::uniform_depolarizing(p);
     MemoryExperiment::memory_z(code, rounds, &noise).detector_error_model()
-}
-
-/// Runs a circuit-level LER sweep: one row per (p, decoder).
-pub fn circuit_sweep(
-    code: &CssCode,
-    rounds: usize,
-    ps: &[f64],
-    shots: usize,
-    seed: u64,
-    factories: &[DecoderFactory],
-) -> Vec<RunReport> {
-    let mut reports = Vec::new();
-    println!(
-        "\n{:<36} {:>9} {:>10} {:>12} {:>9} {:>9}",
-        "decoder", "p", "LER", "LER/round", "avg ms", "max ms"
-    );
-    for &p in ps {
-        let dem = build_dem(code, rounds, p);
-        let workload = format!("{} r={rounds} p={p:.0e}", code.name());
-        for factory in factories {
-            let report = run_circuit_level(
-                &dem,
-                &workload,
-                &CircuitLevelConfig { shots, seed },
-                factory,
-                &BatchConfig::SEQUENTIAL,
-            );
-            let wall = report.wall_stats_ms();
-            println!(
-                "{:<36} {:>9.1e} {:>10.3e} {:>12.3e} {:>9.3} {:>9.3}",
-                report.decoder,
-                p,
-                report.ler(),
-                report.ler_per_round(rounds),
-                wall.mean,
-                wall.max
-            );
-            reports.push(report);
-        }
-    }
-    reports
-}
-
-/// Runs a code-capacity LER sweep: one row per (p, decoder).
-pub fn capacity_sweep(
-    code: &CssCode,
-    ps: &[f64],
-    shots: usize,
-    seed: u64,
-    factories: &[DecoderFactory],
-) -> Vec<RunReport> {
-    let mut reports = Vec::new();
-    println!(
-        "\n{:<36} {:>9} {:>10} {:>9} {:>9} {:>9}",
-        "decoder", "p", "LER", "avg ms", "max ms", "pp-rate"
-    );
-    for &p in ps {
-        for factory in factories {
-            let report = run_code_capacity(
-                code,
-                &CodeCapacityConfig { p, shots, seed },
-                factory,
-                &BatchConfig::SEQUENTIAL,
-            );
-            let wall = report.wall_stats_ms();
-            println!(
-                "{:<36} {:>9.1e} {:>10.3e} {:>9.3} {:>9.3} {:>9.3}",
-                report.decoder,
-                p,
-                report.ler(),
-                wall.mean,
-                wall.max,
-                report.postprocessing_rate()
-            );
-            reports.push(report);
-        }
-    }
-    reports
 }
 
 /// Prints the paper-reference block that accompanies each figure.
@@ -268,15 +210,31 @@ pub fn soak_syndromes(bits: usize, shots: usize, seed: u64) -> Vec<qldpc_gf2::Bi
 mod tests {
     use super::*;
     use qldpc_codes::bb;
-    use qldpc_sim::decoders;
+
+    fn parse(args: &[&str]) -> Result<BenchArgs, String> {
+        BenchArgs::parse_from(args.iter().map(|a| a.to_string()), 200)
+    }
 
     #[test]
-    fn sweeps_produce_one_report_per_cell() {
-        let code = bb::bb72();
-        let reports = capacity_sweep(&code, &[0.02, 0.05], 10, 1, &[decoders::plain_bp(20)]);
-        assert_eq!(reports.len(), 2);
-        let reports = circuit_sweep(&code, 2, &[1e-3], 5, 1, &[decoders::plain_bp(20)]);
-        assert_eq!(reports.len(), 1);
+    fn bench_args_reject_what_they_cannot_parse() {
+        let ok = parse(&["--shots", "50", "--rounds", "3", "--seed", "0", "--full"]).unwrap();
+        assert_eq!(
+            (ok.shots, ok.rounds, ok.seed, ok.full),
+            (50, Some(3), 0, true)
+        );
+        assert_eq!(parse(&[]).unwrap().shots, 200);
+        for (args, needle) in [
+            (
+                &["--rounds", "three"][..],
+                "--rounds needs a positive count, got 'three'",
+            ),
+            (&["--rounds", "0"], "--rounds needs a positive count"),
+            (&["--shots"], "--shots needs a value"),
+            (&["--ful"], "unknown argument '--ful'"),
+        ] {
+            let error = parse(args).unwrap_err();
+            assert!(error.contains(needle), "{args:?} gave '{error}'");
+        }
     }
 
     #[test]

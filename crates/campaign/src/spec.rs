@@ -20,6 +20,7 @@
 //! threads     = 2
 //! ```
 
+use bpsf_core::BpSfConfig;
 use qldpc_decoder_api::{DecoderFactory, DecoderFamily, Precision};
 use qldpc_sim::decoders;
 use std::fmt;
@@ -86,21 +87,21 @@ pub enum Rounds {
 
 /// One decoder configuration of the sweep, in spec syntax:
 ///
-/// * `bp:ITERS` / `layered-bp:ITERS` — plain min-sum BP,
+/// * `bp:ITERS` — plain min-sum BP,
 /// * `bp-osd:ITERS:ORDER` — the BP-OSD baseline,
 /// * `bp-sf:ITERS:CANDS:WMAX` — exhaustive-trial BP-SF,
-/// * `bp-sf:ITERS:CANDS:WMAX:NS` — sampled-trial BP-SF.
+/// * `bp-sf:ITERS:CANDS:WMAX:NS` — sampled-trial BP-SF,
+///
+/// each with an optional `layered-` prefix that runs its BP stage on the
+/// layered schedule instead of flooding (`layered-bp-osd:1000:10`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecoderSpec {
-    /// Plain flooding min-sum BP.
+    /// Plain min-sum BP.
     Bp {
         /// Iteration budget.
         iters: usize,
-    },
-    /// Plain layered min-sum BP.
-    LayeredBp {
-        /// Iteration budget.
-        iters: usize,
+        /// Layered schedule (`layered-` prefix).
+        layered: bool,
     },
     /// The BP-OSD baseline.
     BpOsd {
@@ -108,6 +109,8 @@ pub enum DecoderSpec {
         iters: usize,
         /// OSD combination-sweep order.
         order: usize,
+        /// Layered schedule (`layered-` prefix).
+        layered: bool,
     },
     /// The paper's BP-SF decoder.
     BpSf {
@@ -119,6 +122,8 @@ pub enum DecoderSpec {
         w_max: usize,
         /// Sampled trials per weight (`None` = exhaustive trials).
         n_s: Option<usize>,
+        /// Layered schedule (`layered-` prefix).
+        layered: bool,
     },
 }
 
@@ -126,6 +131,10 @@ impl DecoderSpec {
     fn parse(text: &str, line: usize) -> Result<Self, SpecError> {
         let mut parts = text.split(':');
         let head = parts.next().unwrap_or_default();
+        let (layered, base) = match head.strip_prefix("layered-") {
+            Some(base) => (true, base),
+            None => (false, head),
+        };
         let nums: Vec<usize> = parts
             .map(|p| {
                 p.trim().parse().map_err(|_| {
@@ -165,17 +174,12 @@ impl DecoderSpec {
                 ))
             }
         };
-        match head {
+        match base {
             "bp" => {
                 arity(&[1])?;
                 Ok(DecoderSpec::Bp {
                     iters: positive("iterations", nums[0])?,
-                })
-            }
-            "layered-bp" => {
-                arity(&[1])?;
-                Ok(DecoderSpec::LayeredBp {
-                    iters: positive("iterations", nums[0])?,
+                    layered,
                 })
             }
             "bp-osd" => {
@@ -183,6 +187,7 @@ impl DecoderSpec {
                 Ok(DecoderSpec::BpOsd {
                     iters: positive("iterations", nums[0])?,
                     order: nums[1],
+                    layered,
                 })
             }
             "bp-sf" => {
@@ -196,41 +201,46 @@ impl DecoderSpec {
                         .copied()
                         .map(|n| positive("n_s", n))
                         .transpose()?,
+                    layered,
                 })
             }
-            other => Err(SpecError::at(
+            _ => Err(SpecError::at(
                 line,
-                format!("unknown decoder '{other}' (expected bp, layered-bp, bp-osd, or bp-sf)"),
+                format!(
+                    "unknown decoder '{head}' (expected bp, bp-osd or bp-sf, optionally prefixed layered-)"
+                ),
             )),
         }
     }
 
     /// The spec syntax for this decoder (parses back to `self`).
     pub fn spec_syntax(&self) -> String {
-        match *self {
-            DecoderSpec::Bp { iters } => format!("bp:{iters}"),
-            DecoderSpec::LayeredBp { iters } => format!("layered-bp:{iters}"),
-            DecoderSpec::BpOsd { iters, order } => format!("bp-osd:{iters}:{order}"),
+        let (layered, base) = match *self {
+            DecoderSpec::Bp { iters, layered } => (layered, format!("bp:{iters}")),
+            DecoderSpec::BpOsd {
+                iters,
+                order,
+                layered,
+            } => (layered, format!("bp-osd:{iters}:{order}")),
             DecoderSpec::BpSf {
                 iters,
                 candidates,
                 w_max,
-                n_s: None,
-            } => format!("bp-sf:{iters}:{candidates}:{w_max}"),
-            DecoderSpec::BpSf {
-                iters,
-                candidates,
-                w_max,
-                n_s: Some(n_s),
-            } => format!("bp-sf:{iters}:{candidates}:{w_max}:{n_s}"),
-        }
+                n_s,
+                layered,
+            } => {
+                let n_s = n_s.map_or_else(String::new, |n| format!(":{n}"));
+                (layered, format!("bp-sf:{iters}:{candidates}:{w_max}{n_s}"))
+            }
+        };
+        format!("{}{base}", if layered { "layered-" } else { "" })
     }
 
     /// The algorithm family, for report grouping (matches what the built
     /// decoder reports via `SyndromeDecoder::family`).
     pub fn family(&self) -> DecoderFamily {
         match self {
-            DecoderSpec::Bp { .. } | DecoderSpec::LayeredBp { .. } => DecoderFamily::Bp,
+            DecoderSpec::Bp { .. } => DecoderFamily::Bp,
             DecoderSpec::BpOsd { .. } => DecoderFamily::BpOsd,
             DecoderSpec::BpSf { .. } => DecoderFamily::BpSf,
         }
@@ -238,13 +248,32 @@ impl DecoderSpec {
 
     /// Whether this decoder exists at the given message precision.
     ///
-    /// Only plain/layered BP has an `f32` fast path today; BP-OSD and
-    /// BP-SF run the reference `f64` arithmetic, so expansion emits them
-    /// once regardless of how many precisions the spec lists.
+    /// Only plain BP (either schedule) has an `f32` fast path today;
+    /// BP-OSD and BP-SF run the reference `f64` arithmetic, so expansion
+    /// emits them once regardless of how many precisions the spec lists.
     pub fn supports(&self, precision: Precision) -> bool {
         match self {
-            DecoderSpec::Bp { .. } | DecoderSpec::LayeredBp { .. } => true,
+            DecoderSpec::Bp { .. } => true,
             DecoderSpec::BpOsd { .. } | DecoderSpec::BpSf { .. } => precision == Precision::F64,
+        }
+    }
+
+    /// The flooding-schedule [`BpSfConfig`] a `bp-sf` decoder names
+    /// (`None` for the other families): what [`Self::factory`] builds
+    /// from, and what `decode --pool` hands the worker-pool executor.
+    pub fn bp_sf_config(&self) -> Option<BpSfConfig> {
+        match *self {
+            DecoderSpec::BpSf {
+                iters,
+                candidates,
+                w_max,
+                n_s,
+                ..
+            } => Some(match n_s {
+                None => BpSfConfig::code_capacity(iters, candidates, w_max),
+                Some(n_s) => BpSfConfig::circuit_level(iters, candidates, w_max, n_s),
+            }),
+            _ => None,
         }
     }
 
@@ -261,18 +290,32 @@ impl DecoderSpec {
             self.spec_syntax()
         );
         match *self {
-            DecoderSpec::Bp { iters } => decoders::plain_bp_at(iters, precision),
-            DecoderSpec::LayeredBp { iters } => decoders::layered_bp_at(iters, precision),
-            DecoderSpec::BpOsd { iters, order } => decoders::bp_osd(iters, order),
-            DecoderSpec::BpSf {
+            DecoderSpec::Bp {
                 iters,
-                candidates,
-                w_max,
-                n_s,
-            } => decoders::bp_sf(match n_s {
-                None => bpsf_core::BpSfConfig::code_capacity(iters, candidates, w_max),
-                Some(n_s) => bpsf_core::BpSfConfig::circuit_level(iters, candidates, w_max, n_s),
-            }),
+                layered: false,
+            } => decoders::plain_bp_at(iters, precision),
+            DecoderSpec::Bp {
+                iters,
+                layered: true,
+            } => decoders::layered_bp_at(iters, precision),
+            DecoderSpec::BpOsd {
+                iters,
+                order,
+                layered: false,
+            } => decoders::bp_osd(iters, order),
+            DecoderSpec::BpOsd {
+                iters,
+                order,
+                layered: true,
+            } => decoders::layered_bp_osd(iters, order),
+            DecoderSpec::BpSf { layered, .. } => {
+                let config = self.bp_sf_config().expect("a bp-sf spec names its config");
+                if layered {
+                    decoders::layered_bp_sf(config)
+                } else {
+                    decoders::bp_sf(config)
+                }
+            }
         }
     }
 }
@@ -474,8 +517,9 @@ impl CampaignSpec {
                     })?;
                 }
                 "decoders" => {
-                    spec.decoders =
-                        parse_list(value, line, "decoder", |d| DecoderSpec::parse(d, line))?;
+                    spec.decoders = parse_list(value, line, "decoder", |d| {
+                        DecoderSpec::parse(d, line).map_err(|e| e.message)
+                    })?;
                 }
                 "precisions" => {
                     spec.precisions = parse_list(value, line, "precision", |p| {
@@ -767,10 +811,14 @@ threads = 2
         assert_eq!(
             spec.decoders,
             vec![
-                DecoderSpec::Bp { iters: 40 },
+                DecoderSpec::Bp {
+                    iters: 40,
+                    layered: false
+                },
                 DecoderSpec::BpOsd {
                     iters: 40,
-                    order: 10
+                    order: 10,
+                    layered: false
                 }
             ]
         );
@@ -824,27 +872,94 @@ threads = 2
             d,
             DecoderSpec::BpOsd {
                 iters: 100,
-                order: 0
+                order: 0,
+                layered: false
             }
         );
     }
 
     #[test]
     fn decoder_syntax_round_trips() {
-        for text in [
-            "bp:100",
-            "layered-bp:50",
-            "bp-osd:1000:10",
-            "bp-sf:100:50:10",
-            "bp-sf:100:50:10:10",
+        let code = qldpc_codes::paper_code("bb72").unwrap();
+        let hz = code.hz();
+        for (text, label) in [
+            ("bp:100", "BP100"),
+            ("layered-bp:50", "LayeredBP50"),
+            ("bp-osd:1000:10", "BP1000-OSD10"),
+            ("layered-bp-osd:1000:10", "LayeredBP1000-OSD10"),
+            ("bp-sf:100:50:10", "BP-SF(BP100,w=10,|Φ|=50)"),
+            ("bp-sf:100:50:10:10", "BP-SF(BP100,w=10,|Φ|=50,ns=10)"),
+            (
+                "layered-bp-sf:100:50:10",
+                "Layered-BP-SF(BP100,w=10,|Φ|=50)",
+            ),
+            (
+                "layered-bp-sf:100:50:10:10",
+                "Layered-BP-SF(BP100,w=10,|Φ|=50)",
+            ),
         ] {
             let d = DecoderSpec::parse(text, 1).unwrap();
             assert_eq!(d.spec_syntax(), text);
+            // Only plain BP has an f32 variant, on either schedule.
+            assert!(d.supports(Precision::F64));
+            assert_eq!(d.supports(Precision::F32), d.family() == DecoderFamily::Bp);
             // Factories build and label consistently with the family.
-            let code = qldpc_codes::paper_code("bb72").unwrap();
-            let hz = code.hz();
             let dec = d.factory(Precision::F64)(hz, &vec![0.01; hz.cols()]);
+            assert_eq!(dec.label(), label);
             assert_eq!(dec.family(), d.family());
+        }
+    }
+
+    #[test]
+    fn layered_heads_keep_their_arity_and_positivity_checks() {
+        for (text, needle) in [
+            (
+                "layered-bp-osd:1000",
+                "'layered-bp-osd' takes 2 colon-separated counts, got 1",
+            ),
+            ("layered-bp-osd:0:10", "iterations must be positive"),
+            (
+                "layered-bp-sf:100:50",
+                "'layered-bp-sf' takes 3 or 4 colon-separated counts, got 2",
+            ),
+            ("layered-bp-sf:100:0:10", "candidates must be positive"),
+            ("layered-bp-sf:100:50:10:0", "n_s must be positive"),
+            ("layered-osd:10:10", "unknown decoder 'layered-osd'"),
+            (
+                "layered-layered-bp:10",
+                "unknown decoder 'layered-layered-bp'",
+            ),
+        ] {
+            let err = DecoderSpec::parse(text, 7).unwrap_err();
+            assert_eq!(err.line, 7);
+            assert!(err.message.contains(needle), "{text}: {err}");
+        }
+        // OSD-0 stays legal under the prefix, like the flooding head.
+        assert!(DecoderSpec::parse("layered-bp-osd:100:0", 1).is_ok());
+    }
+
+    #[test]
+    fn committed_spec_fingerprints_are_pinned() {
+        // Read off `campaign plan` at the commit before the `layered-`
+        // heads: logs written by older revisions must keep resuming, and
+        // the benchmark's server and client must keep agreeing on the
+        // cell id.
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        for (file, fingerprint, first_cell) in [
+            (
+                "specs/smoke.campaign",
+                "6c7785ec299acb55",
+                "gross|cc|p=0.02|bp:40",
+            ),
+            (
+                "benchmark/specs/svc.campaign",
+                "ba1242d1ceb75512",
+                "gross|cc|p=0.03|bp:40",
+            ),
+        ] {
+            let spec = CampaignSpec::from_file(&std::path::Path::new(root).join(file)).unwrap();
+            assert_eq!(spec.fingerprint(), fingerprint, "{file}");
+            assert_eq!(spec.cells().unwrap()[0].id(), first_cell, "{file}");
         }
     }
 

@@ -52,12 +52,7 @@ pub fn plain_bp_at(max_iters: usize, precision: Precision) -> DecoderFactory {
 }
 
 /// Factory for plain layered min-sum BP (used for `[[288,12,18]]`,
-/// Fig. 8).
-pub fn layered_bp(max_iters: usize) -> DecoderFactory {
-    layered_bp_at(max_iters, Precision::F64)
-}
-
-/// [`layered_bp`] at an explicit message precision.
+/// Fig. 8) at an explicit message precision.
 pub fn layered_bp_at(max_iters: usize, precision: Precision) -> DecoderFactory {
     bp_factory(
         BpConfig {
@@ -151,7 +146,10 @@ mod tests {
         let labels = [
             (plain_bp(100)(hz, &priors).label(), "BP100"),
             (bp_osd(1000, 10)(hz, &priors).label(), "BP1000-OSD10"),
-            (layered_bp(50)(hz, &priors).label(), "LayeredBP50"),
+            (
+                layered_bp_at(50, Precision::F64)(hz, &priors).label(),
+                "LayeredBP50",
+            ),
             (
                 layered_bp_osd(50, 10)(hz, &priors).label(),
                 "LayeredBP50-OSD10",
@@ -192,7 +190,7 @@ mod tests {
         let zero = BitVec::zeros(hz.rows());
         let factories: Vec<DecoderFactory> = vec![
             plain_bp(50),
-            layered_bp(50),
+            layered_bp_at(50, Precision::F64),
             plain_bp_at(50, Precision::F32),
             layered_bp_at(50, Precision::F32),
             bp_osd(50, 10),

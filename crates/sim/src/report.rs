@@ -135,31 +135,6 @@ impl RunReport {
                 .collect(),
         )
     }
-
-    /// Serializes the header + one row of the aggregate metrics as TSV.
-    pub fn tsv_row(&self, rounds: Option<usize>) -> String {
-        let wall = self.wall_stats_ms();
-        let ler = self.ler();
-        let lpr = rounds.map(|r| crate::ler_per_round(ler, r));
-        format!(
-            "{}\t{}\t{}\t{}\t{}\t{:.3e}\t{}\t{:.4}\t{:.4}\t{:.4}",
-            self.decoder,
-            self.precision,
-            self.workload,
-            self.shots,
-            self.failures,
-            ler,
-            lpr.map_or_else(|| "-".to_string(), |v| format!("{v:.3e}")),
-            wall.mean,
-            wall.max,
-            self.postprocessing_rate(),
-        )
-    }
-
-    /// TSV header matching [`Self::tsv_row`].
-    pub fn tsv_header() -> &'static str {
-        "decoder\tprecision\tworkload\tshots\tfailures\tler\tler_per_round\tavg_ms\tmax_ms\tpostproc_rate"
-    }
 }
 
 impl fmt::Display for RunReport {
@@ -237,14 +212,5 @@ mod tests {
         assert!((s.max - 9.0).abs() < 1e-9);
         let pp = r.postprocessed_wall_stats_ms();
         assert!((pp.mean - 7.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn tsv_row_shape() {
-        let r = report();
-        assert_eq!(
-            RunReport::tsv_header().split('\t').count(),
-            r.tsv_row(Some(3)).split('\t').count()
-        );
     }
 }

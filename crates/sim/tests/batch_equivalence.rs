@@ -98,7 +98,10 @@ fn no_state_leaks_across_batch_lanes() {
 
     let factories: Vec<(&str, DecoderFactory)> = vec![
         ("plain_bp", decoders::plain_bp(30)),
-        ("layered_bp", decoders::layered_bp(30)),
+        (
+            "layered_bp",
+            decoders::layered_bp_at(30, decoders::Precision::F64),
+        ),
         ("bp_osd", decoders::bp_osd(25, 10)),
         (
             "bp_sf",

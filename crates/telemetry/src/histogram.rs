@@ -130,13 +130,21 @@ impl StreamingHistogram {
         let count = self.count.load(Ordering::Relaxed);
         let min = f64::from_bits(self.min_bits.load(Ordering::Relaxed));
         let max = f64::from_bits(self.max_bits.load(Ordering::Relaxed));
+        // `record` bumps `count` before it publishes the extrema, so a
+        // snapshot racing the first samples can find `count ≥ 1` with
+        // `max` still −∞ (or `min` and `max` from two different samples,
+        // crossed). Those samples are in flight: report the histogram as
+        // it was before them — empty, with the finite 0.0 extrema that
+        // keep rendered output golden-testable — so `quantile`'s clamp to
+        // `[min, max]` is always well-formed.
+        if count == 0 || min > max {
+            return HistogramSnapshot::empty();
+        }
         HistogramSnapshot {
             count,
             sum: f64::from_bits(self.sum_bits.load(Ordering::Relaxed)),
-            // Empty histograms expose 0.0 extrema rather than ±inf so
-            // rendered output stays finite and golden-testable.
-            min: if count == 0 { 0.0 } else { min },
-            max: if count == 0 { 0.0 } else { max },
+            min,
+            max,
             buckets: self
                 .buckets
                 .iter()
@@ -302,6 +310,28 @@ mod tests {
         assert_eq!(s.max, 0.0);
         assert_eq!(s.quantile(0.5), 0.0);
         assert_eq!(s.mean(), 0.0);
+    }
+
+    #[test]
+    fn snapshot_of_a_half_recorded_first_sample_is_finite() {
+        // The state a concurrent `snapshot` can observe between two
+        // statements of the first `record(0.25)`: bucket, count, sum and
+        // min are in, max is still −∞.
+        let h = StreamingHistogram::new();
+        h.buckets[bucket_index(0.25)].fetch_add(1, Ordering::Relaxed);
+        h.count.fetch_add(1, Ordering::Relaxed);
+        h.sum_bits.store(0.25f64.to_bits(), Ordering::Relaxed);
+        h.min_bits.store(0.25f64.to_bits(), Ordering::Relaxed);
+        let torn = h.snapshot();
+        for q in [0.0, 0.5, 0.99, 1.0] {
+            assert!(torn.quantile(q).is_finite(), "q = {q}");
+        }
+        assert!(torn.min.is_finite() && torn.max.is_finite());
+        // Once the sample's last store lands it is reported in full.
+        h.max_bits.store(0.25f64.to_bits(), Ordering::Relaxed);
+        let whole = h.snapshot();
+        assert_eq!((whole.count, whole.min, whole.max), (1, 0.25, 0.25));
+        assert_eq!(whole.quantile(0.5), 0.25);
     }
 
     #[test]
