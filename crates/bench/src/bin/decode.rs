@@ -35,7 +35,7 @@ usage: decode --code SLUG --noise code-capacity|circuit-level --p F --decoder SP
                each optionally prefixed layered-
   --rounds     circuit-level only; default d, the code's distance
   --precision  f32 exists for bp / layered-bp only (default f64)
-  --pool P     run a bp-sf decoder's trials on a pool of P worker threads
+  --pool P     run a bp-sf decoder's trials on P worker threads
   --shots N    shots to decode (default 500), split over --threads streams
                (default 1); every decode call takes one syndrome, so wall
                clock is per-shot latency";
@@ -151,7 +151,7 @@ fn main() {
         "decode: {} — {shots} shots, seed {seed}, {} thread(s){}",
         cell.id(),
         batch.threads,
-        pool.map_or_else(String::new, |p| format!(", trial pool of {p}")),
+        pool.map_or_else(String::new, |p| format!(", {p} trial workers")),
     );
 
     let report = match spec.noise {

@@ -32,10 +32,6 @@ pub struct DetectorErrorModel {
     num_detectors: usize,
     num_observables: usize,
     priors: Vec<f64>,
-    /// Detector support of each mechanism (sorted).
-    mech_dets: Vec<Vec<u32>>,
-    /// Observable support of each mechanism (sorted).
-    mech_obs: Vec<Vec<u32>>,
     check: SparseBitMatrix,
     obs: SparseBitMatrix,
     undetectable: usize,
@@ -175,52 +171,38 @@ impl DetectorErrorModel {
         }
 
         // Deterministic mechanism order: sort by detector support then
-        // observable support.
-        let mut mechanisms: Vec<((BitVec, BitVec), f64)> = merged.into_iter().collect();
-        mechanisms.sort_by(|a, b| {
-            let ka: (Vec<usize>, Vec<usize>) =
-                (a.0 .0.iter_ones().collect(), a.0 .1.iter_ones().collect());
-            let kb: (Vec<usize>, Vec<usize>) =
-                (b.0 .0.iter_ones().collect(), b.0 .1.iter_ones().collect());
-            ka.cmp(&kb)
-        });
+        // observable support, each as its sorted index list.
+        let mut mechanisms: Vec<(Vec<usize>, Vec<usize>, f64)> = merged
+            .into_iter()
+            .map(|((dets, obs), p)| (dets.iter_ones().collect(), obs.iter_ones().collect(), p))
+            .collect();
+        mechanisms.sort_by(|a, b| (&a.0, &a.1).cmp(&(&b.0, &b.1)));
 
-        let mut priors = Vec::with_capacity(mechanisms.len());
-        let mut mech_dets = Vec::with_capacity(mechanisms.len());
-        let mut mech_obs = Vec::with_capacity(mechanisms.len());
+        // Assemble sparse matrices (detectors × mechanisms).
+        let ncols = mechanisms.len();
+        let mut priors = Vec::with_capacity(ncols);
         let mut undetectable = 0usize;
-        for ((dets, obs), p) in mechanisms {
-            if dets.is_zero() {
+        let mut det_rows: Vec<Vec<usize>> = vec![Vec::new(); nd];
+        let mut obs_rows: Vec<Vec<usize>> = vec![Vec::new(); no];
+        for (col, (dets, obs, p)) in mechanisms.into_iter().enumerate() {
+            if dets.is_empty() {
                 undetectable += 1;
             }
             priors.push(p);
-            mech_dets.push(dets.iter_ones().map(|d| d as u32).collect());
-            mech_obs.push(obs.iter_ones().map(|o| o as u32).collect());
-        }
-
-        // Assemble sparse matrices (detectors × mechanisms).
-        let ncols = priors.len();
-        let mut det_rows: Vec<Vec<usize>> = vec![Vec::new(); nd];
-        for (col, dets) in mech_dets.iter().enumerate() {
-            for &d in dets {
-                det_rows[d as usize].push(col);
+            for d in dets {
+                det_rows[d].push(col);
+            }
+            for o in obs {
+                obs_rows[o].push(col);
             }
         }
         let check = SparseBitMatrix::from_row_indices(nd, ncols, &det_rows);
-        let mut obs_rows: Vec<Vec<usize>> = vec![Vec::new(); no];
-        for (col, obs) in mech_obs.iter().enumerate() {
-            for &o in obs {
-                obs_rows[o as usize].push(col);
-            }
-        }
         let obs = SparseBitMatrix::from_row_indices(no, ncols, &obs_rows);
 
         Self {
             num_detectors: nd,
             num_observables: no,
             priors,
-            mech_dets,
-            mech_obs,
             check,
             obs,
             undetectable,
@@ -263,14 +245,14 @@ impl DetectorErrorModel {
         &self.obs
     }
 
-    /// Detector support of mechanism `m`.
+    /// Detector support of mechanism `m` (sorted).
     pub fn mechanism_detectors(&self, m: usize) -> &[u32] {
-        &self.mech_dets[m]
+        self.check.col_support(m)
     }
 
-    /// Observable support of mechanism `m`.
+    /// Observable support of mechanism `m` (sorted).
     pub fn mechanism_observables(&self, m: usize) -> &[u32] {
-        &self.mech_obs[m]
+        self.obs.col_support(m)
     }
 
     /// Judges a correction: given the true observable flips of a shot and
@@ -351,10 +333,10 @@ impl<'a> DemSampler<'a> {
         for (m, &p) in dem.priors.iter().enumerate() {
             if rng.random::<f64>() < p {
                 fault.set(m, true);
-                for &d in &dem.mech_dets[m] {
+                for &d in dem.mechanism_detectors(m) {
                     syndrome.flip(d as usize);
                 }
-                for &o in &dem.mech_obs[m] {
+                for &o in dem.mechanism_observables(m) {
                     obs_flips.flip(o as usize);
                 }
             }

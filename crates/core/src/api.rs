@@ -1,8 +1,7 @@
-//! [`SyndromeDecoder`] implementations for the serial and worker-pool
-//! BP-SF decoders — BP-SF plugs into the unified stack API directly.
+//! The [`SyndromeDecoder`] implementation of the BP-SF decoder — BP-SF
+//! plugs into the unified stack API directly.
 
 use crate::decoder::{BpSfDecoder, BpSfResult, TrialSampling};
-use crate::parallel::ParallelBpSf;
 use qldpc_bp::Schedule;
 use qldpc_decoder_api::{DecodeOutcome, DecodeTelemetry, DecoderFamily, SyndromeDecoder};
 use qldpc_gf2::BitVec;
@@ -35,41 +34,27 @@ impl SyndromeDecoder for BpSfDecoder {
             .collect()
     }
 
-    /// `"BP-SF(BP{iters},w={w_max},|Φ|={candidates}[,ns={per_weight}])"`,
-    /// with a `Layered-` prefix under the layered schedule (paper Fig. 8
-    /// naming).
+    /// `"BP-SF(BP{iters},w={w_max},|Φ|={candidates}[,ns={per_weight}][,P={workers}])"`,
+    /// with a `Layered-` prefix (and no `ns`) under the layered schedule
+    /// (paper Fig. 8 naming); `P` appears only above one worker — the
+    /// paper's "BP-SF (CPU, P=N)" series.
     fn label(&self) -> String {
         let c = self.config();
+        let mut label = format!(
+            "BP-SF(BP{},w={},|Φ|={}",
+            c.initial_bp.max_iters, c.max_flip_weight, c.candidates
+        );
         match (c.initial_bp.schedule, c.sampling) {
-            (Schedule::Layered, _) => format!(
-                "Layered-BP-SF(BP{},w={},|Φ|={})",
-                c.initial_bp.max_iters, c.max_flip_weight, c.candidates
-            ),
-            (Schedule::Flooding, TrialSampling::Exhaustive) => format!(
-                "BP-SF(BP{},w={},|Φ|={})",
-                c.initial_bp.max_iters, c.max_flip_weight, c.candidates
-            ),
-            (Schedule::Flooding, TrialSampling::Sampled { per_weight }) => format!(
-                "BP-SF(BP{},w={},|Φ|={},ns={})",
-                c.initial_bp.max_iters, c.max_flip_weight, c.candidates, per_weight
-            ),
+            (Schedule::Layered, _) => label.insert_str(0, "Layered-"),
+            (Schedule::Flooding, TrialSampling::Exhaustive) => {}
+            (Schedule::Flooding, TrialSampling::Sampled { per_weight }) => {
+                label += &format!(",ns={per_weight}");
+            }
         }
-    }
-
-    fn family(&self) -> DecoderFamily {
-        DecoderFamily::BpSf
-    }
-}
-
-impl SyndromeDecoder for ParallelBpSf {
-    fn decode_syndrome(&mut self, syndrome: &BitVec) -> DecodeOutcome {
-        let (r, _stats) = self.decode(syndrome);
-        outcome_from(r)
-    }
-
-    /// `"BP-SF(P={workers})"` — the paper's "BP-SF (CPU, P=N)" series.
-    fn label(&self) -> String {
-        format!("BP-SF(P={})", self.num_workers())
+        if self.workers() > 1 {
+            label += &format!(",P={}", self.workers());
+        }
+        label + ")"
     }
 
     fn family(&self) -> DecoderFamily {
@@ -96,8 +81,9 @@ mod tests {
         layered_cfg.initial_bp.schedule = Schedule::Layered;
         let layered = BpSfDecoder::new(hz, &priors, layered_cfg);
         assert_eq!(layered.label(), "Layered-BP-SF(BP40,w=2,|Φ|=8)");
-        let pool = ParallelBpSf::new(hz, &priors, BpSfConfig::code_capacity(20, 4, 1), 2);
-        assert_eq!(pool.label(), "BP-SF(P=2)");
+        let two =
+            BpSfDecoder::with_workers(hz, &priors, BpSfConfig::circuit_level(60, 50, 3, 4), 2);
+        assert_eq!(two.label(), "BP-SF(BP60,w=3,|Φ|=50,ns=4,P=2)");
     }
 
     /// The batched path (interleaved initial BP, then post-processing)
@@ -148,18 +134,5 @@ mod tests {
             // test only covers the initial stage.
             assert!(postprocessed > 0, "expected some initial-BP failures");
         }
-    }
-
-    #[test]
-    fn parallel_pool_decodes_through_the_trait() {
-        let code = bb::bb72();
-        let hz = code.hz();
-        let priors = vec![0.01; hz.cols()];
-        let mut pool = ParallelBpSf::new(hz, &priors, BpSfConfig::code_capacity(30, 4, 1), 2);
-        let e = BitVec::from_indices(hz.cols(), &[3, 40]);
-        let out = pool.decode_syndrome(&hz.mul_vec(&e));
-        assert!(out.solved);
-        assert_eq!(hz.mul_vec(&out.error_hat), hz.mul_vec(&e));
-        assert!(out.critical_iterations <= out.serial_iterations);
     }
 }

@@ -1,10 +1,12 @@
-//! Paper Algorithm 1, written once: the serial BP-SF decoder and the seam
-//! ([`TrialExecutor`]) through which the worker pool runs the same decode.
+//! Paper Algorithm 1, written once: the BP-SF decoder and the one function
+//! (`run_trials`) that decodes its trial list on the decoder's workers.
 
 use crate::candidates::{select_candidates_ranked, CandidateRanking};
 use crate::trials::{shot_rng, TrialVectors};
 use qldpc_bp::{BpConfig, BpResult, MinSumDecoder};
 use qldpc_gf2::{BitVec, SparseBitMatrix};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
 
 /// How trial vectors are generated from the candidate set Φ.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -164,87 +166,149 @@ pub struct BpSfResult {
 }
 
 /// What one trial decode of a flipped syndrome produced.
-pub(crate) struct TrialOutcome {
-    pub(crate) iterations: usize,
+struct TrialOutcome {
+    iterations: usize,
     /// The trial's estimate (flips not yet undone) if it converged.
-    pub(crate) error_hat: Option<BitVec>,
+    error_hat: Option<BitVec>,
 }
 
-impl From<BpResult> for TrialOutcome {
-    fn from(r: BpResult) -> Self {
-        Self {
-            iterations: r.iterations,
-            error_hat: r.converged.then_some(r.error_hat),
-        }
-    }
-}
-
-/// How a list of trials is run — the only thing the serial decoder and
-/// the worker pool differ in.
-pub(crate) trait TrialExecutor {
-    /// Decodes the flipped syndromes `s ⊕ H·t`, which `flipped` yields in
-    /// trial-index order (each computed when pulled), and returns, in that
-    /// order, the outcomes of the shortest prefix that contains the
-    /// lowest-index convergent trial — of every trial when none converges
-    /// or `first_success` is false.
-    fn run_trials(
-        &mut self,
-        flipped: impl Iterator<Item = BitVec>,
-        first_success: bool,
-    ) -> Vec<TrialOutcome>;
-}
-
-/// The serial executor is the trial decoder itself: one trial at a time,
-/// each flipped syndrome generated only when its turn comes.
-impl TrialExecutor for MinSumDecoder {
-    fn run_trials(
-        &mut self,
-        flipped: impl Iterator<Item = BitVec>,
-        first_success: bool,
-    ) -> Vec<TrialOutcome> {
+/// Decodes the flipped syndromes `s ⊕ H·t`, which `flipped` yields in
+/// trial-index order (each computed when pulled), and returns, in that
+/// order, the outcomes of the shortest prefix that contains the
+/// lowest-index convergent trial — of every trial when none converges or
+/// `first_success` is false.
+///
+/// Each worker pulls the next index from the shared iterator, so the
+/// pulled indices are always a prefix and every one of them is decoded:
+/// which worker decodes what changes the work wasted above the winner,
+/// never the answer. The first worker runs on the calling thread and the
+/// others in a scope that joins them (a worker's panic is re-raised
+/// here); one worker spawns nothing and is the plain serial loop.
+fn run_trials(
+    workers: &mut [MinSumDecoder],
+    flipped: impl Iterator<Item = BitVec> + Send,
+    first_success: bool,
+) -> Vec<TrialOutcome> {
+    let queue = Mutex::new(flipped.enumerate());
+    // Relaxed: the flag publishes no data and the result does not depend
+    // on when a worker sees it — only how many trials above the winner
+    // are decoded for nothing.
+    let found = AtomicBool::new(false);
+    // Trials stay on the scalar decoder: early exit usually stops after a
+    // handful of them, and a fixed interleaved tile would decode past the
+    // winner — measurably worse than the loop on the latency-sensitive
+    // post-processing path.
+    let work = |decoder: &mut MinSumDecoder| {
         let mut outcomes = Vec::new();
-        // Trials stay on the scalar decoder: early exit usually stops
-        // after a handful of them, and a fixed interleaved tile would
-        // decode past the winner — measurably worse than the loop on the
-        // latency-sensitive post-processing path.
-        for syndrome in flipped {
-            let r = self.decode(&syndrome);
-            let done = first_success && r.converged;
-            outcomes.push(r.into());
-            if done {
+        // Once a trial has converged, every index not yet handed out lies
+        // above it.
+        while !found.load(Ordering::Relaxed) {
+            let next = queue.lock().expect("a worker panicked").next();
+            let Some((idx, syndrome)) = next else {
                 break;
+            };
+            let r = decoder.decode(&syndrome);
+            if first_success && r.converged {
+                found.store(true, Ordering::Relaxed);
             }
+            let outcome = TrialOutcome {
+                iterations: r.iterations,
+                error_hat: r.converged.then_some(r.error_hat),
+            };
+            outcomes.push((idx, outcome));
         }
         outcomes
+    };
+    let (first, rest) = workers.split_first_mut().expect("at least one worker");
+    let mut outcomes = std::thread::scope(|scope| {
+        let spawned: Vec<_> = rest
+            .iter_mut()
+            .map(|decoder| scope.spawn(|| work(decoder)))
+            .collect();
+        let mut outcomes = work(first);
+        for handle in spawned {
+            outcomes.extend(
+                handle
+                    .join()
+                    .unwrap_or_else(|p| std::panic::resume_unwind(p)),
+            );
+        }
+        outcomes
+    });
+    outcomes.sort_unstable_by_key(|&(idx, _)| idx);
+    let mut outcomes: Vec<TrialOutcome> = outcomes.into_iter().map(|(_, o)| o).collect();
+    if first_success {
+        if let Some(winner) = outcomes.iter().position(|o| o.error_hat.is_some()) {
+            outcomes.truncate(winner + 1);
+        }
     }
+    outcomes
 }
 
-/// The serial BP-SF decoder (paper Algorithm 1).
+/// The BP-SF decoder (paper Algorithm 1).
 ///
-/// Owns two min-sum decoders (the oscillation-tracking initial instance
-/// and the short-depth trial instance) plus the sparse check matrix used
-/// for trial-syndrome generation `s′ = s ⊕ H·t` (an SpMSpV, §VI).
+/// Owns the oscillation-tracking initial min-sum decoder, one short-depth
+/// trial decoder per worker (`P ≥ 1`; the paper's serial and "CPU, P = N"
+/// implementations are this type at `P = 1` and `P = N`) and the sparse
+/// check matrix used for trial-syndrome generation `s′ = s ⊕ H·t` (an
+/// SpMSpV, §VI).
 ///
 /// A decode is a pure function of `(H, priors, config, syndrome)`: it
-/// equals [`ParallelBpSf`](crate::ParallelBpSf)'s for any worker count,
-/// and does not depend on what was decoded before or in which order.
-/// Clone the decoder to decode concurrently on several threads.
+/// does not depend on the worker count, on thread scheduling, or on what
+/// was decoded before or in which order. Clone the decoder to decode
+/// concurrently on several threads.
+///
+/// # Examples
+///
+/// ```
+/// use bpsf_core::{BpSfConfig, BpSfDecoder};
+/// use qldpc_codes::coprime_bb;
+/// use qldpc_gf2::BitVec;
+///
+/// let code = coprime_bb::coprime154();
+/// let hz = code.hz();
+/// let (n, config) = (hz.cols(), BpSfConfig::code_capacity(50, 8, 1));
+/// let mut serial = BpSfDecoder::new(hz, &vec![0.02; n], config);
+/// let mut two = BpSfDecoder::with_workers(hz, &vec![0.02; n], config, 2);
+/// let s = hz.mul_vec(&BitVec::from_indices(n, &[5, 40]));
+/// assert_eq!(two.decode(&s), serial.decode(&s));
+/// ```
 #[derive(Debug, Clone)]
 pub struct BpSfDecoder {
     h: SparseBitMatrix,
     initial: MinSumDecoder,
-    trial: MinSumDecoder,
+    /// One trial decoder per worker.
+    trial: Vec<MinSumDecoder>,
     config: BpSfConfig,
 }
 
 impl BpSfDecoder {
-    /// Builds a BP-SF decoder for check matrix `h` and per-variable priors.
+    /// Builds a BP-SF decoder that runs its trials one after another
+    /// ([`Self::with_workers`] at one worker).
     ///
     /// # Panics
     ///
     /// Panics if `priors.len() != h.cols()`, or if the configuration asks
     /// for zero candidates or zero flip weight.
     pub fn new(h: &SparseBitMatrix, priors: &[f64], config: BpSfConfig) -> Self {
+        Self::with_workers(h, priors, config, 1)
+    }
+
+    /// Builds a BP-SF decoder for check matrix `h` and per-variable priors
+    /// whose trials run on `workers` threads: the calling one plus
+    /// `workers − 1` scoped threads per post-processed decode.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `workers == 0` or `priors.len() != h.cols()`, or if the
+    /// configuration asks for zero candidates or zero flip weight.
+    pub fn with_workers(
+        h: &SparseBitMatrix,
+        priors: &[f64],
+        config: BpSfConfig,
+        workers: usize,
+    ) -> Self {
+        assert!(workers > 0, "need at least one worker");
         assert!(config.candidates > 0, "candidate set must be non-empty");
         assert!(
             config.max_flip_weight > 0,
@@ -262,7 +326,7 @@ impl BpSfDecoder {
         Self {
             h: h.clone(),
             initial: MinSumDecoder::new(h, priors, initial_cfg),
-            trial: MinSumDecoder::new(h, priors, trial_cfg),
+            trial: vec![MinSumDecoder::new(h, priors, trial_cfg); workers],
             config,
         }
     }
@@ -277,12 +341,12 @@ impl BpSfDecoder {
         &self.h
     }
 
-    /// The short-depth trial decoder (the pool clones it per worker).
-    pub(crate) fn trial_decoder(&self) -> &MinSumDecoder {
-        &self.trial
+    /// Number of trial workers `P`.
+    pub fn workers(&self) -> usize {
+        self.trial.len()
     }
 
-    /// Decodes a syndrome (paper Algorithm 1, serial early-exit execution).
+    /// Decodes a syndrome (paper Algorithm 1).
     ///
     /// # Panics
     ///
@@ -290,17 +354,6 @@ impl BpSfDecoder {
     pub fn decode(&mut self, syndrome: &BitVec) -> BpSfResult {
         let initial = self.initial.decode(syndrome);
         post_process(&self.h, &self.config, &mut self.trial, syndrome, initial)
-    }
-
-    /// [`Self::decode`] with the trial list run by `executor` instead of
-    /// the serial loop.
-    pub(crate) fn decode_on(
-        &mut self,
-        executor: &mut impl TrialExecutor,
-        syndrome: &BitVec,
-    ) -> BpSfResult {
-        let initial = self.initial.decode(syndrome);
-        post_process(&self.h, &self.config, executor, syndrome, initial)
     }
 
     /// Decodes a batch of syndromes, running the **initial BP stage
@@ -318,11 +371,11 @@ impl BpSfDecoder {
 }
 
 /// Algorithm 1 after the initial BP attempt: candidate selection, trial
-/// generation, the executor's trial run, winner selection.
+/// generation, the trial run, winner selection.
 fn post_process(
     h: &SparseBitMatrix,
     config: &BpSfConfig,
-    executor: &mut impl TrialExecutor,
+    workers: &mut [MinSumDecoder],
     syndrome: &BitVec,
     initial: BpResult,
 ) -> BpSfResult {
@@ -366,7 +419,7 @@ fn post_process(
         flipped
     });
     let first_success = config.selection == TrialSelection::FirstSuccess;
-    let outcomes = executor.run_trials(flipped, first_success);
+    let outcomes = run_trials(workers, flipped, first_success);
 
     result.trials_executed = outcomes.len();
     result.serial_iterations += outcomes.iter().map(|o| o.iterations).sum::<usize>();
@@ -516,6 +569,48 @@ mod tests {
                 assert!(rm.error_hat.weight() <= rf.error_hat.weight());
             }
         }
+    }
+
+    /// Under `MinWeight` every worker count decodes every trial and
+    /// returns the lightest answer, not the first trial to finish.
+    #[test]
+    fn workers_honour_min_weight_selection() {
+        let code = bb::bb72();
+        let hz = code.hz();
+        let n = hz.cols();
+        let config = BpSfConfig {
+            selection: TrialSelection::MinWeight,
+            ..BpSfConfig::code_capacity(30, 16, 1)
+        };
+        let first_success = BpSfConfig {
+            selection: TrialSelection::FirstSuccess,
+            ..config
+        };
+        let mut serial = BpSfDecoder::new(hz, &vec![0.1; n], config);
+        let mut first = BpSfDecoder::new(hz, &vec![0.1; n], first_success);
+        let mut two = BpSfDecoder::with_workers(hz, &vec![0.1; n], config, 2);
+        let mut rng = StdRng::seed_from_u64(31);
+        let mut first_convergent_lost = 0;
+        for _ in 0..30 {
+            let mut e = BitVec::zeros(n);
+            for i in 0..n {
+                if rng.random_bool(0.1) {
+                    e.set(i, true);
+                }
+            }
+            let s = hz.mul_vec(&e);
+            let rs = serial.decode(&s);
+            let rp = two.decode(&s);
+            assert_eq!(rs, rp, "worker counts disagree");
+            if !rp.initial_converged {
+                assert_eq!(rp.trials_executed, config.max_trials());
+            }
+            first_convergent_lost +=
+                usize::from(first.decode(&s).winning_trial != rp.winning_trial);
+        }
+        // Otherwise both selections agree on every shot and this test
+        // cannot tell them apart.
+        assert!(first_convergent_lost > 0, "selection never exercised");
     }
 
     #[test]

@@ -15,10 +15,11 @@
 //!    selection: code degeneracy makes the first satisfying solution almost
 //!    always coset-correct).
 //!
-//! The algorithm is written once and run by two executors that differ only
-//! in how a list of trials is decoded: one after another
-//! ([`BpSfDecoder`]) or on a persistent worker pool ([`ParallelBpSf`]),
-//! mirroring the paper's serial-CPU and multi-process-CPU implementations.
+//! There is one decoder type, [`BpSfDecoder`], and its worker count `P` is
+//! data: the trial list is handed out in index order to `P` workers (the
+//! calling thread plus `P − 1` scoped threads per post-processed decode),
+//! so `P = 1` is the paper's serial-CPU implementation and `P = N` its
+//! multi-process one ([`BpSfDecoder::with_workers`]).
 //!
 //! # Determinism
 //!
@@ -26,8 +27,8 @@
 //! trials are drawn from a generator seeded by [`BpSfConfig::seed`] and the
 //! syndrome, and the winner is the lowest-index convergent trial (the
 //! lightest one under [`TrialSelection::MinWeight`]), never the first to
-//! finish. Hence serial ≡ pool(P) for every P ≡ any batch order ≡ any
-//! decode history ≡ a remote instance built from the same inputs.
+//! finish. Hence every worker count ≡ any batch order ≡ any decode history
+//! ≡ a remote instance built from the same inputs.
 //!
 //! # Examples
 //!
@@ -50,7 +51,6 @@
 mod api;
 mod candidates;
 mod decoder;
-mod parallel;
 pub mod stats;
 mod trials;
 
@@ -58,6 +58,5 @@ pub use candidates::{
     hit_precision_recall, select_candidates, select_candidates_ranked, CandidateRanking,
 };
 pub use decoder::{BpSfConfig, BpSfDecoder, BpSfResult, TrialSampling, TrialSelection};
-pub use parallel::{ParallelBpSf, ParallelDecodeStats};
 pub use qldpc_decoder_api::{DecodeOutcome, SyndromeDecoder};
 pub use trials::TrialVectors;

@@ -1,9 +1,9 @@
 //! The determinism contract of BP-SF: a decode is a pure function of
-//! `(H, priors, config, syndrome)`, so the serial decoder, the worker
-//! pool at any width, any batch order and any decode history all agree
-//! field for field.
+//! `(H, priors, config, syndrome)`, so every worker count, any thread
+//! scheduling, any batch order and any decode history all agree field
+//! for field.
 
-use bpsf_core::{BpSfConfig, BpSfDecoder, ParallelBpSf, TrialSelection};
+use bpsf_core::{BpSfConfig, BpSfDecoder, TrialSelection};
 use proptest::prelude::*;
 use qldpc_codes::CssCode;
 use qldpc_gf2::BitVec;
@@ -57,12 +57,16 @@ fn syndromes(code: &CssCode, rng: &mut StdRng, count: usize) -> Vec<BitVec> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `ParallelBpSf(P)` ≡ `BpSfDecoder` for every worker count, sampling
-    /// mode and selection mode, whichever worker finishes first.
+    /// `BpSfDecoder` at `P` workers ≡ at one, for every worker count
+    /// (`crowded`: eight workers on a list of at most two trials),
+    /// sampling mode and selection mode, whichever worker finishes first —
+    /// also when the decoder is a clone decoding on another thread.
     #[test]
     fn pool_equals_serial(
         seed in 0u64..10_000,
         workers in 1usize..=3,
+        crowded in proptest::bool::ANY,
+        moved in proptest::bool::ANY,
         bb72 in proptest::bool::ANY,
         sampled in proptest::bool::ANY,
         min_weight in proptest::bool::ANY,
@@ -70,17 +74,30 @@ proptest! {
         let code = code(bb72);
         let hz = code.hz();
         let priors = vec![P; hz.cols()];
-        let config = config(sampled, min_weight);
+        let mut config = config(sampled, min_weight);
+        let mut workers = workers;
+        if crowded {
+            (config.candidates, config.max_flip_weight, workers) = (2, 1, 8);
+        }
         let mut serial = BpSfDecoder::new(hz, &priors, config);
-        let mut pool = ParallelBpSf::new(hz, &priors, config, workers);
+        let mut parallel = BpSfDecoder::with_workers(hz, &priors, config, workers);
+        let stream = syndromes(&code, &mut StdRng::seed_from_u64(seed), 16);
+        let got: Vec<_> = if moved {
+            let mut clone = parallel.clone();
+            let stream = &stream;
+            std::thread::scope(|scope| {
+                scope
+                    .spawn(move || stream.iter().map(|s| clone.decode(s)).collect())
+                    .join()
+                    .expect("decoding thread panicked")
+            })
+        } else {
+            stream.iter().map(|s| parallel.decode(s)).collect()
+        };
         let mut post_processed = 0;
-        for s in syndromes(&code, &mut StdRng::seed_from_u64(seed), 16) {
-            let expected = serial.decode(&s);
-            let (got, stats) = pool.decode(&s);
+        for (s, got) in stream.iter().zip(got) {
+            let expected = serial.decode(s);
             prop_assert_eq!(&got, &expected);
-            if let Some(winner) = got.winning_trial {
-                prop_assert!(stats.trials_decoded > winner);
-            }
             post_processed += usize::from(!got.initial_converged);
         }
         prop_assert!(post_processed > 0, "stream never reached the trial stage");

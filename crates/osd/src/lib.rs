@@ -11,8 +11,8 @@
 //!   least reliable residual positions, keeping the best-scoring solution.
 //!
 //! The Gaussian elimination step costs `O(N³)` in the worst case — the
-//! expense BP-SF eliminates (see the `osd_elimination` bench, which
-//! writes `BENCH_osd_elimination.json`). The hot path here runs on the
+//! expense BP-SF eliminates (`benchmark/` measures it per call as
+//! `osd.postprocess_us` and `gf2.eliminate_us`). The hot path here runs on the
 //! word-parallel [`OrderedEliminator`] workspace: the reliability
 //! permutation is applied once up front, the syndrome rides along as an
 //! appended column, and every sweep candidate is assembled incrementally
@@ -462,8 +462,8 @@ fn osd_softweight_stream(
 ///
 /// Retained verbatim as the correctness reference for the fast path —
 /// the equivalence property suite pins `osd_postprocess` against this
-/// function bit for bit, and the `osd_elimination` bench reports the
-/// speedup between the two.
+/// function bit for bit; `benchmark/`'s `osd.postprocess_us` and
+/// `gf2.eliminate_us` time the fast path.
 ///
 /// # Panics
 ///

@@ -2,14 +2,14 @@
 //!
 //! The decoder *interface* ([`SyndromeDecoder`], [`DecodeOutcome`],
 //! [`DecoderFactory`]) lives in `qldpc-decoder-api` and is implemented
-//! natively by each decoder crate — `MinSumDecoder`, `BpOsdDecoder`,
-//! `BpSfDecoder` and `ParallelBpSf` are the trait objects themselves, no
-//! sim-local adapters. This module only packages the paper's named
+//! natively by each decoder crate — `MinSumDecoder`, `BpOsdDecoder` and
+//! `BpSfDecoder` (at any worker count) are the trait objects themselves,
+//! no sim-local adapters. This module only packages the paper's named
 //! configurations (`BP1000`, `BP1000-OSD10`, `BP-SF(…)`) as
 //! [`DecoderFactory`] closures for the Monte Carlo runners, which build
 //! one instance per basis (X/Z) and per worker thread.
 
-use bpsf_core::{BpSfConfig, BpSfDecoder, ParallelBpSf};
+use bpsf_core::{BpSfConfig, BpSfDecoder};
 use qldpc_bp::{
     BpConfig, BpWindowDecoder, BpWindowDecoderF32, MinSumDecoder, MinSumDecoderF32, Schedule,
 };
@@ -115,7 +115,8 @@ pub fn window_bp_at(max_iters: usize, precision: Precision) -> WindowDecoderFact
     }
 }
 
-/// Factory for the serial BP-SF decoder with an explicit configuration.
+/// Factory for the BP-SF decoder with an explicit configuration, trials
+/// run one after another.
 pub fn bp_sf(config: BpSfConfig) -> DecoderFactory {
     Box::new(move |h, priors| Box::new(BpSfDecoder::new(h, priors, config)))
 }
@@ -126,10 +127,10 @@ pub fn layered_bp_sf(mut config: BpSfConfig) -> DecoderFactory {
     Box::new(move |h, priors| Box::new(BpSfDecoder::new(h, priors, config)))
 }
 
-/// Factory for the worker-pool parallel BP-SF decoder
-/// (the paper's "BP-SF (CPU, P={workers})").
+/// Factory for the BP-SF decoder with its trials spread over `workers`
+/// threads (the paper's "BP-SF (CPU, P={workers})").
 pub fn parallel_bp_sf(config: BpSfConfig, workers: usize) -> DecoderFactory {
-    Box::new(move |h, priors| Box::new(ParallelBpSf::new(h, priors, config, workers)))
+    Box::new(move |h, priors| Box::new(BpSfDecoder::with_workers(h, priors, config, workers)))
 }
 
 #[cfg(test)]
@@ -179,7 +180,7 @@ mod tests {
         let lsf = layered_bp_sf(BpSfConfig::code_capacity(50, 8, 1))(hz, &priors);
         assert!(lsf.label().starts_with("Layered-BP-SF"));
         let psf = parallel_bp_sf(BpSfConfig::code_capacity(50, 4, 1), 2)(hz, &priors);
-        assert_eq!(psf.label(), "BP-SF(P=2)");
+        assert_eq!(psf.label(), "BP-SF(BP50,w=1,|Φ|=4,P=2)");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Properties of the one shot loop behind `run_code_capacity` and
 //! `run_circuit_level`, checked on both noise models × every decoder
 //! family (plain BP, BP-OSD, and BP-SF with sampled trials, serial and
-//! on a two-worker trial pool):
+//! on two trial workers):
 //!
 //! * the batch width never changes a record;
 //! * a T-thread run is the thread-ordered union of T
@@ -64,7 +64,7 @@ fn cases() -> Vec<(String, Model, DecoderFactory)> {
                 decoders::bp_sf(BpSfConfig::circuit_level(30, 20, 3, 3)),
             ),
             (
-                "bpsf-pool",
+                "bpsf-p2",
                 decoders::parallel_bp_sf(BpSfConfig::circuit_level(30, 20, 3, 3), 2),
             ),
         ] {

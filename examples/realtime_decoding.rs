@@ -1,10 +1,10 @@
-//! Real-time decoding: streaming syndromes through the parallel worker
-//! pool, plus projected hardware latencies.
+//! Real-time decoding: streaming syndromes through BP-SF at one and at
+//! several trial workers, plus projected hardware latencies.
 //!
 //! Reproduces the paper's §VI workflow in miniature: syndromes arrive one
 //! at a time (as they would from a syndrome-extraction pipeline); the
-//! persistent worker pool parallelizes the speculative trials whenever the
-//! initial BP attempt fails, compressing the latency tail. The iteration
+//! trial workers parallelize the speculative trials whenever the initial
+//! BP attempt fails, compressing the latency tail. The iteration
 //! records are then fed to the FPGA latency model (20 ns/iteration) to
 //! reproduce the "≈4 µs worst case" projection.
 //!
@@ -34,11 +34,11 @@ fn main() {
     let config = BpSfConfig::code_capacity(100, 8, 2);
 
     let mut serial = BpSfDecoder::new(&hz, &priors, config);
-    let mut pool = ParallelBpSf::new(&hz, &priors, config, workers);
+    let mut parallel = BpSfDecoder::with_workers(&hz, &priors, config, workers);
     let mut rng = StdRng::seed_from_u64(99);
 
     let mut serial_ms = Vec::new();
-    let mut pool_ms = Vec::new();
+    let mut parallel_ms = Vec::new();
     let mut critical_iters = Vec::new();
     for _ in 0..shots {
         let (ex, _) = bpsf::sim::sample_depolarizing(n, p, &mut rng);
@@ -48,16 +48,17 @@ fn main() {
         let rs = serial.decode(&s);
         serial_ms.push(t0.elapsed().as_secs_f64() * 1e3);
 
-        let (rp, stats) = pool.decode(&s);
-        pool_ms.push(stats.wall_time.as_secs_f64() * 1e3);
+        let t0 = Instant::now();
+        let rp = parallel.decode(&s);
+        parallel_ms.push(t0.elapsed().as_secs_f64() * 1e3);
         critical_iters.push(rp.critical_path_iterations);
-        assert_eq!(rs.success, rp.success);
+        assert_eq!(rs, rp);
     }
 
     let s_stats = bpsf::sim::LatencyStats::from_samples(serial_ms);
-    let p_stats = bpsf::sim::LatencyStats::from_samples(pool_ms);
+    let p_stats = bpsf::sim::LatencyStats::from_samples(parallel_ms);
     println!("\nserial BP-SF : {}", s_stats.summary());
-    println!("pool (P={workers}) : {}", p_stats.summary());
+    println!("P = {workers:<8} : {}", p_stats.summary());
     println!(
         "tail compression: max {:.2}× | mean {:.2}×",
         s_stats.max / p_stats.max.max(1e-9),

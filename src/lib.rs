@@ -85,9 +85,7 @@ pub mod prelude {
         BatchMinSumDecoder, BatchMinSumDecoderF32, BpConfig, DampingSchedule, Llr, MinSumDecoder,
         MinSumDecoderF32, Schedule,
     };
-    pub use crate::bpsf::{
-        BpSfConfig, BpSfDecoder, BpSfResult, ParallelBpSf, TrialSampling, TrialSelection,
-    };
+    pub use crate::bpsf::{BpSfConfig, BpSfDecoder, BpSfResult, TrialSampling, TrialSelection};
     pub use crate::circuit::{
         window_plan, DemSampler, DetectorErrorModel, MemoryExperiment, NoiseModel,
     };

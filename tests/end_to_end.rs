@@ -125,13 +125,13 @@ fn parallel_pool_agrees_with_serial_on_stream() {
     let priors = vec![2.0 * p / 3.0; n];
     let config = BpSfConfig::code_capacity(40, 8, 1);
     let mut serial = BpSfDecoder::new(&hz, &priors, config);
-    let mut pool = ParallelBpSf::new(&hz, &priors, config, 2);
+    let mut pool = BpSfDecoder::with_workers(&hz, &priors, config, 2);
     let mut rng = StdRng::seed_from_u64(5);
     for _ in 0..25 {
         let (ex, _) = bpsf::sim::sample_depolarizing(n, p, &mut rng);
         let s = hz.mul_vec(&ex);
         let rs = serial.decode(&s);
-        let (rp, _) = pool.decode(&s);
+        let rp = pool.decode(&s);
         assert_eq!(rs, rp);
         if rp.success {
             assert_eq!(hz.mul_vec(&rp.error_hat), s);

@@ -58,16 +58,17 @@ fn osd_reports_inconsistency_instead_of_lying() {
 #[test]
 fn parallel_pool_survives_inconsistent_streams() {
     let (h, s) = inconsistent_setup();
-    let mut pool = ParallelBpSf::new(&h, &[0.1; 4], BpSfConfig::code_capacity(10, 4, 2), 2);
+    let config = BpSfConfig::code_capacity(10, 4, 2);
+    let mut pool = BpSfDecoder::with_workers(&h, &[0.1; 4], config, 2);
     for _ in 0..5 {
-        let (r, stats) = pool.decode(&s);
+        let r = pool.decode(&s);
         assert!(!r.success);
-        assert_eq!(stats.trials_dispatched, stats.trials_decoded);
+        assert_eq!(r.trials_executed, config.max_trials());
     }
     // And it still decodes solvable syndromes afterwards.
     let e = BitVec::from_indices(4, &[0]);
     let good = h.mul_vec(&e);
-    let (r, _) = pool.decode(&good);
+    let r = pool.decode(&good);
     assert!(r.success);
 }
 
