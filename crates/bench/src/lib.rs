@@ -177,8 +177,6 @@ pub fn absorb_outcome(hash: &mut Fnv1a, outcome: &qldpc_decoder_api::DecodeOutco
         t.osd_invocations,
         t.osd_candidates,
         t.sf_trials,
-        t.window_spill_bits,
-        t.window_carried_priors,
     ] {
         hash.write_u64(v);
     }

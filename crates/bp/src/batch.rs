@@ -114,8 +114,7 @@ pub struct BatchMinSumDecoderOf<T: Llr> {
     // wide kernels start every slab on a full cache line / AVX-512
     // register boundary.
     /// Per-(variable, lane) channel LLRs: the decoder's `channel_llrs`
-    /// broadcast across the tile, with per-lane prior overrides (carried
-    /// window beliefs) applied where a shot supplies them.
+    /// broadcast across the tile.
     lane_channel: AlignedSlab<T>,
     c2v: AlignedSlab<T>,
     v2c: AlignedSlab<T>,
@@ -253,20 +252,6 @@ impl<T: Llr> BatchMinSumDecoderOf<T> {
         self.channel_llrs.extend_from_slice(channel_llrs);
     }
 
-    /// Replaces the channel priors (lengths must match).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `priors.len() != num_vars()`.
-    pub fn set_priors(&mut self, priors: &[f64]) {
-        assert_eq!(
-            priors.len(),
-            self.graph.num_vars(),
-            "one prior per variable required"
-        );
-        self.channel_llrs = priors.iter().map(|&p| T::from_f64(prior_llr(p))).collect();
-    }
-
     /// Decodes one syndrome (a batch of width 1).
     ///
     /// # Panics
@@ -292,36 +277,6 @@ impl<T: Llr> BatchMinSumDecoderOf<T> {
     ///
     /// Panics if any syndrome's length differs from the number of checks.
     pub fn decode_batch_results(&mut self, syndromes: &[BitVec]) -> Vec<BpResult<T>> {
-        self.decode_batch_with_priors(syndromes, &[])
-    }
-
-    /// Decodes a batch of syndromes with optional *per-shot* channel
-    /// priors, returning one [`BpResult`] per syndrome in input order.
-    ///
-    /// `priors` is either empty (no overrides — identical to
-    /// [`Self::decode_batch_results`]) or one entry per syndrome:
-    /// `Some(p)` decodes that shot with channel priors `p` (one error
-    /// probability per variable, converted exactly like
-    /// [`Self::set_priors`]), `None` uses the decoder's own priors. This
-    /// is the streaming hook: sliding-window sessions carry boundary
-    /// posteriors forward as the next window's priors, and shots from
-    /// many sessions — each with its own carried beliefs — still batch
-    /// into one interleaved tile.
-    ///
-    /// Shot `i` is bit-identical to `set_priors(p)` followed by a scalar
-    /// decode of `syndromes[i]` at this precision.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any syndrome's length differs from the number of
-    /// checks, if `priors` is non-empty with `priors.len() !=
-    /// syndromes.len()`, or if any override's length differs from the
-    /// number of variables.
-    pub fn decode_batch_with_priors(
-        &mut self,
-        syndromes: &[BitVec],
-        priors: &[Option<&[f64]>],
-    ) -> Vec<BpResult<T>> {
         for s in syndromes {
             assert_eq!(
                 s.len(),
@@ -329,40 +284,18 @@ impl<T: Llr> BatchMinSumDecoderOf<T> {
                 "syndrome length must equal the number of checks"
             );
         }
-        assert!(
-            priors.is_empty() || priors.len() == syndromes.len(),
-            "per-shot priors must be empty or one entry per syndrome"
-        );
-        for p in priors.iter().flatten() {
-            assert_eq!(
-                p.len(),
-                self.graph.num_vars(),
-                "one prior per variable required"
-            );
-        }
         let mut out = Vec::with_capacity(syndromes.len());
-        let max_lanes = self.max_lanes;
-        for (i, tile) in syndromes.chunks(max_lanes).enumerate() {
-            let tile_priors = if priors.is_empty() {
-                &[]
-            } else {
-                &priors[i * max_lanes..i * max_lanes + tile.len()]
-            };
-            self.decode_tile(tile, tile_priors, &mut out);
+        for tile in syndromes.chunks(self.max_lanes) {
+            self.decode_tile(tile, &mut out);
         }
         out
     }
 
     /// Decodes one tile of up to `max_lanes` shots into `out`.
-    fn decode_tile(
-        &mut self,
-        tile: &[BitVec],
-        tile_priors: &[Option<&[f64]>],
-        out: &mut Vec<BpResult<T>>,
-    ) {
+    fn decode_tile(&mut self, tile: &[BitVec], out: &mut Vec<BpResult<T>>) {
         let lanes = tile.len();
         let vars = self.graph.num_vars();
-        self.reset(tile, tile_priors);
+        self.reset(tile);
         let mut target = wide::resolve_target(&self.config);
         // An auto-detected target steps down until one vector fits the
         // tile: a B=8 f32 tile holds no 16-lane groups, and routing it
@@ -521,7 +454,7 @@ impl<T: Llr> BatchMinSumDecoderOf<T> {
     }
 
     /// Sizes the slabs for `tile.len()` lanes and loads the tile's state.
-    fn reset(&mut self, tile: &[BitVec], tile_priors: &[Option<&[f64]>]) {
+    fn reset(&mut self, tile: &[BitVec]) {
         let lanes = tile.len();
         let edges = self.graph.num_edges();
         let vars = self.graph.num_vars();
@@ -533,19 +466,13 @@ impl<T: Llr> BatchMinSumDecoderOf<T> {
         // schedules), exactly like the scalar decoder's buffer.
         self.v2c.resize(edges * lanes, T::ZERO);
 
-        // Channel LLRs per (variable, lane): the shared priors broadcast
-        // across the tile, overridden lane-wise where a shot carries its
-        // own (converted exactly like `set_priors`, so an overridden
-        // lane is bit-identical to a scalar decode after `set_priors`).
+        // Channel LLRs per (variable, lane): the priors broadcast across
+        // the tile.
         self.lane_channel.clear();
         self.lane_channel.reserve(vars * lanes);
-        for v in 0..vars {
-            let llr = self.channel_llrs[v];
-            for b in 0..lanes {
-                match tile_priors.get(b).copied().flatten() {
-                    Some(p) => self.lane_channel.push(T::from_f64(prior_llr(p[v]))),
-                    None => self.lane_channel.push(llr),
-                }
+        for &llr in &self.channel_llrs {
+            for _ in 0..lanes {
+                self.lane_channel.push(llr);
             }
         }
 
@@ -914,100 +841,6 @@ mod tests {
         let h = repetition_h(5);
         let mut dec = BatchMinSumDecoder::new(&h, &[0.05; 5], BpConfig::default());
         dec.decode_batch_results(&[BitVec::zeros(4), BitVec::zeros(5)]);
-    }
-
-    /// A lane decoded with per-shot prior overrides is bit-identical to
-    /// `set_priors` + scalar decode, and the non-overridden lanes of the
-    /// same tile are bit-identical to the base batch path.
-    #[test]
-    fn per_lane_priors_match_scalar_set_priors() {
-        let h = repetition_h(9);
-        let config = BpConfig {
-            max_iters: 30,
-            track_oscillations: true,
-            ..BpConfig::default()
-        };
-        let base = [0.05; 9];
-        let alt: Vec<f64> = (0..9).map(|i| 0.01 + 0.03 * i as f64).collect();
-        let syndromes: Vec<BitVec> = [vec![1], vec![3, 6], vec![0, 4, 8]]
-            .iter()
-            .map(|bits| h.mul_vec(&BitVec::from_indices(9, bits)))
-            .collect();
-
-        let mut batch = BatchMinSumDecoder::new(&h, &base, config);
-        let rb = batch.decode_batch_with_priors(&syndromes, &[None, Some(&alt), None]);
-
-        let mut scalar = MinSumDecoder::new(&h, &base, config);
-        let rs0 = scalar.decode(&syndromes[0]);
-        let rs2 = scalar.decode(&syndromes[2]);
-        scalar.set_priors(&alt);
-        let rs1 = scalar.decode(&syndromes[1]);
-
-        for (r, rs) in [(&rb[0], &rs0), (&rb[1], &rs1), (&rb[2], &rs2)] {
-            assert_eq!(r.converged, rs.converged);
-            assert_eq!(r.iterations, rs.iterations);
-            assert_eq!(r.error_hat, rs.error_hat);
-            assert_eq!(r.flip_counts, rs.flip_counts);
-            for (a, b) in r.posteriors.iter().zip(&rs.posteriors) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-    }
-
-    /// Overrides survive lane compaction and tiling: every lane keeps
-    /// *its own* channel row when converged lanes swap to the tail.
-    #[test]
-    fn per_lane_priors_survive_compaction_and_tiling() {
-        let h = repetition_h(9);
-        let config = BpConfig {
-            max_iters: 30,
-            ..BpConfig::default()
-        };
-        let alt: Vec<f64> = (0..9).map(|i| 0.002 + 0.05 * (i % 3) as f64).collect();
-        let syndromes: Vec<BitVec> = (0..10)
-            .map(|i| h.mul_vec(&BitVec::from_indices(9, &[i % 9])))
-            .collect();
-        let priors: Vec<Option<&[f64]>> = (0..10)
-            .map(|i| {
-                if i % 2 == 0 {
-                    Some(alt.as_slice())
-                } else {
-                    None
-                }
-            })
-            .collect();
-        let mut wide = BatchMinSumDecoder::new(&h, &[0.05; 9], config);
-        let mut narrow = BatchMinSumDecoder::new(&h, &[0.05; 9], config);
-        narrow.set_max_lanes(3);
-        let rw = wide.decode_batch_with_priors(&syndromes, &priors);
-        let rn = narrow.decode_batch_with_priors(&syndromes, &priors);
-        let mut scalar = MinSumDecoder::new(&h, &[0.05; 9], config);
-        let mut scalar_alt = MinSumDecoder::new(&h, &[0.05; 9], config);
-        scalar_alt.set_priors(&alt);
-        for (i, (a, b)) in rw.iter().zip(&rn).enumerate() {
-            let rs = if i % 2 == 0 {
-                scalar_alt.decode(&syndromes[i])
-            } else {
-                scalar.decode(&syndromes[i])
-            };
-            for r in [a, b] {
-                assert_eq!(r.converged, rs.converged, "shot {i}");
-                assert_eq!(r.iterations, rs.iterations, "shot {i}");
-                assert_eq!(r.error_hat, rs.error_hat, "shot {i}");
-                for (x, y) in r.posteriors.iter().zip(&rs.posteriors) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "shot {i}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "one prior per variable")]
-    fn wrong_override_length_panics() {
-        let h = repetition_h(5);
-        let mut dec = BatchMinSumDecoder::new(&h, &[0.05; 5], BpConfig::default());
-        let short = [0.1; 4];
-        dec.decode_batch_with_priors(&[BitVec::zeros(4)], &[Some(&short)]);
     }
 
     /// Dispatch-aware compaction padding: every tile width from one lane

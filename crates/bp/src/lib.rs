@@ -101,7 +101,6 @@ mod graph;
 mod kernel;
 mod llr;
 mod wide;
-mod window;
 
 pub use batch::{BatchMinSumDecoder, BatchMinSumDecoderOf, DEFAULT_MAX_LANES};
 pub use decoder::{
@@ -119,7 +118,6 @@ pub use qldpc_simd::{
     detected_target as detected_simd_target, supported_targets as supported_simd_targets,
     SimdTarget, ENV_TARGET as SIMD_TARGET_ENV,
 };
-pub use window::{BpWindowDecoder, BpWindowDecoderF32, BpWindowDecoderOf};
 
 /// The reduced-precision (`f32`) scalar min-sum decoder: half the message
 /// width, same algorithm, bit-identical to [`BatchMinSumDecoderF32`] per

@@ -36,11 +36,9 @@ mod dem;
 mod memory;
 mod noise;
 mod tableau;
-mod window;
 
 pub use circuit::{Circuit, NoiseChannel, Op, Pauli};
 pub use dem::{DemSampler, DetectorErrorModel, Shot};
 pub use memory::MemoryExperiment;
 pub use noise::NoiseModel;
 pub use tableau::{Outcome, StabilizerSimulator};
-pub use window::window_plan;

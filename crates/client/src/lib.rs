@@ -147,9 +147,9 @@ impl Write for Stream {
 /// A registered code as the server describes it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CodeHandle {
-    /// Numeric id for [`Connection::decode`]/[`Connection::open_stream`].
+    /// Numeric id for [`Connection::decode`].
     pub id: u32,
-    /// Syndrome length for single-shot codes; `0` for streaming codes.
+    /// Syndrome length the code expects.
     pub syndrome_bits: u64,
     /// The registration name, echoed back.
     pub name: String,
@@ -165,37 +165,10 @@ pub struct DecodeReply {
     pub result: Result<DecodeOutcome, DecodeFailure>,
 }
 
-/// One committed window, relayed from the server's streaming session.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CommitEvent {
-    /// Which window of the plan committed.
-    pub window_index: u64,
-    /// First committed round block (inclusive).
-    pub start_round: u64,
-    /// One past the last committed round block.
-    pub end_round: u64,
-    /// Whether the window's correction satisfied its residual syndrome.
-    pub solved: bool,
-    /// Global mechanism ids committed *on*.
-    pub mechanisms: Vec<u32>,
-}
-
-/// Final artifacts of a finished stream.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StreamOutcome {
-    /// Whether every window solved its residual syndrome.
-    pub all_solved: bool,
-    /// Global error estimate over all mechanisms.
-    pub error_hat: BitVec,
-    /// Commit events flushed by the finish (earlier events were returned
-    /// by the `push_round` that triggered them).
-    pub events: Vec<CommitEvent>,
-}
-
 /// One blocking connection to a decode-service front-end.
 ///
-/// Dropping the connection closes the socket; the server releases any
-/// state (in-flight slots, open stream sessions) tied to it.
+/// Dropping the connection closes the socket; the server releases the
+/// in-flight slots tied to it.
 pub struct Connection {
     reader: BufReader<Stream>,
     writer: BufWriter<Stream>,
@@ -359,142 +332,6 @@ impl Connection {
         match self.recv("MetricsReply")? {
             Frame::MetricsReply { text } => Ok(text),
             other => Err(self.unexpected(other, "MetricsReply")),
-        }
-    }
-
-    /// Opens a streaming session on a streaming-registered code. The
-    /// connection is borrowed for the stream's lifetime — one stream at
-    /// a time per connection, matching the blocking model.
-    pub fn open_stream(&mut self, code: u32) -> Result<RemoteStream<'_>, ClientError> {
-        let tag = self.fresh_tag();
-        self.send(&Frame::StreamOpen { tag, code })?;
-        match self.recv("StreamOpened")? {
-            Frame::StreamOpened {
-                tag: got,
-                session,
-                num_windows,
-                num_round_blocks,
-                dets_per_round,
-                num_mechanisms,
-            } => {
-                if got != tag {
-                    return Err(ClientError::TagMismatch { sent: tag, got });
-                }
-                Ok(RemoteStream {
-                    conn: self,
-                    session,
-                    num_windows,
-                    num_round_blocks,
-                    dets_per_round,
-                    num_mechanisms,
-                    finished: false,
-                })
-            }
-            other => Err(self.unexpected(other, "StreamOpened")),
-        }
-    }
-}
-
-/// A server-side streaming decode session, driven round by round.
-///
-/// Mirrors the in-process `StreamSession` API: `push_round` returns the
-/// commit events that round triggered, `finish` flushes the tail and
-/// returns the final artifacts. Dropping without finishing abandons the
-/// server-side session (the server reaps it with the connection).
-pub struct RemoteStream<'a> {
-    conn: &'a mut Connection,
-    session: u64,
-    num_windows: u64,
-    num_round_blocks: u64,
-    dets_per_round: u64,
-    num_mechanisms: u64,
-    finished: bool,
-}
-
-impl RemoteStream<'_> {
-    /// Windows in the server's decoding plan.
-    pub fn num_windows(&self) -> u64 {
-        self.num_windows
-    }
-
-    /// Detector-round blocks the plan expects before `finish`.
-    pub fn num_round_blocks(&self) -> u64 {
-        self.num_round_blocks
-    }
-
-    /// Bits each pushed round must carry.
-    pub fn dets_per_round(&self) -> u64 {
-        self.dets_per_round
-    }
-
-    /// Mechanism count — the final `error_hat`'s length.
-    pub fn num_mechanisms(&self) -> u64 {
-        self.num_mechanisms
-    }
-
-    fn event_from(&self, frame: Frame) -> Result<CommitEvent, ClientError> {
-        match frame {
-            Frame::CommitEvent {
-                session: _,
-                window_index,
-                start_round,
-                end_round,
-                solved,
-                mechanisms,
-            } => Ok(CommitEvent {
-                window_index,
-                start_round,
-                end_round,
-                solved,
-                mechanisms,
-            }),
-            other => Err(self.conn.unexpected(other, "CommitEvent")),
-        }
-    }
-
-    /// Pushes one measured detector-round block; returns the commit
-    /// events it triggered (often none — windows commit on overlap
-    /// boundaries).
-    pub fn push_round(&mut self, round: &BitVec) -> Result<Vec<CommitEvent>, ClientError> {
-        self.conn.send(&Frame::StreamRound {
-            session: self.session,
-            round: round.clone(),
-        })?;
-        let mut events = Vec::new();
-        loop {
-            match self.conn.recv("RoundAck")? {
-                Frame::RoundAck { .. } => return Ok(events),
-                frame @ Frame::CommitEvent { .. } => events.push(self.event_from(frame)?),
-                other => return Err(self.conn.unexpected(other, "RoundAck")),
-            }
-        }
-    }
-
-    /// Flushes the stream: commits every remaining window and returns
-    /// the final artifacts. Consumes the stream; the server closes the
-    /// session.
-    pub fn finish(mut self) -> Result<StreamOutcome, ClientError> {
-        self.finished = true;
-        self.conn.send(&Frame::StreamFinish {
-            session: self.session,
-        })?;
-        let mut events = Vec::new();
-        loop {
-            match self.conn.recv("StreamFinished")? {
-                Frame::StreamFinished {
-                    session: _,
-                    all_solved,
-                    error_hat,
-                } => {
-                    return Ok(StreamOutcome {
-                        all_solved,
-                        error_hat,
-                        events,
-                    })
-                }
-                frame @ Frame::CommitEvent { .. } => events.push(self.event_from(frame)?),
-                other => return Err(self.conn.unexpected(other, "StreamFinished")),
-            }
         }
     }
 }

@@ -55,13 +55,6 @@
 use qldpc_gf2::{BitVec, SparseBitMatrix};
 use std::fmt;
 
-mod window;
-
-pub use window::{
-    share_window_factory, CarryLink, SharedWindowDecoderFactory, WindowDecoder,
-    WindowDecoderFactory, WindowOutcome, WindowPlan, WindowSpec, WindowTask,
-};
-
 /// Floating-point width of a decoder's message arithmetic.
 ///
 /// The BP message slabs are the stack's hottest memory: halving the
@@ -212,9 +205,7 @@ pub struct DecoderDescriptor {
 /// one — *how hard did the decoder work and why* — in a form cheap
 /// enough to fill on every decode and mergeable into service-level
 /// counters. Fields a decoder has no notion of stay zero/default (a
-/// plain BP decoder reports no OSD sweeps; a window decoder's
-/// spill/carry sizes are filled by the streaming session that owns the
-/// commit logic, not by the kernel).
+/// plain BP decoder reports no OSD sweeps or trials).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DecodeTelemetry {
     /// BP iterations the initial attempt ran (serial accounting).
@@ -230,12 +221,6 @@ pub struct DecodeTelemetry {
     pub osd_candidates: u64,
     /// Syndrome-flip trials executed (BP-SF decoders).
     pub sf_trials: u64,
-    /// Detector bits flipped by committed-correction spill into future
-    /// windows (streaming sessions only).
-    pub window_spill_bits: u64,
-    /// Posterior beliefs carried into the next window's priors
-    /// (streaming sessions only).
-    pub window_carried_priors: u64,
 }
 
 impl DecodeTelemetry {

@@ -1,6 +1,6 @@
 //! Dense bit-packed matrices over GF(2).
 
-use crate::gauss::{Echelon, OrderedEchelon};
+use crate::gauss::Echelon;
 use crate::{words_for, BitVec, WORD_BITS};
 use std::fmt;
 
@@ -198,11 +198,6 @@ impl BitMatrix {
             }
         }
         v
-    }
-
-    /// Iterates over owned copies of the rows.
-    pub fn iter_rows(&self) -> impl Iterator<Item = BitVec> + '_ {
-        (0..self.rows).map(move |r| self.row(r))
     }
 
     /// XORs row `src` of `other` into row `dst` of `self`
@@ -479,16 +474,6 @@ impl BitMatrix {
     /// Runs plain Gaussian elimination; see [`Echelon::reduce`].
     pub fn echelon(&self, reduced: bool) -> Echelon {
         Echelon::reduce(self.clone(), reduced)
-    }
-
-    /// Runs column-ordered Gaussian elimination on `[self | rhs]`;
-    /// see [`OrderedEchelon::reduce`]. Used by OSD.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rhs.len() != self.rows()` or `order.len() != self.cols()`.
-    pub fn ordered_echelon(&self, rhs: &BitVec, order: &[usize]) -> OrderedEchelon {
-        OrderedEchelon::reduce(self.clone(), rhs, order)
     }
 
     /// Extends a basis of the row space of `sub` to a basis of the row space

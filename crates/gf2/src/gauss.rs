@@ -98,12 +98,12 @@ impl Echelon {
 /// # Examples
 ///
 /// ```
-/// use qldpc_gf2::{BitMatrix, BitVec};
+/// use qldpc_gf2::{BitMatrix, BitVec, OrderedEchelon};
 ///
 /// let h = BitMatrix::from_dense(&[&[1, 1, 0], &[0, 1, 1]]);
 /// let s = BitVec::from_indices(2, &[0]);
 /// let order: Vec<usize> = (0..3).collect();
-/// let ech = h.ordered_echelon(&s, &order);
+/// let ech = OrderedEchelon::reduce(h.clone(), &s, &order);
 /// let e = ech.solve_for_pattern(&[]);
 /// assert_eq!(h.mul_vec(&e), s); // OSD-0 solution satisfies the syndrome
 /// ```

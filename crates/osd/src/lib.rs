@@ -17,9 +17,10 @@
 //! permutation is applied once up front, the syndrome rides along as an
 //! appended column, and every sweep candidate is assembled incrementally
 //! as `base ⊕ delta_a ⊕ delta_b`. The pre-workspace per-bit
-//! implementation is retained as [`osd_postprocess_reference`]; the two
-//! are bit-identical (same solutions, same candidate counts, same
-//! tie-breaking), pinned by the equivalence property suite.
+//! implementation lives on as the reference in
+//! `crates/osd/tests/equivalence.rs`; the two are bit-identical (same
+//! solutions, same candidate counts, same tie-breaking), pinned by that
+//! property suite.
 //!
 //! # Examples
 //!
@@ -272,8 +273,8 @@ pub fn osd_postprocess(
 /// uniform costs) candidates are scored by rank-bit column popcounts,
 /// and otherwise each is streamed as `base ⊕ delta_a ⊕ delta_b` word by
 /// word. Candidate enumeration order, scoring arithmetic and
-/// tie-breaking are identical to [`osd_postprocess_reference`], so
-/// decode outcomes are bit-equal.
+/// tie-breaking are identical to the per-bit reference in
+/// `crates/osd/tests/equivalence.rs`, so decode outcomes are bit-equal.
 ///
 /// `cost` is the precomputed per-column soft cost (see
 /// [`OsdSelection::SoftWeight`]); it is ignored under
@@ -453,82 +454,6 @@ fn osd_softweight_stream(
         }
     }
     (e, true, candidates)
-}
-
-/// The pre-workspace OSD stage: per-bit [`OrderedEchelon`] elimination
-/// (cloning `h`) and a from-scratch solve per sweep candidate.
-///
-/// [`OrderedEchelon`]: qldpc_gf2::OrderedEchelon
-///
-/// Retained verbatim as the correctness reference for the fast path —
-/// the equivalence property suite pins `osd_postprocess` against this
-/// function bit for bit; `benchmark/`'s `osd.postprocess_us` and
-/// `gf2.eliminate_us` time the fast path.
-///
-/// # Panics
-///
-/// Panics if dimensions disagree.
-pub fn osd_postprocess_reference(
-    h: &BitMatrix,
-    syndrome: &BitVec,
-    posteriors: &[f64],
-    priors: &[f64],
-    config: OsdConfig,
-) -> (BitVec, bool, usize) {
-    assert_eq!(
-        posteriors.len(),
-        h.cols(),
-        "one posterior per column required"
-    );
-    assert_eq!(priors.len(), h.cols(), "one prior per column required");
-    let n = h.cols();
-
-    let order = reliability_order(posteriors);
-    let ech = h.ordered_echelon(syndrome, &order);
-    if !ech.is_consistent() {
-        return (BitVec::zeros(n), false, 0);
-    }
-
-    let cost = soft_costs(priors);
-    let score = |e: &BitVec| -> f64 {
-        match config.selection {
-            OsdSelection::MinWeight => e.weight() as f64,
-            OsdSelection::SoftWeight => e.iter_ones().map(|i| cost[i]).sum(),
-        }
-    };
-
-    // OSD-0 candidate.
-    let mut best = ech.solve_for_pattern(&[]);
-    let mut best_score = score(&best);
-    let mut candidates = 1usize;
-
-    if config.order > 0 {
-        let t = ech.residual_cols().len();
-        // All weight-1 residual patterns.
-        for j in 0..t {
-            let e = ech.solve_for_pattern(&[j]);
-            let sc = score(&e);
-            candidates += 1;
-            if sc < best_score {
-                best_score = sc;
-                best = e;
-            }
-        }
-        // Weight-2 patterns within the first λ residual positions.
-        let lambda = config.order.min(t);
-        for a in 0..lambda {
-            for b in (a + 1)..lambda {
-                let e = ech.solve_for_pattern(&[a, b]);
-                let sc = score(&e);
-                candidates += 1;
-                if sc < best_score {
-                    best_score = sc;
-                    best = e;
-                }
-            }
-        }
-    }
-    (best, true, candidates)
 }
 
 /// Maps the OSD result onto the decoder-API outcome — shared by the

@@ -43,14 +43,6 @@
 //!   counters ([`ConvergenceSnapshot`]), and a bounded post-mortem
 //!   event journal. [`DecodeService::render_exposition`] renders it all
 //!   as a deterministic Prometheus-style text page.
-//! * **Streaming sessions** ([`StreamSession`]) — codes registered with
-//!   [`ServiceBuilder::register_streaming_code`] decode *windows* of a
-//!   sliding-window plan instead of whole syndromes. A session owns one
-//!   logical qubit's rolling state (residual syndrome, carried boundary
-//!   priors, committed corrections): push detector rounds as they are
-//!   measured, collect [`CommitEvent`]s as windows resolve. Windows of
-//!   one session are sequential; windows of *concurrent* sessions
-//!   micro-batch together through the same shard/steal/batch core.
 //! * **Shutdown drains** — closing the service gates out new
 //!   submissions, then workers drain every queue so each accepted
 //!   request still gets exactly one response.
@@ -64,8 +56,8 @@
 //!   reader + one writer thread per connection, a per-connection
 //!   in-flight cap ([`FrontendConfig::max_inflight`], answered with a
 //!   typed `RateLimited` distinct from service-wide `Overloaded`),
-//!   wire-carried deadlines, remote streaming sessions, and the
-//!   node-labeled text exposition served over the same socket.
+//!   wire-carried deadlines, and the node-labeled text exposition
+//!   served over the same socket.
 //!   Requests accepted before a disconnect always drain — a vanished
 //!   client cannot leak an in-flight slot.
 //! * **Precision** — [`ServiceConfig::precision`] *declares* the
@@ -118,7 +110,6 @@ mod metrics;
 mod net;
 mod request;
 mod service;
-mod session;
 mod shard;
 
 pub use metrics::{bucket_label, ConvergenceSnapshot, MetricsSnapshot, BATCH_HISTOGRAM_BUCKETS};
@@ -126,4 +117,3 @@ pub use net::{FrontendConfig, NetFrontend};
 pub use qldpc_telemetry::{HistogramSnapshot, JournalEntry, Stage, StageSnapshot};
 pub use request::{DecodeError, DecodeResponse, ResponseHandle, SubmitError};
 pub use service::{Client, CodeId, DecodeService, ServiceBuilder, ServiceConfig};
-pub use session::{CommitEvent, StreamError, StreamResult, StreamSession};

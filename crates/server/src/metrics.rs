@@ -171,8 +171,7 @@ fn latency_stats_ms(h: &HistogramSnapshot) -> LatencyStats {
 }
 
 /// Decoder convergence-effort counters, accumulated from the
-/// [`DecodeTelemetry`] of every outcome a code's workers produce (plus
-/// spill/carry sizes recorded by streaming sessions as they commit).
+/// [`DecodeTelemetry`] of every outcome a code's workers produce.
 #[derive(Debug, Default)]
 pub(crate) struct ConvergenceCounters {
     decodes: AtomicU64,
@@ -182,8 +181,6 @@ pub(crate) struct ConvergenceCounters {
     osd_invocations: AtomicU64,
     osd_candidates: AtomicU64,
     sf_trials: AtomicU64,
-    window_spill_bits: AtomicU64,
-    window_carried_priors: AtomicU64,
 }
 
 impl ConvergenceCounters {
@@ -201,19 +198,6 @@ impl ConvergenceCounters {
         self.osd_candidates
             .fetch_add(t.osd_candidates, Ordering::Relaxed);
         self.sf_trials.fetch_add(t.sf_trials, Ordering::Relaxed);
-        self.window_spill_bits
-            .fetch_add(t.window_spill_bits, Ordering::Relaxed);
-        self.window_carried_priors
-            .fetch_add(t.window_carried_priors, Ordering::Relaxed);
-    }
-
-    /// Records one streaming-session window commit (the session, not
-    /// the kernel, owns spill application and prior carrying).
-    pub fn record_window_commit(&self, spill_bits: u64, carried_priors: u64) {
-        self.window_spill_bits
-            .fetch_add(spill_bits, Ordering::Relaxed);
-        self.window_carried_priors
-            .fetch_add(carried_priors, Ordering::Relaxed);
     }
 
     fn snapshot(&self) -> ConvergenceSnapshot {
@@ -225,8 +209,6 @@ impl ConvergenceCounters {
             osd_invocations: self.osd_invocations.load(Ordering::Relaxed),
             osd_candidates: self.osd_candidates.load(Ordering::Relaxed),
             sf_trials: self.sf_trials.load(Ordering::Relaxed),
-            window_spill_bits: self.window_spill_bits.load(Ordering::Relaxed),
-            window_carried_priors: self.window_carried_priors.load(Ordering::Relaxed),
         }
     }
 }
@@ -234,7 +216,7 @@ impl ConvergenceCounters {
 /// Frozen view of one code's convergence counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ConvergenceSnapshot {
-    /// Decode outcomes recorded (single-shot decodes + window decodes).
+    /// Decode outcomes recorded.
     pub decodes: u64,
     /// Total BP iterations across all recorded outcomes.
     pub bp_iterations: u64,
@@ -248,10 +230,6 @@ pub struct ConvergenceSnapshot {
     pub osd_candidates: u64,
     /// Syndrome-flip trials executed (BP-SF decoders).
     pub sf_trials: u64,
-    /// Detector bits flipped by committed-correction spill (streaming).
-    pub window_spill_bits: u64,
-    /// Posterior beliefs carried across window boundaries (streaming).
-    pub window_carried_priors: u64,
 }
 
 impl ConvergenceSnapshot {
@@ -433,12 +411,6 @@ impl MetricsSnapshot {
         exp.counter("qldpc_osd_invocations_total", l, c.osd_invocations);
         exp.counter("qldpc_osd_candidate_sweeps_total", l, c.osd_candidates);
         exp.counter("qldpc_sf_trials_total", l, c.sf_trials);
-        exp.counter("qldpc_window_spill_bits_total", l, c.window_spill_bits);
-        exp.counter(
-            "qldpc_window_carried_priors_total",
-            l,
-            c.window_carried_priors,
-        );
     }
 }
 
@@ -515,8 +487,6 @@ mod tests {
             osd_invocations: 0,
             osd_candidates: 0,
             sf_trials: 0,
-            window_spill_bits: 0,
-            window_carried_priors: 0,
         };
         m.convergence.record_outcome(&t);
         m.convergence.record_outcome(&DecodeTelemetry {
@@ -526,7 +496,6 @@ mod tests {
             osd_candidates: 11,
             ..DecodeTelemetry::default()
         });
-        m.convergence.record_window_commit(5, 9);
         let c = m.snapshot(Precision::F64).convergence;
         assert_eq!(c.decodes, 2);
         assert_eq!(c.bp_iterations, 57);
@@ -534,8 +503,6 @@ mod tests {
         assert_eq!(c.oscillating_bits, 3);
         assert_eq!(c.osd_invocations, 1);
         assert_eq!(c.osd_candidates, 11);
-        assert_eq!(c.window_spill_bits, 5);
-        assert_eq!(c.window_carried_priors, 9);
         assert!((c.mean_bp_iterations() - 28.5).abs() < 1e-12);
     }
 

@@ -4,9 +4,9 @@
 //! Hermetic by construction — `std::net`/`std::os::unix::net` listeners,
 //! plain threads, no async runtime. One connection runs two threads:
 //!
-//! * a **reader** that owns the connection's service [`Client`] and its
-//!   stream sessions, parses frames, and converts protocol violations
-//!   into typed [`Frame::Error`]s;
+//! * a **reader** that owns the connection's service [`Client`], parses
+//!   frames, and converts protocol violations into typed
+//!   [`Frame::Error`]s;
 //! * a **writer** that answers strictly in request order. Accepted
 //!   decode submissions enqueue their [`ResponseHandle`] on the writer,
 //!   which waits for the service to fulfill each before writing its
@@ -22,19 +22,16 @@
 //!
 //! A dropped connection can leak nothing: the writer drains every
 //! enqueued response handle even when the socket is already dead (write
-//! failures are ignored; the *service* slots must resolve), and the
-//! reader drops its stream sessions, abandoning their server-side state.
+//! failures are ignored; the *service* slots must resolve).
 
 use crate::request::{DecodeError, SubmitError};
 use crate::service::{Client, CodeId, DecodeService};
-use crate::session::StreamSession;
 use crossbeam::channel::{self, Sender};
 use qldpc_gf2::BitVec;
 use qldpc_wire::{
     read_frame, write_frame, DecodeFailure, ErrorCode, Frame, RecvError, DEFAULT_MAX_PAYLOAD,
     PROTOCOL_VERSION,
 };
-use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -379,7 +376,6 @@ fn submit_error_code(e: &SubmitError) -> ErrorCode {
         SubmitError::Overloaded => ErrorCode::Overloaded,
         SubmitError::Shutdown => ErrorCode::Shutdown,
         SubmitError::UnknownCode => ErrorCode::UnknownCode,
-        SubmitError::WrongCodeKind => ErrorCode::WrongCodeKind,
         SubmitError::SyndromeLength { .. } => ErrorCode::SyndromeLength,
     }
 }
@@ -428,8 +424,6 @@ fn reader_loop<C: Conn>(
     }
 
     let mut client = service.client();
-    let mut sessions: HashMap<u64, StreamSession> = HashMap::new();
-    let mut next_session: u64 = 1;
 
     loop {
         let frame = match read_frame(&mut reader, config.max_payload) {
@@ -475,29 +469,6 @@ fn reader_loop<C: Conn>(
                     format!("no code registered as {name:?}"),
                 ),
             },
-            Frame::StreamOpen { tag, code } => {
-                match service.stream_session(CodeId(code as usize)) {
-                    Ok(session) => {
-                        let plan = session.plan();
-                        let id = next_session;
-                        next_session += 1;
-                        let _ = tx.send(WriteItem::Frame(Frame::StreamOpened {
-                            tag,
-                            session: id,
-                            num_windows: plan.num_windows() as u64,
-                            num_round_blocks: plan.num_round_blocks as u64,
-                            dets_per_round: plan.dets_per_round as u64,
-                            num_mechanisms: plan.num_mechanisms as u64,
-                        }));
-                        sessions.insert(id, session);
-                    }
-                    Err(e) => send_error(tx, tag, submit_error_code(&e), e.to_string()),
-                }
-            }
-            Frame::StreamRound { session, round } => {
-                handle_stream_round(&mut sessions, tx, session, round)
-            }
-            Frame::StreamFinish { session } => handle_stream_finish(&mut sessions, tx, session),
             Frame::MetricsRequest => {
                 let _ = tx.send(WriteItem::Frame(Frame::MetricsReply {
                     text: service.render_exposition_for(&config.node),
@@ -552,120 +523,5 @@ fn handle_submit(
             let _ = tx.send(WriteItem::Reply { tag, handle });
         }
         Err(e) => send_error(tx, tag, submit_error_code(&e), e.to_string()),
-    }
-}
-
-fn handle_stream_round(
-    sessions: &mut HashMap<u64, StreamSession>,
-    tx: &Sender<WriteItem>,
-    session_id: u64,
-    round: BitVec,
-) {
-    let Some(session) = sessions.get_mut(&session_id) else {
-        send_error(
-            tx,
-            session_id,
-            ErrorCode::UnknownSession,
-            format!("no open stream session {session_id}"),
-        );
-        return;
-    };
-    // Pre-validate what the in-process session API treats as caller
-    // contract violations (panics): over the wire they are typed errors.
-    let plan = session.plan();
-    if round.len() != plan.dets_per_round {
-        let expected = plan.dets_per_round;
-        send_error(
-            tx,
-            session_id,
-            ErrorCode::SyndromeLength,
-            format!(
-                "round has {} detector bits, plan wants {expected}",
-                round.len()
-            ),
-        );
-        return;
-    }
-    if session.rounds_pushed() >= plan.num_round_blocks {
-        send_error(
-            tx,
-            session_id,
-            ErrorCode::BadFrame,
-            format!(
-                "plan covers {} round blocks, all already pushed",
-                plan.num_round_blocks
-            ),
-        );
-        return;
-    }
-    match session.push_round(&round) {
-        Ok(events) => {
-            for event in events {
-                let _ = tx.send(WriteItem::Frame(commit_frame(session_id, event)));
-            }
-            let _ = tx.send(WriteItem::Frame(Frame::RoundAck {
-                session: session_id,
-                rounds_received: session.rounds_pushed() as u64,
-            }));
-        }
-        Err(e) => {
-            // The session is poisoned; drop it so later frames get
-            // UnknownSession instead of the same error forever.
-            sessions.remove(&session_id);
-            send_error(tx, session_id, ErrorCode::StreamFailed, e.to_string());
-        }
-    }
-}
-
-fn handle_stream_finish(
-    sessions: &mut HashMap<u64, StreamSession>,
-    tx: &Sender<WriteItem>,
-    session_id: u64,
-) {
-    let Some(session) = sessions.remove(&session_id) else {
-        send_error(
-            tx,
-            session_id,
-            ErrorCode::UnknownSession,
-            format!("no open stream session {session_id}"),
-        );
-        return;
-    };
-    if session.rounds_pushed() < session.plan().num_round_blocks {
-        send_error(
-            tx,
-            session_id,
-            ErrorCode::BadFrame,
-            format!(
-                "finish after {} of {} round blocks",
-                session.rounds_pushed(),
-                session.plan().num_round_blocks
-            ),
-        );
-        return;
-    }
-    match session.finish() {
-        Ok(result) => {
-            for event in result.events {
-                let _ = tx.send(WriteItem::Frame(commit_frame(session_id, event)));
-            }
-            let _ = tx.send(WriteItem::Frame(Frame::StreamFinished {
-                session: session_id,
-                all_solved: result.all_solved,
-                error_hat: result.error_hat,
-            }));
-        }
-        Err(e) => send_error(tx, session_id, ErrorCode::StreamFailed, e.to_string()),
-    }
-}
-
-fn commit_frame(session_id: u64, event: crate::session::CommitEvent) -> Frame {
-    Frame::CommitEvent {
-        session: session_id,
-        window_index: event.window_index as u64,
-        start_round: event.start_round as u64,
-        end_round: event.end_round as u64,
-        solved: event.solved,
-        mechanisms: event.mechanisms,
     }
 }

@@ -2,7 +2,7 @@
 //! errors, per-request outcomes, and the blocking/polling response
 //! handle a client holds while its syndrome is in flight.
 
-use qldpc_decoder_api::{DecodeOutcome, WindowOutcome};
+use qldpc_decoder_api::DecodeOutcome;
 use qldpc_gf2::BitVec;
 use std::fmt;
 use std::sync::{Arc, Condvar, Mutex};
@@ -20,10 +20,6 @@ pub enum SubmitError {
     Shutdown,
     /// No code with this id is registered.
     UnknownCode,
-    /// The operation does not match the code's registration kind:
-    /// single-shot `submit` against a streaming code, or
-    /// `stream_session` against a single-shot code.
-    WrongCodeKind,
     /// The syndrome length does not match the registered check matrix's
     /// row count.
     SyndromeLength {
@@ -40,9 +36,6 @@ impl fmt::Display for SubmitError {
             SubmitError::Overloaded => write!(f, "shard queue at high-water mark"),
             SubmitError::Shutdown => write!(f, "service is shut down"),
             SubmitError::UnknownCode => write!(f, "unknown code id"),
-            SubmitError::WrongCodeKind => {
-                write!(f, "operation does not match the code's registration kind")
-            }
             SubmitError::SyndromeLength { expected, got } => {
                 write!(f, "syndrome length {got}, check matrix has {expected} rows")
             }
@@ -104,36 +97,18 @@ pub struct DecodeResponse {
     pub stolen: bool,
 }
 
-/// The service's answer to one streamed window submission (internal —
-/// sessions fold it into [`CommitEvent`](crate::CommitEvent)s).
-#[derive(Debug, Clone)]
-pub(crate) struct WindowResponse {
-    #[allow(dead_code)]
-    pub request_id: u64,
-    pub result: Result<WindowOutcome, DecodeError>,
-}
-
 /// One-shot slot a worker fulfills and a waiter blocks on.
-#[derive(Debug)]
-pub(crate) struct ResponseSlot<R> {
-    state: Mutex<Option<R>>,
+#[derive(Debug, Default)]
+pub(crate) struct ResponseSlot {
+    state: Mutex<Option<DecodeResponse>>,
     ready: Condvar,
 }
 
-impl<R> Default for ResponseSlot<R> {
-    fn default() -> Self {
-        Self {
-            state: Mutex::new(None),
-            ready: Condvar::new(),
-        }
-    }
-}
-
-impl<R> ResponseSlot<R> {
+impl ResponseSlot {
     /// Stores the response and wakes every waiter. Robust against
     /// mutex poisoning: a drop-guard fulfilling slots *during a worker
     /// panic* must never double-panic (that would abort the process).
-    pub(crate) fn fulfill(&self, response: R) {
+    pub(crate) fn fulfill(&self, response: DecodeResponse) {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         debug_assert!(state.is_none(), "response slot fulfilled twice");
         *state = Some(response);
@@ -142,7 +117,7 @@ impl<R> ResponseSlot<R> {
     }
 
     /// Blocks until the response arrives and takes it.
-    pub(crate) fn wait_take(&self) -> R {
+    pub(crate) fn wait_take(&self) -> DecodeResponse {
         let mut state = self.state.lock().expect("response slot poisoned");
         loop {
             if let Some(response) = state.take() {
@@ -153,7 +128,7 @@ impl<R> ResponseSlot<R> {
     }
 
     /// Takes the response if it has arrived.
-    pub(crate) fn poll_take(&self) -> Option<R> {
+    pub(crate) fn poll_take(&self) -> Option<DecodeResponse> {
         self.state.lock().expect("response slot poisoned").take()
     }
 }
@@ -170,7 +145,7 @@ impl<R> ResponseSlot<R> {
 /// [`try_take`]: ResponseHandle::try_take
 #[derive(Debug)]
 pub struct ResponseHandle {
-    pub(crate) slot: Arc<ResponseSlot<DecodeResponse>>,
+    pub(crate) slot: Arc<ResponseSlot>,
     pub(crate) request_id: u64,
     pub(crate) client_seq: u64,
 }
@@ -240,27 +215,6 @@ impl ResponseHandle {
     }
 }
 
-/// What a queued request carries and where its answer goes. Each
-/// registered code's queues are homogeneous — single-shot codes carry
-/// only `Decode`, streaming codes only `Window` — so one dispatched
-/// batch is always of one kind.
-pub(crate) enum Payload {
-    /// A single-shot syndrome decode (the [`Client`](crate::Client)
-    /// surface).
-    Decode {
-        syndrome: BitVec,
-        slot: Arc<ResponseSlot<DecodeResponse>>,
-    },
-    /// One window of a streaming session.
-    Window {
-        window_index: usize,
-        syndrome: BitVec,
-        /// Carried priors from the session's previous window.
-        priors: Option<Vec<f64>>,
-        slot: Arc<ResponseSlot<WindowResponse>>,
-    },
-}
-
 /// Internal queued form of a request, owned by the shard queues.
 pub(crate) struct Request {
     pub id: u64,
@@ -268,31 +222,26 @@ pub(crate) struct Request {
     pub deadline: Option<Instant>,
     pub submitted_at: Instant,
     pub home_shard: usize,
-    pub payload: Payload,
+    pub syndrome: BitVec,
+    /// Where the answer goes.
+    pub slot: Arc<ResponseSlot>,
 }
 
 impl Request {
-    /// Answers the request with `error` — the path for requests that
-    /// never produce an outcome (dispatch-deadline expiry on streaming
-    /// payloads, and every request a dying worker owns).
+    /// Answers the request with `error` — the path for every request a
+    /// dying worker owns.
     pub(crate) fn fail(self, error: DecodeError, batch_size: usize, completion_seq: u64) {
         let total_time = self.submitted_at.elapsed();
-        match self.payload {
-            Payload::Decode { slot, .. } => slot.fulfill(DecodeResponse {
-                request_id: self.id,
-                client_seq: self.client_seq,
-                result: Err(error),
-                batch_size,
-                completion_seq,
-                queue_time: total_time,
-                total_time,
-                stolen: false,
-            }),
-            Payload::Window { slot, .. } => slot.fulfill(WindowResponse {
-                request_id: self.id,
-                result: Err(error),
-            }),
-        }
+        self.slot.fulfill(DecodeResponse {
+            request_id: self.id,
+            client_seq: self.client_seq,
+            result: Err(error),
+            batch_size,
+            completion_seq,
+            queue_time: total_time,
+            total_time,
+            stolen: false,
+        });
     }
 }
 
@@ -314,7 +263,7 @@ mod tests {
         }
     }
 
-    fn handle(slot: &Arc<ResponseSlot<DecodeResponse>>) -> ResponseHandle {
+    fn handle(slot: &Arc<ResponseSlot>) -> ResponseHandle {
         ResponseHandle {
             slot: Arc::clone(slot),
             request_id: 7,
@@ -395,7 +344,7 @@ mod tests {
     }
 
     #[test]
-    fn fail_answers_both_payload_kinds() {
+    fn fail_answers_the_request() {
         let slot = Arc::new(ResponseSlot::default());
         let request = Request {
             id: 9,
@@ -403,33 +352,13 @@ mod tests {
             deadline: None,
             submitted_at: Instant::now(),
             home_shard: 0,
-            payload: Payload::Decode {
-                syndrome: BitVec::zeros(4),
-                slot: Arc::clone(&slot),
-            },
+            syndrome: BitVec::zeros(4),
+            slot: Arc::clone(&slot),
         };
         request.fail(DecodeError::WorkerLost, 0, 42);
         let r = handle(&slot).wait();
         assert_eq!(r.result.unwrap_err(), DecodeError::WorkerLost);
         assert_eq!(r.request_id, 9);
         assert_eq!(r.completion_seq, 42);
-
-        let wslot: Arc<ResponseSlot<WindowResponse>> = Arc::new(ResponseSlot::default());
-        let request = Request {
-            id: 10,
-            client_seq: 2,
-            deadline: None,
-            submitted_at: Instant::now(),
-            home_shard: 0,
-            payload: Payload::Window {
-                window_index: 0,
-                syndrome: BitVec::zeros(4),
-                priors: None,
-                slot: Arc::clone(&wslot),
-            },
-        };
-        request.fail(DecodeError::WorkerLost, 0, 43);
-        let r = wslot.poll_take().expect("window slot fulfilled");
-        assert_eq!(r.result.unwrap_err(), DecodeError::WorkerLost);
     }
 }

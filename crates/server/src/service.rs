@@ -2,14 +2,10 @@
 //! gating, and drain-on-shutdown.
 
 use crate::metrics::{CodeMetrics, MetricsSnapshot};
-use crate::request::{Payload, Request, ResponseHandle, ResponseSlot, SubmitError, WindowResponse};
-use crate::session::StreamSession;
-use crate::shard::{CodeKind, ShardContext};
+use crate::request::{Request, ResponseHandle, ResponseSlot, SubmitError};
+use crate::shard::ShardContext;
 use crossbeam::channel::{self, Sender, TrySendError};
-use qldpc_decoder_api::{
-    share_factory, share_window_factory, DecoderFactory, Precision, WindowDecoderFactory,
-    WindowPlan,
-};
+use qldpc_decoder_api::{share_factory, DecoderFactory, Precision, SharedDecoderFactory};
 use qldpc_gf2::{BitVec, SparseBitMatrix};
 use qldpc_telemetry::{Exposition, JournalEntry};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -62,7 +58,9 @@ pub struct CodeId(pub(crate) usize);
 
 struct CodeSpec {
     name: String,
-    kind: CodeKind,
+    h: Arc<SparseBitMatrix>,
+    priors: Arc<Vec<f64>>,
+    factory: SharedDecoderFactory,
     config: ServiceConfig,
 }
 
@@ -107,71 +105,17 @@ impl ServiceBuilder {
         config: ServiceConfig,
     ) -> CodeId {
         assert_eq!(priors.len(), h.cols(), "one prior per variable required");
-        self.push(
-            name.into(),
-            CodeKind::Single {
-                h: Arc::new(h.clone()),
-                priors: Arc::new(priors.to_vec()),
-                factory: share_factory(factory),
-            },
-            config,
-        )
-    }
-
-    /// Registers a *streaming* code — a windowed slicing of one detector
-    /// error model — under the default [`ServiceConfig`]. Decode it
-    /// through [`DecodeService::stream_session`], not
-    /// [`Client::submit`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty plan or a degenerate config (see
-    /// [`ServiceBuilder::register_streaming_code_with`]).
-    pub fn register_streaming_code(
-        &mut self,
-        name: impl Into<String>,
-        plan: Arc<WindowPlan>,
-        factory: WindowDecoderFactory,
-    ) -> CodeId {
-        self.register_streaming_code_with(name, plan, factory, ServiceConfig::default())
-    }
-
-    /// Registers a streaming code with explicit scheduler tuning. Each
-    /// of the `config.shards` workers builds its own [`WindowDecoder`]
-    /// instance from `factory` on its own thread; window submissions
-    /// from all live sessions micro-batch through the same
-    /// coalesce/steal scheduler as single-shot requests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan has no windows or any of `shards`,
-    /// `max_batch`, `queue_capacity` is zero.
-    ///
-    /// [`WindowDecoder`]: qldpc_decoder_api::WindowDecoder
-    pub fn register_streaming_code_with(
-        &mut self,
-        name: impl Into<String>,
-        plan: Arc<WindowPlan>,
-        factory: WindowDecoderFactory,
-        config: ServiceConfig,
-    ) -> CodeId {
-        assert!(plan.num_windows() > 0, "plan must have at least one window");
-        self.push(
-            name.into(),
-            CodeKind::Streaming {
-                plan,
-                factory: share_window_factory(factory),
-            },
-            config,
-        )
-    }
-
-    fn push(&mut self, name: String, kind: CodeKind, config: ServiceConfig) -> CodeId {
         assert!(config.shards > 0, "need at least one shard");
         assert!(config.max_batch > 0, "max_batch must be positive");
         assert!(config.queue_capacity > 0, "queue capacity must be positive");
         let id = CodeId(self.codes.len());
-        self.codes.push(CodeSpec { name, kind, config });
+        self.codes.push(CodeSpec {
+            name: name.into(),
+            h: Arc::new(h.clone()),
+            priors: Arc::new(priors.to_vec()),
+            factory: share_factory(factory),
+            config,
+        });
         id
     }
 
@@ -194,7 +138,9 @@ impl ServiceBuilder {
                 let ctx = ShardContext {
                     shard_index,
                     queues: receivers.clone(),
-                    kind: spec.kind.clone(),
+                    h: Arc::clone(&spec.h),
+                    priors: Arc::clone(&spec.priors),
+                    factory: Arc::clone(&spec.factory),
                     max_batch: spec.config.max_batch,
                     max_wait: spec.config.max_wait,
                     metrics: Arc::clone(&metrics),
@@ -209,15 +155,9 @@ impl ServiceBuilder {
                     .expect("failed to spawn shard worker");
                 workers.push(thread);
             }
-            let shape = match &spec.kind {
-                CodeKind::Single { h, .. } => CodeShape::Single { rows: h.rows() },
-                CodeKind::Streaming { plan, .. } => CodeShape::Streaming {
-                    plan: Arc::clone(plan),
-                },
-            };
             codes.push(CodeRuntime {
+                rows: spec.h.rows(),
                 name: spec.name,
-                shape,
                 shards: spec.config.shards,
                 precision: spec.config.precision,
                 senders,
@@ -238,15 +178,10 @@ impl ServiceBuilder {
     }
 }
 
-/// What shape of request a registered code accepts.
-enum CodeShape {
-    Single { rows: usize },
-    Streaming { plan: Arc<WindowPlan> },
-}
-
-pub(crate) struct CodeRuntime {
+struct CodeRuntime {
     name: String,
-    shape: CodeShape,
+    /// Syndrome length the code accepts (`h.rows()`).
+    rows: usize,
     shards: usize,
     precision: Precision,
     senders: Vec<Sender<Request>>,
@@ -256,7 +191,7 @@ pub(crate) struct CodeRuntime {
     alive: Arc<AtomicUsize>,
 }
 
-pub(crate) struct Shared {
+struct Shared {
     codes: Vec<CodeRuntime>,
     /// `true` once shut down. Submissions hold the read side across
     /// check-and-send; shutdown flips it under the write side, so no
@@ -269,68 +204,6 @@ pub(crate) struct Shared {
     closed: Arc<AtomicBool>,
     next_request_id: AtomicU64,
     next_client_id: AtomicU64,
-}
-
-impl Shared {
-    /// The live metrics of one registered code (sessions record window
-    /// spill/carry through this).
-    pub(crate) fn metrics(&self, code: usize) -> &CodeMetrics {
-        &self.codes[code].metrics
-    }
-
-    /// Submits one window of a streaming session to its home shard.
-    /// Shares the single-shot path's gate discipline: the read side is
-    /// held across check-and-send, and a code whose workers are all
-    /// dead refuses with [`SubmitError::Shutdown`].
-    pub(crate) fn submit_window(
-        &self,
-        code: usize,
-        home_shard: usize,
-        client_seq: u64,
-        window_index: usize,
-        syndrome: BitVec,
-        priors: Option<Vec<f64>>,
-    ) -> Result<Arc<ResponseSlot<WindowResponse>>, SubmitError> {
-        let runtime = self.codes.get(code).ok_or(SubmitError::UnknownCode)?;
-        let gate = self.gate.read().expect("service gate poisoned");
-        if *gate || runtime.alive.load(Ordering::Acquire) == 0 {
-            return Err(SubmitError::Shutdown);
-        }
-        let slot = Arc::new(ResponseSlot::default());
-        let request = Request {
-            id: self.next_request_id.fetch_add(1, Ordering::Relaxed),
-            client_seq,
-            deadline: None,
-            submitted_at: Instant::now(),
-            home_shard,
-            payload: Payload::Window {
-                window_index,
-                syndrome,
-                priors,
-                slot: Arc::clone(&slot),
-            },
-        };
-        match runtime.senders[home_shard].try_send(request) {
-            Ok(()) => {
-                runtime.metrics.submitted.fetch_add(1, Ordering::Relaxed);
-                drop(gate);
-                Ok(slot)
-            }
-            Err(TrySendError::Full(_)) => {
-                runtime
-                    .metrics
-                    .rejected_overload
-                    .fetch_add(1, Ordering::Relaxed);
-                drop(gate);
-                runtime.metrics.journal.record(
-                    "overload",
-                    format!("window {window_index} rejected: shard {home_shard} queue full"),
-                );
-                Err(SubmitError::Overloaded)
-            }
-            Err(TrySendError::Disconnected(_)) => Err(SubmitError::Shutdown),
-        }
-    }
 }
 
 /// The running decode service. Dropping it (or calling
@@ -363,36 +236,6 @@ impl DecodeService {
         }
     }
 
-    /// Opens a stateful streaming session against a code registered with
-    /// [`ServiceBuilder::register_streaming_code`]. The session owns the
-    /// rolling residual syndrome of one logical qubit: push detector
-    /// rounds as they are measured, collect committed corrections as
-    /// they resolve.
-    ///
-    /// Each session is its own client identity (own home shard, own
-    /// FIFO submission stream); concurrent sessions micro-batch
-    /// together inside the workers.
-    pub fn stream_session(&self, code: CodeId) -> Result<StreamSession, SubmitError> {
-        let runtime = self
-            .shared
-            .codes
-            .get(code.0)
-            .ok_or(SubmitError::UnknownCode)?;
-        let CodeShape::Streaming { plan } = &runtime.shape else {
-            return Err(SubmitError::WrongCodeKind);
-        };
-        if *self.shared.gate.read().expect("service gate poisoned") {
-            return Err(SubmitError::Shutdown);
-        }
-        let client_id = self.shared.next_client_id.fetch_add(1, Ordering::Relaxed);
-        Ok(StreamSession::new(
-            Arc::clone(&self.shared),
-            code.0,
-            Arc::clone(plan),
-            (client_id as usize) % runtime.shards,
-        ))
-    }
-
     /// Display name a code was registered under.
     pub fn code_name(&self, code: CodeId) -> Option<&str> {
         self.shared.codes.get(code.0).map(|c| c.name.as_str())
@@ -409,28 +252,9 @@ impl DecodeService {
             .map(CodeId)
     }
 
-    /// Registered code names, in registration order.
-    pub fn code_names(&self) -> Vec<&str> {
-        self.shared.codes.iter().map(|c| c.name.as_str()).collect()
-    }
-
-    /// Syndrome length a single-shot code expects; `None` for unknown
-    /// ids and for streaming codes (which take rounds through sessions,
-    /// not bare syndromes).
+    /// Syndrome length a code expects; `None` for unknown ids.
     pub fn syndrome_bits(&self, code: CodeId) -> Option<usize> {
-        match &self.shared.codes.get(code.0)?.shape {
-            CodeShape::Single { rows } => Some(*rows),
-            CodeShape::Streaming { .. } => None,
-        }
-    }
-
-    /// The sliding-window plan of a streaming code; `None` for unknown
-    /// ids and single-shot codes.
-    pub fn stream_plan(&self, code: CodeId) -> Option<&WindowPlan> {
-        match &self.shared.codes.get(code.0)?.shape {
-            CodeShape::Single { .. } => None,
-            CodeShape::Streaming { plan } => Some(plan),
-        }
+        self.shared.codes.get(code.0).map(|c| c.rows)
     }
 
     /// Point-in-time metrics for one code.
@@ -565,15 +389,9 @@ impl Client {
             .codes
             .get(code.0)
             .ok_or(SubmitError::UnknownCode)?;
-        let rows = match &runtime.shape {
-            CodeShape::Single { rows } => *rows,
-            // Streaming codes take whole windows through sessions, not
-            // bare syndromes.
-            CodeShape::Streaming { .. } => return Err(SubmitError::WrongCodeKind),
-        };
-        if syndrome.len() != rows {
+        if syndrome.len() != runtime.rows {
             return Err(SubmitError::SyndromeLength {
-                expected: rows,
+                expected: runtime.rows,
                 got: syndrome.len(),
             });
         }
@@ -590,10 +408,8 @@ impl Client {
             deadline,
             submitted_at: Instant::now(),
             home_shard,
-            payload: Payload::Decode {
-                syndrome,
-                slot: Arc::clone(&slot),
-            },
+            syndrome,
+            slot: Arc::clone(&slot),
         };
         let (id, seq) = (request.id, request.client_seq);
         match runtime.senders[home_shard].try_send(request) {

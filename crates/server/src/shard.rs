@@ -13,8 +13,7 @@
 //!    at the kernel's lane width; a trickle dispatches after `max_wait`
 //!    with whatever arrived.
 //! 3. **Dispatch** — expire requests whose deadline has passed, decode
-//!    the rest in one [`decode_batch`] / [`decode_windows`] call, and
-//!    fulfill every slot.
+//!    the rest in one [`decode_batch`] call, and fulfill every slot.
 //!
 //! All consumers (owner and thieves) pop from the queue *head*, so
 //! requests of one client — which a [`Client`](crate::Client) always
@@ -42,15 +41,11 @@
 //!   refused with [`SubmitError::Shutdown`](crate::SubmitError).
 //!
 //! [`decode_batch`]: qldpc_decoder_api::SyndromeDecoder::decode_batch
-//! [`decode_windows`]: qldpc_decoder_api::WindowDecoder::decode_windows
 
 use crate::metrics::CodeMetrics;
-use crate::request::{DecodeError, DecodeResponse, Payload, Request, WindowResponse};
+use crate::request::{DecodeError, DecodeResponse, Request};
 use crossbeam::channel::{Receiver, RecvTimeoutError};
-use qldpc_decoder_api::{
-    DecodeOutcome, SharedDecoderFactory, SharedWindowDecoderFactory, SyndromeDecoder,
-    WindowDecoder, WindowPlan, WindowTask,
-};
+use qldpc_decoder_api::{DecodeOutcome, SharedDecoderFactory, SyndromeDecoder};
 use qldpc_gf2::{BitVec, SparseBitMatrix};
 use qldpc_telemetry::Stage;
 use std::collections::VecDeque;
@@ -62,28 +57,6 @@ use std::time::{Duration, Instant};
 /// is re-checked at least this often even when no traffic arrives.
 const PARK: Duration = Duration::from_millis(5);
 
-/// What a code's workers decode with: a single-shot syndrome decoder
-/// over one check matrix, or a windowed decoder over a streaming plan.
-/// A code's queues only ever carry the matching [`Payload`] kind.
-#[derive(Clone)]
-pub(crate) enum CodeKind {
-    Single {
-        h: Arc<SparseBitMatrix>,
-        priors: Arc<Vec<f64>>,
-        factory: SharedDecoderFactory,
-    },
-    Streaming {
-        plan: Arc<WindowPlan>,
-        factory: SharedWindowDecoderFactory,
-    },
-}
-
-/// One worker's decoder instance, built from its code's factory.
-enum WorkerDecoder {
-    Single(Box<dyn SyndromeDecoder>),
-    Streaming(Box<dyn WindowDecoder>),
-}
-
 /// Everything one shard worker needs; moved into its thread at spawn.
 pub(crate) struct ShardContext {
     /// This worker's shard index within its code.
@@ -91,7 +64,11 @@ pub(crate) struct ShardContext {
     /// Receivers of *all* the code's shard queues, indexed by shard; the
     /// worker owns index [`Self::shard_index`] and steals from the rest.
     pub queues: Vec<Receiver<Request>>,
-    pub kind: CodeKind,
+    /// The code's check matrix and priors, and the factory this worker
+    /// builds its own decoder instance from.
+    pub h: Arc<SparseBitMatrix>,
+    pub priors: Arc<Vec<f64>>,
+    pub factory: SharedDecoderFactory,
     pub max_batch: usize,
     pub max_wait: Duration,
     pub metrics: Arc<CodeMetrics>,
@@ -148,12 +125,7 @@ impl ShardContext {
         // Arm the liveness guard before building the decoder: even a
         // panicking factory must not strand queued requests.
         let _guard = WorkerGuard { ctx: &self };
-        let mut decoder = match &self.kind {
-            CodeKind::Single { h, priors, factory } => WorkerDecoder::Single((factory)(h, priors)),
-            CodeKind::Streaming { plan, factory } => {
-                WorkerDecoder::Streaming((factory)(Arc::clone(plan)))
-            }
-        };
+        let mut decoder = (self.factory)(&self.h, &self.priors);
         loop {
             let first = match self.poll() {
                 Some(request) => request,
@@ -175,7 +147,7 @@ impl ShardContext {
                 }
             };
             let (batch, coalesce_wait) = self.coalesce(first);
-            self.dispatch(&mut decoder, batch, coalesce_wait);
+            self.dispatch(decoder.as_mut(), batch, coalesce_wait);
         }
     }
 
@@ -209,7 +181,12 @@ impl ShardContext {
 
     /// Expires overdue requests, decodes the rest in one batched call,
     /// and fulfills every response slot in queue order.
-    fn dispatch(&self, decoder: &mut WorkerDecoder, batch: Vec<Request>, coalesce_wait: Duration) {
+    fn dispatch(
+        &self,
+        decoder: &mut dyn SyndromeDecoder,
+        batch: Vec<Request>,
+        coalesce_wait: Duration,
+    ) {
         let dispatched_at = Instant::now();
         // One contiguous completion-seq range per batch, in queue order.
         let seq_base = self
@@ -240,18 +217,13 @@ impl ShardContext {
         }
         for (request, seq) in expired {
             self.metrics.expired.fetch_add(1, Ordering::Relaxed);
-            match &request.payload {
-                Payload::Decode { .. } => self.respond_decode(
-                    request,
-                    Err(DecodeError::DeadlineExceeded),
-                    live_count,
-                    seq,
-                    dispatched_at,
-                ),
-                Payload::Window { .. } => {
-                    request.fail(DecodeError::DeadlineExceeded, live_count, seq)
-                }
-            }
+            self.respond(
+                request,
+                Err(DecodeError::DeadlineExceeded),
+                live_count,
+                seq,
+                dispatched_at,
+            );
         }
         // The in-flight batch lives inside the guard from here on: a
         // panicking decode unwinds through it and the whole remainder is
@@ -261,103 +233,37 @@ impl ShardContext {
             pending,
             batch_size: live_count,
         };
-        match decoder {
-            WorkerDecoder::Single(d) => {
-                let syndromes: Vec<BitVec> = guard
-                    .pending
-                    .iter()
-                    .map(|(r, _)| match &r.payload {
-                        Payload::Decode { syndrome, .. } => syndrome.clone(),
-                        Payload::Window { .. } => {
-                            unreachable!("window payload queued on a single-shot code")
-                        }
-                    })
-                    .collect();
-                let kernel_start = Instant::now();
-                let mut outcomes = d.decode_batch(&syndromes).into_iter();
-                let kernel_end = Instant::now();
-                if live_count > 0 {
-                    self.metrics
-                        .stages
-                        .record(Stage::Kernel, kernel_end - kernel_start);
-                }
-                for _ in 0..live_count {
-                    let outcome = outcomes.next().expect("decode_batch returned short");
-                    let (request, seq) = guard.pending.pop_front().expect("guard tracks batch");
-                    self.metrics.completed.fetch_add(1, Ordering::Relaxed);
-                    self.metrics.convergence.record_outcome(&outcome.telemetry);
-                    self.respond_decode(request, Ok(outcome), live_count, seq, dispatched_at);
-                }
-                debug_assert!(outcomes.next().is_none(), "decode_batch returned long");
-                if live_count > 0 {
-                    self.metrics
-                        .stages
-                        .record(Stage::PostProcess, kernel_end.elapsed());
-                }
-            }
-            WorkerDecoder::Streaming(d) => {
-                let tasks: Vec<WindowTask> = guard
-                    .pending
-                    .iter()
-                    .map(|(r, _)| match &r.payload {
-                        Payload::Window {
-                            window_index,
-                            syndrome,
-                            priors,
-                            ..
-                        } => WindowTask {
-                            window_index: *window_index,
-                            syndrome: syndrome.clone(),
-                            priors: priors.as_deref(),
-                        },
-                        Payload::Decode { .. } => {
-                            unreachable!("decode payload queued on a streaming code")
-                        }
-                    })
-                    .collect();
-                let kernel_start = Instant::now();
-                let outcomes = d.decode_windows(&tasks);
-                let kernel_end = Instant::now();
-                if live_count > 0 {
-                    self.metrics
-                        .stages
-                        .record(Stage::Kernel, kernel_end - kernel_start);
-                }
-                drop(tasks);
-                debug_assert_eq!(outcomes.len(), live_count, "decode_windows length mismatch");
-                for outcome in outcomes {
-                    let (request, seq) = guard.pending.pop_front().expect("guard tracks batch");
-                    self.metrics.completed.fetch_add(1, Ordering::Relaxed);
-                    self.metrics.convergence.record_outcome(&outcome.telemetry);
-                    if request.home_shard != self.shard_index {
-                        self.metrics.stolen.fetch_add(1, Ordering::Relaxed);
-                    }
-                    self.metrics.record_latency(request.submitted_at.elapsed());
-                    self.metrics
-                        .stages
-                        .record(Stage::Fulfill, dispatched_at.elapsed());
-                    let id = request.id;
-                    let Payload::Window { slot, .. } = request.payload else {
-                        unreachable!("streaming batch holds only window payloads")
-                    };
-                    let _ = seq; // window responses carry no completion stamp
-                    slot.fulfill(WindowResponse {
-                        request_id: id,
-                        result: Ok(outcome),
-                    });
-                }
-                if live_count > 0 {
-                    self.metrics
-                        .stages
-                        .record(Stage::PostProcess, kernel_end.elapsed());
-                }
-            }
+        let syndromes: Vec<BitVec> = guard
+            .pending
+            .iter()
+            .map(|(r, _)| r.syndrome.clone())
+            .collect();
+        let kernel_start = Instant::now();
+        let mut outcomes = decoder.decode_batch(&syndromes).into_iter();
+        let kernel_end = Instant::now();
+        if live_count > 0 {
+            self.metrics
+                .stages
+                .record(Stage::Kernel, kernel_end - kernel_start);
+        }
+        for _ in 0..live_count {
+            let outcome = outcomes.next().expect("decode_batch returned short");
+            let (request, seq) = guard.pending.pop_front().expect("guard tracks batch");
+            self.metrics.completed.fetch_add(1, Ordering::Relaxed);
+            self.metrics.convergence.record_outcome(&outcome.telemetry);
+            self.respond(request, Ok(outcome), live_count, seq, dispatched_at);
+        }
+        debug_assert!(outcomes.next().is_none(), "decode_batch returned long");
+        if live_count > 0 {
+            self.metrics
+                .stages
+                .record(Stage::PostProcess, kernel_end.elapsed());
         }
         debug_assert!(guard.pending.is_empty(), "batch not fully answered");
     }
 
-    /// Fulfills one single-shot request with full scheduling telemetry.
-    fn respond_decode(
+    /// Fulfills one request with full scheduling telemetry.
+    fn respond(
         &self,
         request: Request,
         result: Result<DecodeOutcome, DecodeError>,
@@ -370,12 +276,9 @@ impl ShardContext {
             client_seq,
             submitted_at,
             home_shard,
-            payload,
+            slot,
             ..
         } = request;
-        let Payload::Decode { slot, .. } = payload else {
-            unreachable!("single-shot responder on a window payload")
-        };
         let stolen = home_shard != self.shard_index;
         if stolen {
             self.metrics.stolen.fetch_add(1, Ordering::Relaxed);

@@ -1,7 +1,7 @@
 //! The text-exposition endpoint, pinned by a committed golden file.
 //!
-//! The scenario is fully deterministic below the clock: one shard per
-//! code, sequential submissions each waited to completion, fixed
+//! The scenario is fully deterministic below the clock: one shard,
+//! sequential submissions each waited to completion, fixed
 //! syndromes. Every non-timing series — request counters, batch-size
 //! buckets, convergence counters, histogram sample *counts* — must
 //! match the golden byte for byte; series carrying wall-clock values
@@ -13,13 +13,10 @@
 //! UPDATE_EXPOSITION_GOLDEN=1 cargo test -p qldpc-server --test exposition
 //! ```
 
-use qldpc_bp::{BpConfig, BpWindowDecoder, MinSumDecoder};
-use qldpc_circuit::{window_plan, MemoryExperiment, NoiseModel};
-use qldpc_codes::bb;
-use qldpc_decoder_api::{DecoderFactory, WindowDecoderFactory};
+use qldpc_bp::{BpConfig, MinSumDecoder};
+use qldpc_decoder_api::DecoderFactory;
 use qldpc_gf2::{BitVec, SparseBitMatrix};
 use qldpc_server::{DecodeService, ServiceConfig};
-use std::sync::Arc;
 use std::time::Duration;
 
 const GOLDEN_PATH: &str = concat!(
@@ -38,30 +35,17 @@ fn sequential_config() -> ServiceConfig {
 
 /// Runs the pinned scenario and returns the rendered exposition.
 fn pinned_scenario() -> String {
-    // Single-shot code: 5-bit repetition chain under plain min-sum.
+    // A 5-bit repetition chain under plain min-sum.
     let h =
         SparseBitMatrix::from_row_indices(4, 5, &[vec![0, 1], vec![1, 2], vec![2, 3], vec![3, 4]]);
     let factory: DecoderFactory =
         Box::new(|h, priors| Box::new(MinSumDecoder::new(h, priors, BpConfig::default())));
-    // Streaming code: bb72 memory-Z, 3 rounds, W=2/C=1 windows.
-    let exp = MemoryExperiment::memory_z(&bb::bb72(), 3, &NoiseModel::uniform_depolarizing(2e-3));
-    let dem = exp.detector_error_model();
-    let k = dem.num_detectors() / 4;
-    let plan = Arc::new(window_plan(&dem, k, 2, 1));
-    let window_factory: WindowDecoderFactory =
-        Box::new(|plan| Box::new(BpWindowDecoder::new(plan, BpConfig::default())));
 
     let mut builder = DecodeService::builder();
     let rep5 = builder.register_code_with("rep5", &h, &[0.05; 5], factory, sequential_config());
-    let stream = builder.register_streaming_code_with(
-        "bb72-stream",
-        Arc::clone(&plan),
-        window_factory,
-        sequential_config(),
-    );
     let service = builder.start();
 
-    // Three sequential single-shot decodes (each waited, so every batch
+    // Three sequential decodes (each waited, so every batch
     // holds exactly one request): two single-bit errors and the zero
     // syndrome.
     let mut client = service.client();
@@ -71,29 +55,17 @@ fn pinned_scenario() -> String {
         assert!(response.result.unwrap().solved);
     }
 
-    // One quiet streaming session: every window commits zero mechanisms,
-    // so spill is zero and the carried-prior count is the plan's own
-    // boundary-link count — all deterministic.
-    let mut session = service.stream_session(stream).unwrap();
-    let zero_round = BitVec::zeros(plan.dets_per_round);
-    for _ in 0..plan.num_round_blocks {
-        session.push_round(&zero_round).unwrap();
-    }
-    assert!(session.finish().unwrap().all_solved);
-
     // Workers record the batch's post-process lap moments *after* the
-    // last response is fulfilled, so wait for the final stage samples
-    // of both codes before rendering the page we compare. The golden is
+    // last response is fulfilled, so wait for the final stage sample
+    // before rendering the page we compare. The golden is
     // the *node-labeled* page (the form the networked front-end serves);
     // the node name is pinned, so it stays host-portable.
     let deadline = std::time::Instant::now() + Duration::from_secs(30);
     let settled = |text: &str| {
-        ["rep5", "bb72-stream"].iter().all(|code| {
-            text.contains(&format!(
-                "qldpc_stage_duration_seconds_count{{code=\"{code}\",node=\"testnode\",\
-                 stage=\"post_process\"}} 3"
-            ))
-        })
+        text.contains(
+            "qldpc_stage_duration_seconds_count{code=\"rep5\",node=\"testnode\",\
+             stage=\"post_process\"} 3",
+        )
     };
     let text = loop {
         let text = service.render_exposition_for("testnode");
@@ -187,52 +159,48 @@ fn exposition_matches_golden() {
     }
 }
 
-/// The acceptance surface: every scheduler stage the issue names shows
-/// up, with samples, for both the single-shot and the streaming code.
+/// The acceptance surface: every scheduler stage shows up, with
+/// samples.
 #[test]
-fn exposition_covers_all_stages_for_both_code_kinds() {
+fn exposition_covers_all_stages() {
     let text = pinned_scenario();
-    for code in ["rep5", "bb72-stream"] {
-        for stage in [
-            "queue_wait",
-            "coalesce_wait",
-            "kernel",
-            "post_process",
-            "fulfill",
-        ] {
-            // The kernel span alone carries the dispatch-target label.
-            let series = if stage == "kernel" {
-                format!(
-                    "qldpc_stage_duration_seconds_count{{code=\"{code}\",node=\"testnode\",\
-                     stage=\"kernel\",simd=\""
-                )
-            } else {
-                format!(
-                    "qldpc_stage_duration_seconds_count{{code=\"{code}\",node=\"testnode\",\
-                     stage=\"{stage}\"}}"
-                )
-            };
-            let line = text
-                .lines()
-                .find(|l| l.starts_with(&series))
-                .unwrap_or_else(|| panic!("missing series {series}"));
-            let (_, value) = split_line(line);
-            assert_ne!(value, "0", "stage {stage} of {code} never sampled");
-        }
-        // One shard ⇒ stealing cannot happen, but the series must still
-        // be exposed (at zero) so dashboards see the full taxonomy.
-        let steal = format!(
-            "qldpc_stage_duration_seconds_count{{code=\"{code}\",node=\"testnode\",\
-             stage=\"steal\"}} 0"
-        );
-        assert!(
-            text.contains(&steal),
-            "missing zero steal series for {code}"
-        );
+    let code = "rep5";
+    for stage in [
+        "queue_wait",
+        "coalesce_wait",
+        "kernel",
+        "post_process",
+        "fulfill",
+    ] {
+        // The kernel span alone carries the dispatch-target label.
+        let series = if stage == "kernel" {
+            format!(
+                "qldpc_stage_duration_seconds_count{{code=\"{code}\",node=\"testnode\",\
+                 stage=\"kernel\",simd=\""
+            )
+        } else {
+            format!(
+                "qldpc_stage_duration_seconds_count{{code=\"{code}\",node=\"testnode\",\
+                 stage=\"{stage}\"}}"
+            )
+        };
+        let line = text
+            .lines()
+            .find(|l| l.starts_with(&series))
+            .unwrap_or_else(|| panic!("missing series {series}"));
+        let (_, value) = split_line(line);
+        assert_ne!(value, "0", "stage {stage} of {code} never sampled");
     }
-    // Convergence counters from both kernels made it through.
-    assert!(text.contains("qldpc_bp_iterations_total{code=\"rep5\",node=\"testnode\"}"));
-    assert!(
-        text.contains("qldpc_window_carried_priors_total{code=\"bb72-stream\",node=\"testnode\"}")
+    // One shard ⇒ stealing cannot happen, but the series must still
+    // be exposed (at zero) so dashboards see the full taxonomy.
+    let steal = format!(
+        "qldpc_stage_duration_seconds_count{{code=\"{code}\",node=\"testnode\",\
+         stage=\"steal\"}} 0"
     );
+    assert!(
+        text.contains(&steal),
+        "missing zero steal series for {code}"
+    );
+    // Convergence counters from the kernel made it through.
+    assert!(text.contains("qldpc_bp_iterations_total{code=\"rep5\",node=\"testnode\"}"));
 }

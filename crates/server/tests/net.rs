@@ -5,11 +5,9 @@
 //! Everything is hermetic — loopback TCP on an OS-assigned port, UDS
 //! under the test temp dir, no external processes.
 
-use qldpc_bp::{BpConfig, BpWindowDecoder, MinSumDecoder};
-use qldpc_circuit::{window_plan, MemoryExperiment, NoiseModel};
+use qldpc_bp::{BpConfig, MinSumDecoder};
 use qldpc_client::{ClientError, Connection};
-use qldpc_codes::bb;
-use qldpc_decoder_api::{DecoderFactory, WindowDecoderFactory, WindowPlan};
+use qldpc_decoder_api::DecoderFactory;
 use qldpc_gf2::{BitVec, SparseBitMatrix};
 use qldpc_server::{DecodeService, FrontendConfig, NetFrontend, ServiceConfig};
 use qldpc_wire::{read_frame, write_frame, DecodeFailure, ErrorCode, Frame, PROTOCOL_VERSION};
@@ -50,15 +48,9 @@ fn sequential_config() -> ServiceConfig {
     }
 }
 
-/// One single-shot code plus one streaming code — the registration mix
-/// every front-end test runs against.
-fn mixed_service() -> (Arc<DecodeService>, Arc<WindowPlan>) {
-    let exp = MemoryExperiment::memory_z(&bb::bb72(), 3, &NoiseModel::uniform_depolarizing(2e-3));
-    let dem = exp.detector_error_model();
-    let k = dem.num_detectors() / 4;
-    let plan = Arc::new(window_plan(&dem, k, 2, 1));
-    let window_factory: WindowDecoderFactory =
-        Box::new(|plan| Box::new(BpWindowDecoder::new(plan, BpConfig::default())));
+/// The registration every front-end test runs against: `rep5` under
+/// min-sum BP on one shard.
+fn rep5_service() -> Arc<DecodeService> {
     let mut builder = DecodeService::builder();
     builder.register_code_with(
         "rep5",
@@ -67,13 +59,7 @@ fn mixed_service() -> (Arc<DecodeService>, Arc<WindowPlan>) {
         minsum_factory(),
         sequential_config(),
     );
-    builder.register_streaming_code_with(
-        "bb72-stream",
-        Arc::clone(&plan),
-        window_factory,
-        sequential_config(),
-    );
-    (Arc::new(builder.start()), plan)
+    Arc::new(builder.start())
 }
 
 fn frontend_config(node: &str) -> FrontendConfig {
@@ -83,17 +69,10 @@ fn frontend_config(node: &str) -> FrontendConfig {
     }
 }
 
-/// Deterministic non-trivial detector rounds for streaming tests.
-fn test_rounds(plan: &WindowPlan) -> Vec<BitVec> {
-    (0..plan.num_round_blocks)
-        .map(|r| BitVec::from_indices(plan.dets_per_round, &[(r * 7 + 3) % plan.dets_per_round]))
-        .collect()
-}
-
 #[test]
 fn tcp_round_trip_is_bit_identical_to_in_process() {
     with_timeout(Duration::from_secs(60), || {
-        let (service, _plan) = mixed_service();
+        let service = rep5_service();
         let mut frontend = NetFrontend::serve_tcp(
             Arc::clone(&service),
             "127.0.0.1:0",
@@ -139,7 +118,7 @@ fn tcp_round_trip_is_bit_identical_to_in_process() {
 #[test]
 fn uds_round_trip_serves_metrics_with_node_label() {
     with_timeout(Duration::from_secs(60), || {
-        let (service, _plan) = mixed_service();
+        let service = rep5_service();
         let path = std::env::temp_dir().join(format!("qldpc-net-{}-uds.sock", std::process::id()));
         let _ = std::fs::remove_file(&path);
         let mut frontend =
@@ -174,76 +153,13 @@ fn uds_round_trip_serves_metrics_with_node_label() {
     });
 }
 
-#[test]
-fn stream_over_wire_matches_in_process_session() {
-    with_timeout(Duration::from_secs(120), || {
-        let (service, plan) = mixed_service();
-        let mut frontend = NetFrontend::serve_tcp(
-            Arc::clone(&service),
-            "127.0.0.1:0",
-            frontend_config("gamma"),
-        )
-        .expect("bind tcp");
-        let addr = frontend.local_addr().unwrap();
-        let rounds = test_rounds(&plan);
-
-        // In-process reference: same rounds through a local session.
-        let stream_code = service.lookup_code("bb72-stream").unwrap();
-        let mut local = service.stream_session(stream_code).expect("local session");
-        let mut local_events = Vec::new();
-        for round in &rounds {
-            local_events.extend(local.push_round(round).expect("local push"));
-        }
-        let local_result = local.finish().expect("local finish");
-        local_events.extend(local_result.events.iter().cloned());
-
-        // The same rounds over the wire.
-        let mut conn = Connection::connect_tcp(addr, "net-test").expect("connect");
-        conn.set_reply_timeout(Some(Duration::from_secs(60)))
-            .unwrap();
-        let code = conn.lookup_code("bb72-stream").expect("lookup");
-        assert_eq!(
-            code.syndrome_bits, 0,
-            "streaming codes expose no single-shot length"
-        );
-        let mut stream = conn.open_stream(code.id).expect("open stream");
-        assert_eq!(stream.num_windows(), plan.num_windows() as u64);
-        assert_eq!(stream.num_round_blocks(), plan.num_round_blocks as u64);
-        assert_eq!(stream.dets_per_round(), plan.dets_per_round as u64);
-        assert_eq!(stream.num_mechanisms(), plan.num_mechanisms as u64);
-
-        let mut wire_events = Vec::new();
-        for round in &rounds {
-            wire_events.extend(stream.push_round(round).expect("wire push"));
-        }
-        let outcome = stream.finish().expect("wire finish");
-        wire_events.extend(outcome.events.iter().cloned());
-
-        // Bit-identity: the windowed BP kernel is deterministic, so the
-        // remote session commits the same windows with the same
-        // mechanism sets and lands on the same global error estimate.
-        assert_eq!(outcome.all_solved, local_result.all_solved);
-        assert_eq!(outcome.error_hat, local_result.error_hat);
-        assert_eq!(wire_events.len(), local_events.len());
-        for (wire, local) in wire_events.iter().zip(&local_events) {
-            assert_eq!(wire.window_index, local.window_index as u64);
-            assert_eq!(wire.start_round, local.start_round as u64);
-            assert_eq!(wire.end_round, local.end_round as u64);
-            assert_eq!(wire.solved, local.solved);
-            assert_eq!(wire.mechanisms, local.mechanisms);
-        }
-
-        frontend.shutdown();
-    });
-}
-
 /// Every caller mistake the in-process API signals (or panics on) comes
 /// back over the wire as a typed [`ClientError::Remote`] — and the
 /// connection stays usable afterwards.
 #[test]
 fn caller_mistakes_become_typed_remote_errors() {
     with_timeout(Duration::from_secs(120), || {
-        let (service, plan) = mixed_service();
+        let service = rep5_service();
         let mut frontend = NetFrontend::serve_tcp(
             Arc::clone(&service),
             "127.0.0.1:0",
@@ -272,58 +188,12 @@ fn caller_mistakes_become_typed_remote_errors() {
         );
 
         let single = conn.lookup_code("rep5").unwrap();
-        let streaming = conn.lookup_code("bb72-stream").unwrap();
 
-        // Wrong syndrome length on a single-shot code.
+        // Wrong syndrome length.
         expect_remote(
             conn.decode(single.id, &BitVec::zeros(7)).unwrap_err(),
             ErrorCode::SyndromeLength,
         );
-        // Single-shot decode of a streaming code, and vice versa.
-        expect_remote(
-            conn.decode(streaming.id, &BitVec::zeros(4)).unwrap_err(),
-            ErrorCode::WrongCodeKind,
-        );
-        expect_remote(
-            conn.open_stream(single.id)
-                .err()
-                .expect("stream on single-shot"),
-            ErrorCode::WrongCodeKind,
-        );
-
-        // Stream contract violations: wrong round width is refused
-        // without poisoning the session; finishing early is refused;
-        // the session then completes normally.
-        let rounds = test_rounds(&plan);
-        let mut stream = conn.open_stream(streaming.id).expect("open stream");
-        expect_remote(
-            stream
-                .push_round(&BitVec::zeros(plan.dets_per_round + 1))
-                .unwrap_err(),
-            ErrorCode::SyndromeLength,
-        );
-        stream
-            .push_round(&rounds[0])
-            .expect("session survived the bad round");
-
-        let mut stream = {
-            // Finish-before-all-rounds consumes the stream; reopen.
-            let _abandoned = stream;
-            let mut s = conn.open_stream(streaming.id).expect("reopen stream");
-            s.push_round(&rounds[0]).expect("push");
-            s
-        };
-        // Overfilling: push every remaining round, then one extra.
-        for round in &rounds[1..] {
-            stream.push_round(round).expect("push");
-        }
-        expect_remote(
-            stream.push_round(&rounds[0]).unwrap_err(),
-            ErrorCode::BadFrame,
-        );
-        let outcome = stream.finish().expect("finish after refusals");
-        assert_eq!(outcome.error_hat.len(), plan.num_mechanisms);
-
         // The connection is still healthy after every refusal above.
         let h = rep5();
         let error = BitVec::from_indices(5, &[3]);
@@ -334,72 +204,46 @@ fn caller_mistakes_become_typed_remote_errors() {
     });
 }
 
-/// A premature `StreamFinish` is refused as `BadFrame` and closes the
-/// session (the wire cannot keep a half-fed session alive once the
-/// client considers it finished).
-#[test]
-fn premature_stream_finish_is_refused() {
-    with_timeout(Duration::from_secs(60), || {
-        let (service, plan) = mixed_service();
-        let mut frontend = NetFrontend::serve_tcp(
-            Arc::clone(&service),
-            "127.0.0.1:0",
-            frontend_config("epsilon"),
-        )
-        .expect("bind tcp");
-        let addr = frontend.local_addr().unwrap();
-        let mut conn = Connection::connect_tcp(addr, "net-test").expect("connect");
-        conn.set_reply_timeout(Some(Duration::from_secs(30)))
-            .unwrap();
-
-        let streaming = conn.lookup_code("bb72-stream").unwrap();
-        let mut stream = conn.open_stream(streaming.id).expect("open stream");
-        stream.push_round(&test_rounds(&plan)[0]).expect("push");
-        match stream.finish().unwrap_err() {
-            ClientError::Remote { code, .. } => assert_eq!(code, ErrorCode::BadFrame),
-            other => panic!("expected Remote(BadFrame), got {other}"),
-        }
-
-        frontend.shutdown();
-    });
-}
-
 /// Version negotiation: a client speaking a different protocol version
-/// is refused with `UnsupportedVersion` before anything else happens.
+/// — a newer one, or version 1, whose streaming frames this server no
+/// longer knows — is refused with `UnsupportedVersion` before anything
+/// else happens.
 #[test]
 fn handshake_rejects_version_mismatch() {
     with_timeout(Duration::from_secs(60), || {
-        let (service, _plan) = mixed_service();
+        let service = rep5_service();
         let mut frontend =
             NetFrontend::serve_tcp(Arc::clone(&service), "127.0.0.1:0", frontend_config("zeta"))
                 .expect("bind tcp");
         let addr = frontend.local_addr().unwrap();
 
-        let mut sock = std::net::TcpStream::connect(addr).expect("connect");
-        sock.set_read_timeout(Some(Duration::from_secs(30)))
-            .unwrap();
-        write_frame(
-            &mut sock,
-            &Frame::Hello {
-                version: PROTOCOL_VERSION + 1,
-                client: "time-traveler".to_string(),
-            },
-        )
-        .expect("send hello");
-        use std::io::Write as _;
-        sock.flush().unwrap();
-        match read_frame(&mut sock, qldpc_wire::DEFAULT_MAX_PAYLOAD).expect("read refusal") {
-            Some(Frame::Error { code, detail, .. }) => {
-                assert_eq!(code, ErrorCode::UnsupportedVersion);
-                assert!(detail.contains(&PROTOCOL_VERSION.to_string()));
+        for version in [PROTOCOL_VERSION + 1, 1] {
+            let mut sock = std::net::TcpStream::connect(addr).expect("connect");
+            sock.set_read_timeout(Some(Duration::from_secs(30)))
+                .unwrap();
+            write_frame(
+                &mut sock,
+                &Frame::Hello {
+                    version,
+                    client: "time-traveler".to_string(),
+                },
+            )
+            .expect("send hello");
+            use std::io::Write as _;
+            sock.flush().unwrap();
+            match read_frame(&mut sock, qldpc_wire::DEFAULT_MAX_PAYLOAD).expect("read refusal") {
+                Some(Frame::Error { code, detail, .. }) => {
+                    assert_eq!(code, ErrorCode::UnsupportedVersion, "version {version}");
+                    assert!(detail.contains(&PROTOCOL_VERSION.to_string()));
+                }
+                other => panic!("expected UnsupportedVersion error, got {other:?}"),
             }
-            other => panic!("expected UnsupportedVersion error, got {other:?}"),
+            // The server hangs up after the refusal.
+            assert!(matches!(
+                read_frame(&mut sock, qldpc_wire::DEFAULT_MAX_PAYLOAD),
+                Ok(None)
+            ));
         }
-        // The server hangs up after the refusal.
-        assert!(matches!(
-            read_frame(&mut sock, qldpc_wire::DEFAULT_MAX_PAYLOAD),
-            Ok(None)
-        ));
 
         frontend.shutdown();
     });

@@ -3,14 +3,9 @@
 //! Every fault must surface as a *typed* outcome — never a hang, never
 //! a leaked in-flight slot.
 
-use qldpc_bp::{BpConfig, BpWindowDecoder, MinSumDecoder};
-use qldpc_circuit::{window_plan, MemoryExperiment, NoiseModel};
+use qldpc_bp::{BpConfig, MinSumDecoder};
 use qldpc_client::{ClientError, Connection};
-use qldpc_codes::bb;
-use qldpc_decoder_api::{
-    DecodeOutcome, DecodeTelemetry, DecoderFactory, SyndromeDecoder, WindowDecoder,
-    WindowDecoderFactory, WindowOutcome, WindowPlan, WindowTask,
-};
+use qldpc_decoder_api::{DecodeOutcome, DecodeTelemetry, DecoderFactory, SyndromeDecoder};
 use qldpc_gf2::{BitVec, SparseBitMatrix};
 use qldpc_server::{DecodeService, FrontendConfig, NetFrontend, ServiceConfig};
 use qldpc_wire::{
@@ -311,169 +306,6 @@ fn dead_worker_surfaces_as_typed_failure_then_shutdown() {
         assert_eq!(refused, ErrorCode::Shutdown);
 
         frontend.shutdown();
-    });
-}
-
-/// A window decoder that panics on its first batch — the streaming
-/// analogue of the worker fault.
-struct PanickingWindowDecoder {
-    plan: Arc<WindowPlan>,
-}
-
-impl WindowDecoder for PanickingWindowDecoder {
-    fn plan(&self) -> &WindowPlan {
-        &self.plan
-    }
-
-    fn label(&self) -> String {
-        "PanickingWindowDecoder".into()
-    }
-
-    fn decode_windows(&mut self, _tasks: &[WindowTask]) -> Vec<WindowOutcome> {
-        panic!("injected window-decoder fault");
-    }
-}
-
-/// A streaming session whose worker dies surfaces a typed
-/// `StreamFailed`, the server reaps the session, and later frames for
-/// it get `UnknownSession` — never a hang.
-#[test]
-fn stream_worker_fault_is_typed_and_session_reaped() {
-    with_timeout(Duration::from_secs(120), || {
-        let exp =
-            MemoryExperiment::memory_z(&bb::bb72(), 3, &NoiseModel::uniform_depolarizing(2e-3));
-        let dem = exp.detector_error_model();
-        let k = dem.num_detectors() / 4;
-        let plan = Arc::new(window_plan(&dem, k, 2, 1));
-        let window_factory: WindowDecoderFactory =
-            Box::new(|plan| Box::new(PanickingWindowDecoder { plan }));
-        let mut builder = DecodeService::builder();
-        builder.register_streaming_code_with(
-            "doomed-stream",
-            Arc::clone(&plan),
-            window_factory,
-            sequential_config(),
-        );
-        let service = Arc::new(builder.start());
-        let mut frontend = NetFrontend::serve_tcp(
-            Arc::clone(&service),
-            "127.0.0.1:0",
-            FrontendConfig::default(),
-        )
-        .expect("bind");
-        let addr = frontend.local_addr().unwrap();
-
-        let mut conn = Connection::connect_tcp(addr, "fault-test").expect("connect");
-        conn.set_reply_timeout(Some(Duration::from_secs(60)))
-            .unwrap();
-        let code = conn.lookup_code("doomed-stream").unwrap();
-        let mut stream = conn.open_stream(code.id).expect("open");
-        let session_rounds = plan.num_round_blocks;
-        let round = BitVec::zeros(plan.dets_per_round);
-
-        // The fault surfaces at whichever push (or the finish) first
-        // harvests the dead window — typed either way.
-        let mut failure = None;
-        for _ in 0..session_rounds {
-            if let Err(e) = stream.push_round(&round) {
-                failure = Some(e);
-                break;
-            }
-        }
-        let failure = match failure {
-            Some(e) => e,
-            None => stream.finish().expect_err("finish must report the fault"),
-        };
-        match failure {
-            ClientError::Remote { code, .. } => assert_eq!(code, ErrorCode::StreamFailed),
-            other => panic!("expected Remote(StreamFailed), got {other}"),
-        }
-
-        // The server dropped the session: a fresh stream on the same
-        // connection gets UnknownSession semantics via a raw frame.
-        let mut sock = raw_handshake(addr);
-        write_frame(
-            &mut sock,
-            &Frame::StreamRound {
-                session: 424242,
-                round: round.clone(),
-            },
-        )
-        .expect("send round");
-        sock.flush().unwrap();
-        match read_frame(&mut sock, DEFAULT_MAX_PAYLOAD).expect("reply") {
-            Some(Frame::Error { code, .. }) => assert_eq!(code, ErrorCode::UnknownSession),
-            other => panic!("expected UnknownSession, got {other:?}"),
-        }
-
-        frontend.shutdown();
-    });
-}
-
-/// Shutting the front-end down under a live stream breaks the client
-/// out with a typed transport error — the reply timeout is the
-/// deadlock tripwire.
-#[test]
-fn frontend_shutdown_mid_stream_is_typed_not_hang() {
-    with_timeout(Duration::from_secs(120), || {
-        let exp =
-            MemoryExperiment::memory_z(&bb::bb72(), 3, &NoiseModel::uniform_depolarizing(2e-3));
-        let dem = exp.detector_error_model();
-        let k = dem.num_detectors() / 4;
-        let plan = Arc::new(window_plan(&dem, k, 2, 1));
-        let window_factory: WindowDecoderFactory =
-            Box::new(|plan| Box::new(BpWindowDecoder::new(plan, BpConfig::default())));
-        let mut builder = DecodeService::builder();
-        builder.register_streaming_code_with(
-            "bb72-stream",
-            Arc::clone(&plan),
-            window_factory,
-            sequential_config(),
-        );
-        let service = Arc::new(builder.start());
-        let mut frontend = NetFrontend::serve_tcp(
-            Arc::clone(&service),
-            "127.0.0.1:0",
-            FrontendConfig::default(),
-        )
-        .expect("bind");
-        let addr = frontend.local_addr().unwrap();
-
-        let mut conn = Connection::connect_tcp(addr, "shutdown-race").expect("connect");
-        conn.set_reply_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        let code = conn.lookup_code("bb72-stream").unwrap();
-        let mut stream = conn.open_stream(code.id).expect("open");
-        let round = BitVec::zeros(plan.dets_per_round);
-        stream.push_round(&round).expect("first round");
-
-        frontend.shutdown();
-
-        // The next interaction fails with a transport error (EOF or
-        // reset), not a hang and not a silent success.
-        let mut saw_io = false;
-        for _ in 0..2 {
-            match stream.push_round(&round) {
-                Err(ClientError::Io(_)) => {
-                    saw_io = true;
-                    break;
-                }
-                // The round we pushed before the shutdown may still
-                // deliver its buffered ack; keep going.
-                Ok(_) => continue,
-                Err(other) => panic!("expected Io error, got {other}"),
-            }
-        }
-        assert!(saw_io, "shutdown never surfaced as a transport error");
-
-        // The service itself is untouched by the front-end teardown:
-        // in-process sessions still work.
-        let stream_code = service.lookup_code("bb72-stream").unwrap();
-        let mut session = service.stream_session(stream_code).expect("local session");
-        for _ in 0..plan.num_round_blocks {
-            session.push_round(&round).expect("local push");
-        }
-        assert!(session.finish().expect("local finish").all_solved);
     });
 }
 

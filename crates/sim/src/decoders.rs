@@ -10,14 +10,10 @@
 //! one instance per basis (X/Z) and per worker thread.
 
 use bpsf_core::{BpSfConfig, BpSfDecoder};
-use qldpc_bp::{
-    BpConfig, BpWindowDecoder, BpWindowDecoderF32, MinSumDecoder, MinSumDecoderF32, Schedule,
-};
+use qldpc_bp::{BpConfig, MinSumDecoder, MinSumDecoderF32, Schedule};
 use qldpc_osd::{BpOsdDecoder, OsdConfig};
 
-pub use qldpc_decoder_api::{
-    DecodeOutcome, DecoderFactory, Precision, SyndromeDecoder, WindowDecoderFactory,
-};
+pub use qldpc_decoder_api::{DecodeOutcome, DecoderFactory, Precision, SyndromeDecoder};
 
 /// Builds a BP factory for an explicit config at the requested message
 /// precision — the one place the `Precision` runtime value is turned
@@ -93,26 +89,6 @@ pub fn layered_bp_osd(bp_iters: usize, order: usize) -> DecoderFactory {
         };
         Box::new(BpOsdDecoder::new(h, priors, bp, osd))
     })
-}
-
-/// Factory for the sliding-window min-sum BP decoder (flooding schedule,
-/// `max_iters` per window) used by the streaming runner and the decode
-/// service's streaming codes.
-pub fn window_bp(max_iters: usize) -> WindowDecoderFactory {
-    window_bp_at(max_iters, Precision::F64)
-}
-
-/// [`window_bp`] at an explicit message precision; `Precision::F32` runs
-/// the half-width window engines.
-pub fn window_bp_at(max_iters: usize, precision: Precision) -> WindowDecoderFactory {
-    let config = BpConfig {
-        max_iters,
-        ..BpConfig::default()
-    };
-    match precision {
-        Precision::F64 => Box::new(move |plan| Box::new(BpWindowDecoder::new(plan, config))),
-        Precision::F32 => Box::new(move |plan| Box::new(BpWindowDecoderF32::new(plan, config))),
-    }
 }
 
 /// Factory for the BP-SF decoder with an explicit configuration, trials

@@ -41,7 +41,6 @@ pub mod decoders;
 mod engine;
 mod latency;
 mod report;
-mod streaming;
 
 pub use circuit_level::{run_circuit_level, CircuitLevelConfig};
 pub use code_capacity::{run_code_capacity, sample_depolarizing, CodeCapacityConfig};
@@ -49,10 +48,6 @@ pub use decoders::{DecodeOutcome, DecoderFactory, SyndromeDecoder};
 pub use engine::BatchConfig;
 pub use latency::HardwareLatencyModel;
 pub use report::{RunReport, ShotRecord};
-pub use streaming::{
-    run_streaming, run_streaming_offline_reference, stream_syndrome_rounds, StreamingConfig,
-    StreamingReport,
-};
 // Percentile/latency statistics live in `bpsf_core::stats` (shared with
 // the `qldpc-server` metrics); re-exported here so sim's public API is
 // unchanged.

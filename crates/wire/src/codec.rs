@@ -77,14 +77,6 @@ impl Writer {
             self.u64(w);
         }
     }
-
-    /// `u32` count + that many `u32` values.
-    pub fn u32_list(&mut self, values: &[u32]) {
-        self.u32(values.len() as u32);
-        for &v in values {
-            self.u32(v);
-        }
-    }
 }
 
 /// Bounds-checked cursor over one frame payload.
@@ -188,22 +180,6 @@ impl<'a> Reader<'a> {
         Ok(BitVec::from_words(len as usize, words))
     }
 
-    pub fn u32_list(&mut self) -> Result<Vec<u32>, WireError> {
-        let count = self.u32()? as u64;
-        let bytes = count
-            .checked_mul(4)
-            .filter(|&b| b <= self.remaining() as u64)
-            .ok_or(WireError::Truncated {
-                need: count.saturating_mul(4) as usize,
-                have: self.remaining(),
-            })?;
-        let raw = self.take(bytes as usize)?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
-    }
-
     /// Asserts the payload was consumed exactly; unconsumed bytes are a
     /// malformed frame, not an extension point.
     pub fn finish(self) -> Result<(), WireError> {
@@ -272,14 +248,6 @@ mod tests {
         let bytes = w.into_bytes();
         assert!(matches!(
             Reader::new(&bytes).bits(),
-            Err(WireError::Truncated { .. })
-        ));
-        // A u32 list claiming u32::MAX entries.
-        let mut w = Writer::new();
-        w.u32(u32::MAX);
-        let bytes = w.into_bytes();
-        assert!(matches!(
-            Reader::new(&bytes).u32_list(),
             Err(WireError::Truncated { .. })
         ));
     }

@@ -20,7 +20,7 @@ pub const MAGIC: [u8; 2] = [0xB5, 0x51];
 /// Protocol revision negotiated by the `Hello`/`HelloAck` handshake.
 /// Bump on any frame-layout change; the server refuses mismatches with
 /// [`ErrorCode::UnsupportedVersion`].
-pub const PROTOCOL_VERSION: u16 = 1;
+pub const PROTOCOL_VERSION: u16 = 2;
 
 /// Bytes before the payload: magic, type, reserved, length.
 pub const HEADER_LEN: usize = 8;
@@ -154,37 +154,29 @@ pub enum ErrorCode {
     RateLimited,
     /// The service (or this front-end) is shutting down.
     Shutdown,
-    /// Single-shot operation on a streaming code or vice versa.
-    WrongCodeKind,
     /// Submitted syndrome length does not match the registered code.
     SyndromeLength,
     /// The peer sent a frame that is malformed or invalid in the current
     /// protocol state (e.g. a second `Hello`).
     BadFrame,
-    /// No open stream session has this id.
-    UnknownSession,
-    /// A stream-session operation failed mid-stream (the session is
-    /// poisoned and closed).
-    StreamFailed,
     /// Unexpected server-side failure.
     Internal,
 }
 
 impl ErrorCode {
-    const ALL: [ErrorCode; 11] = [
+    const ALL: [ErrorCode; 8] = [
         ErrorCode::UnsupportedVersion,
         ErrorCode::UnknownCode,
         ErrorCode::Overloaded,
         ErrorCode::RateLimited,
         ErrorCode::Shutdown,
-        ErrorCode::WrongCodeKind,
         ErrorCode::SyndromeLength,
         ErrorCode::BadFrame,
-        ErrorCode::UnknownSession,
-        ErrorCode::StreamFailed,
         ErrorCode::Internal,
     ];
 
+    // 6, 9 and 10 (the streaming codes of protocol version 1) stay
+    // unassigned: a surviving code never changes its byte.
     fn as_u8(self) -> u8 {
         match self {
             ErrorCode::UnsupportedVersion => 1,
@@ -192,11 +184,8 @@ impl ErrorCode {
             ErrorCode::Overloaded => 3,
             ErrorCode::RateLimited => 4,
             ErrorCode::Shutdown => 5,
-            ErrorCode::WrongCodeKind => 6,
             ErrorCode::SyndromeLength => 7,
             ErrorCode::BadFrame => 8,
-            ErrorCode::UnknownSession => 9,
-            ErrorCode::StreamFailed => 10,
             ErrorCode::Internal => 11,
         }
     }
@@ -219,11 +208,8 @@ impl ErrorCode {
             ErrorCode::Overloaded => "overloaded",
             ErrorCode::RateLimited => "rate-limited",
             ErrorCode::Shutdown => "shutdown",
-            ErrorCode::WrongCodeKind => "wrong-code-kind",
             ErrorCode::SyndromeLength => "syndrome-length",
             ErrorCode::BadFrame => "bad-frame",
-            ErrorCode::UnknownSession => "unknown-session",
-            ErrorCode::StreamFailed => "stream-failed",
             ErrorCode::Internal => "internal",
         }
     }
@@ -291,10 +277,9 @@ pub enum Frame {
     /// Server → client lookup result:
     /// `code:u32 | syndrome_bits:u64 | name:str`.
     CodeInfo {
-        /// Numeric id to use in [`Frame::Submit`]/[`Frame::StreamOpen`].
+        /// Numeric id to use in [`Frame::Submit`].
         code: u32,
-        /// Syndrome length for single-shot codes; `0` for streaming
-        /// codes (which take rounds, not bare syndromes).
+        /// Syndrome length the code expects.
         syndrome_bits: u64,
         /// The name echoed back.
         name: String,
@@ -322,82 +307,6 @@ pub enum Frame {
         /// The decode outcome, or why the accepted request was dropped.
         result: Result<DecodeOutcome, DecodeFailure>,
     },
-    /// Client → server: open a streaming session:
-    /// `tag:u64 | code:u32`.
-    StreamOpen {
-        /// Correlation tag for the `StreamOpened`/`Error` answer.
-        tag: u64,
-        /// A *streaming* code id.
-        code: u32,
-    },
-    /// Server → client: session granted:
-    /// `tag:u64 | session:u64 | num_windows:u64 | num_round_blocks:u64
-    /// | dets_per_round:u64 | num_mechanisms:u64`.
-    StreamOpened {
-        /// The `StreamOpen` tag.
-        tag: u64,
-        /// Server-assigned session id for subsequent frames.
-        session: u64,
-        /// Windows in the plan.
-        num_windows: u64,
-        /// Detector-round blocks the plan covers.
-        num_round_blocks: u64,
-        /// Bits per round block.
-        dets_per_round: u64,
-        /// Mechanism count (the final correction's length).
-        num_mechanisms: u64,
-    },
-    /// Client → server: one measured detector-round block:
-    /// `session:u64 | round:bits`.
-    StreamRound {
-        /// Session id from [`Frame::StreamOpened`].
-        session: u64,
-        /// `dets_per_round` detector bits.
-        round: BitVec,
-    },
-    /// Server → client: acknowledges a round after any commit events it
-    /// triggered were sent: `session:u64 | rounds_received:u64`.
-    RoundAck {
-        /// The session.
-        session: u64,
-        /// Rounds folded into the session so far.
-        rounds_received: u64,
-    },
-    /// Server → client: one window committed:
-    /// `session:u64 | window_index:u64 | start_round:u64 | end_round:u64
-    /// | solved:u8 | mechanisms:u32-list`.
-    CommitEvent {
-        /// The session.
-        session: u64,
-        /// Which window of the plan committed.
-        window_index: u64,
-        /// First committed round block (inclusive).
-        start_round: u64,
-        /// One past the last committed round block.
-        end_round: u64,
-        /// Whether the window's correction satisfied its residual
-        /// syndrome.
-        solved: bool,
-        /// Global mechanism ids committed *on*.
-        mechanisms: Vec<u32>,
-    },
-    /// Client → server: all rounds pushed, flush the stream:
-    /// `session:u64`.
-    StreamFinish {
-        /// The session to finish.
-        session: u64,
-    },
-    /// Server → client: the stream's final artifacts (sent after the
-    /// remaining commit events): `session:u64 | all_solved:u8 |
-    /// error_hat:bits`.
-    StreamFinished {
-        /// The finished session's id (now closed).
-        session: u64,
-        /// Whether every window solved its residual syndrome.
-        all_solved: bool,
-        /// Global error estimate over all mechanisms.
-        error_hat: BitVec,
-    },
     /// Client → server: request the metrics exposition. Empty payload.
     MetricsRequest,
     /// Server → client: the node-labeled Prometheus-style text page:
@@ -410,7 +319,7 @@ pub enum Frame {
     /// `tag:u64 | code:u8 | detail:str`.
     Error {
         /// The offending request's tag (`0` when not request-scoped —
-        /// e.g. handshake failures; stream errors carry the session id).
+        /// e.g. handshake failures).
         tag: u64,
         /// Machine-readable category.
         code: ErrorCode,
@@ -419,21 +328,16 @@ pub enum Frame {
     },
 }
 
-// Frame type bytes. Kept dense and explicit so the hardening tests can
-// sweep the full u8 range for unknown-type rejection.
+// Frame type bytes, explicit so the hardening tests can sweep the full
+// u8 range for unknown-type rejection. 0x07..=0x0D (the streaming-session
+// frames of protocol version 1) stay unassigned: a surviving frame never
+// changes its byte.
 const FT_HELLO: u8 = 0x01;
 const FT_HELLO_ACK: u8 = 0x02;
 const FT_CODE_LOOKUP: u8 = 0x03;
 const FT_CODE_INFO: u8 = 0x04;
 const FT_SUBMIT: u8 = 0x05;
 const FT_DECODE_REPLY: u8 = 0x06;
-const FT_STREAM_OPEN: u8 = 0x07;
-const FT_STREAM_OPENED: u8 = 0x08;
-const FT_STREAM_ROUND: u8 = 0x09;
-const FT_ROUND_ACK: u8 = 0x0A;
-const FT_COMMIT_EVENT: u8 = 0x0B;
-const FT_STREAM_FINISH: u8 = 0x0C;
-const FT_STREAM_FINISHED: u8 = 0x0D;
 const FT_METRICS_REQUEST: u8 = 0x0E;
 const FT_METRICS_REPLY: u8 = 0x0F;
 const FT_ERROR: u8 = 0x10;
@@ -457,13 +361,6 @@ impl Frame {
             Frame::CodeInfo { .. } => FT_CODE_INFO,
             Frame::Submit { .. } => FT_SUBMIT,
             Frame::DecodeReply { .. } => FT_DECODE_REPLY,
-            Frame::StreamOpen { .. } => FT_STREAM_OPEN,
-            Frame::StreamOpened { .. } => FT_STREAM_OPENED,
-            Frame::StreamRound { .. } => FT_STREAM_ROUND,
-            Frame::RoundAck { .. } => FT_ROUND_ACK,
-            Frame::CommitEvent { .. } => FT_COMMIT_EVENT,
-            Frame::StreamFinish { .. } => FT_STREAM_FINISH,
-            Frame::StreamFinished { .. } => FT_STREAM_FINISHED,
             Frame::MetricsRequest => FT_METRICS_REQUEST,
             Frame::MetricsReply { .. } => FT_METRICS_REPLY,
             Frame::Error { .. } => FT_ERROR,
@@ -480,13 +377,6 @@ impl Frame {
             Frame::CodeInfo { .. } => "CodeInfo",
             Frame::Submit { .. } => "Submit",
             Frame::DecodeReply { .. } => "DecodeReply",
-            Frame::StreamOpen { .. } => "StreamOpen",
-            Frame::StreamOpened { .. } => "StreamOpened",
-            Frame::StreamRound { .. } => "StreamRound",
-            Frame::RoundAck { .. } => "RoundAck",
-            Frame::CommitEvent { .. } => "CommitEvent",
-            Frame::StreamFinish { .. } => "StreamFinish",
-            Frame::StreamFinished { .. } => "StreamFinished",
             Frame::MetricsRequest => "MetricsRequest",
             Frame::MetricsReply { .. } => "MetricsReply",
             Frame::Error { .. } => "Error",
@@ -539,61 +429,6 @@ impl Frame {
                     Err(DecodeFailure::DeadlineExceeded) => w.u8(STATUS_DEADLINE),
                     Err(DecodeFailure::WorkerLost) => w.u8(STATUS_WORKER_LOST),
                 }
-            }
-            Frame::StreamOpen { tag, code } => {
-                w.u64(*tag);
-                w.u32(*code);
-            }
-            Frame::StreamOpened {
-                tag,
-                session,
-                num_windows,
-                num_round_blocks,
-                dets_per_round,
-                num_mechanisms,
-            } => {
-                w.u64(*tag);
-                w.u64(*session);
-                w.u64(*num_windows);
-                w.u64(*num_round_blocks);
-                w.u64(*dets_per_round);
-                w.u64(*num_mechanisms);
-            }
-            Frame::StreamRound { session, round } => {
-                w.u64(*session);
-                w.bits(round);
-            }
-            Frame::RoundAck {
-                session,
-                rounds_received,
-            } => {
-                w.u64(*session);
-                w.u64(*rounds_received);
-            }
-            Frame::CommitEvent {
-                session,
-                window_index,
-                start_round,
-                end_round,
-                solved,
-                mechanisms,
-            } => {
-                w.u64(*session);
-                w.u64(*window_index);
-                w.u64(*start_round);
-                w.u64(*end_round);
-                w.bool(*solved);
-                w.u32_list(mechanisms);
-            }
-            Frame::StreamFinish { session } => w.u64(*session),
-            Frame::StreamFinished {
-                session,
-                all_solved,
-                error_hat,
-            } => {
-                w.u64(*session);
-                w.bool(*all_solved);
-                w.bits(error_hat);
             }
             Frame::MetricsRequest => {}
             Frame::MetricsReply { text } => w.string(text),
@@ -648,40 +483,6 @@ impl Frame {
                     result,
                 }
             }
-            FT_STREAM_OPEN => Frame::StreamOpen {
-                tag: r.u64()?,
-                code: r.u32()?,
-            },
-            FT_STREAM_OPENED => Frame::StreamOpened {
-                tag: r.u64()?,
-                session: r.u64()?,
-                num_windows: r.u64()?,
-                num_round_blocks: r.u64()?,
-                dets_per_round: r.u64()?,
-                num_mechanisms: r.u64()?,
-            },
-            FT_STREAM_ROUND => Frame::StreamRound {
-                session: r.u64()?,
-                round: r.bits()?,
-            },
-            FT_ROUND_ACK => Frame::RoundAck {
-                session: r.u64()?,
-                rounds_received: r.u64()?,
-            },
-            FT_COMMIT_EVENT => Frame::CommitEvent {
-                session: r.u64()?,
-                window_index: r.u64()?,
-                start_round: r.u64()?,
-                end_round: r.u64()?,
-                solved: r.bool()?,
-                mechanisms: r.u32_list()?,
-            },
-            FT_STREAM_FINISH => Frame::StreamFinish { session: r.u64()? },
-            FT_STREAM_FINISHED => Frame::StreamFinished {
-                session: r.u64()?,
-                all_solved: r.bool()?,
-                error_hat: r.bits()?,
-            },
             FT_METRICS_REQUEST => Frame::MetricsRequest,
             FT_METRICS_REPLY => Frame::MetricsReply { text: r.string()? },
             FT_ERROR => Frame::Error {
@@ -776,8 +577,6 @@ fn encode_outcome(w: &mut Writer, o: &DecodeOutcome) {
     w.u64(t.osd_invocations);
     w.u64(t.osd_candidates);
     w.u64(t.sf_trials);
-    w.u64(t.window_spill_bits);
-    w.u64(t.window_carried_priors);
 }
 
 fn decode_outcome(r: &mut Reader<'_>) -> Result<DecodeOutcome, WireError> {
@@ -794,8 +593,6 @@ fn decode_outcome(r: &mut Reader<'_>) -> Result<DecodeOutcome, WireError> {
             osd_invocations: r.u64()?,
             osd_candidates: r.u64()?,
             sf_trials: r.u64()?,
-            window_spill_bits: r.u64()?,
-            window_carried_priors: r.u64()?,
         },
     })
 }

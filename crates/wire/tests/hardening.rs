@@ -7,6 +7,7 @@
 //! rather than implied by the test harness.
 
 use proptest::prelude::*;
+use qldpc_decoder_api::{DecodeOutcome, DecodeTelemetry};
 use qldpc_gf2::BitVec;
 use qldpc_wire::{
     read_frame, DecodeFailure, ErrorCode, Frame, WireError, DEFAULT_MAX_PAYLOAD, HEADER_LEN, MAGIC,
@@ -21,6 +22,26 @@ fn sample_frame() -> Frame {
         code: 7,
         deadline_micros: 1_500,
         syndrome: BitVec::from_indices(70, &[0, 3, 64, 69]),
+    }
+}
+
+/// A successful decode reply carrying an `error_hat` of `bits` bits.
+fn reply_frame(tag: u64, bits: usize) -> Frame {
+    Frame::DecodeReply {
+        tag,
+        batch_size: 3,
+        result: Ok(DecodeOutcome {
+            error_hat: BitVec::from_indices(bits, &(0..bits).step_by(5).collect::<Vec<_>>()),
+            solved: true,
+            serial_iterations: 12,
+            critical_iterations: 7,
+            postprocessed: true,
+            telemetry: DecodeTelemetry {
+                bp_iterations: 5,
+                sf_trials: 2,
+                ..DecodeTelemetry::default()
+            },
+        }),
     }
 }
 
@@ -65,10 +86,12 @@ fn nonzero_reserved_byte_is_rejected() {
 
 #[test]
 fn every_unassigned_frame_type_is_rejected() {
-    // Types 0x01..=0x10 are assigned; everything else in the u8 range
-    // must be a typed rejection, not a default-case panic.
+    // Types 0x01..=0x06 and 0x0E..=0x10 are assigned; everything else
+    // in the u8 range — including the retired streaming-session bytes
+    // 0x07..=0x0D — must be a typed rejection, not a default-case panic.
     let payloadless = [MAGIC[0], MAGIC[1], 0x00, 0x00, 0, 0, 0, 0];
-    for t in (0u8..=255).filter(|t| !(0x01..=0x10).contains(t)) {
+    let assigned = |t: &u8| (0x01..=0x06).contains(t) || (0x0E..=0x10).contains(t);
+    for t in (0u8..=255).filter(|t| !assigned(t)) {
         let mut bytes = payloadless;
         bytes[2] = t;
         assert_eq!(
@@ -120,14 +143,10 @@ fn syndrome_with_set_padding_bits_is_rejected() {
 
 #[test]
 fn non_boolean_bool_byte_is_rejected() {
-    let frame = Frame::StreamFinished {
-        session: 9,
-        all_solved: true,
-        error_hat: BitVec::zeros(16),
-    };
-    let mut bytes = frame.encode();
-    // Payload layout: session u64, then the bool.
-    bytes[HEADER_LEN + 8] = 2;
+    let mut bytes = reply_frame(9, 16).encode();
+    // Payload layout: tag u64, batch_size u64, status u8, then the
+    // outcome's error_hat (u64 length + one word) and its `solved` bool.
+    bytes[HEADER_LEN + 8 + 8 + 1 + 16] = 2;
     assert_eq!(decode_no_panic(&bytes), Err(WireError::BadBool { got: 2 }));
 }
 
@@ -246,15 +265,7 @@ proptest! {
         seed in 0u64..u64::MAX,
         cut_back in 1usize..12,
     ) {
-        let frame = Frame::CommitEvent {
-            session: seed,
-            window_index: 1,
-            start_round: 2,
-            end_round: 5,
-            solved: seed % 2 == 0,
-            mechanisms: vec![(seed % 97) as u32; (seed % 7) as usize],
-        };
-        let bytes = frame.encode();
+        let bytes = reply_frame(seed, (seed % 131) as usize).encode();
         let keep = bytes.len().saturating_sub(cut_back);
         prop_assert!(decode_no_panic(&bytes[..keep]).is_err());
     }

@@ -34,36 +34,6 @@
 //! let residual = &result.error_hat ^ &error;
 //! assert!(!code.is_x_logical_error(&residual));
 //! ```
-//!
-//! # Streaming
-//!
-//! Continuous memory experiments decode as a *stream*: syndrome rounds
-//! arrive one at a time per logical qubit, a sliding window of `W`
-//! round blocks is decoded whenever enough rounds are buffered, the
-//! oldest `C` blocks commit, and boundary beliefs carry into the next
-//! window. The service hosts this as stateful sessions, micro-batched
-//! across qubits:
-//!
-//! ```
-//! use bpsf::prelude::*;
-//! use std::sync::Arc;
-//!
-//! let exp = MemoryExperiment::memory_z(&bb::bb72(), 2, &NoiseModel::uniform_depolarizing(1e-3));
-//! let dem = exp.detector_error_model();
-//! let k = dem.num_detectors() / 3; // detectors per round block
-//! let plan = Arc::new(window_plan(&dem, k, 2, 1)); // W = 2, C = 1
-//!
-//! let mut builder = DecodeService::builder();
-//! let code = builder.register_streaming_code("bb72-stream", plan, decoders::window_bp(50));
-//! let service = builder.start();
-//! let mut session = service.stream_session(code).unwrap();
-//! for _ in 0..3 {
-//!     session.push_round(&BitVec::zeros(k)).unwrap(); // rolling commits come back
-//! }
-//! let result = session.finish().unwrap();
-//! assert!(result.all_solved && result.error_hat.is_zero());
-//! service.shutdown();
-//! ```
 
 pub use bpsf_core as bpsf;
 pub use qldpc_bp as bp;
@@ -86,21 +56,15 @@ pub mod prelude {
         MinSumDecoderF32, Schedule,
     };
     pub use crate::bpsf::{BpSfConfig, BpSfDecoder, BpSfResult, TrialSampling, TrialSelection};
-    pub use crate::circuit::{
-        window_plan, DemSampler, DetectorErrorModel, MemoryExperiment, NoiseModel,
-    };
+    pub use crate::circuit::{DemSampler, DetectorErrorModel, MemoryExperiment, NoiseModel};
     pub use crate::client::{Connection, RemoteDecoder};
     pub use crate::codes::{bb, coprime_bb, gb, hgp, shp, CssCode};
     pub use crate::decoder_api::{DecodeOutcome, DecoderFactory, Precision, SyndromeDecoder};
     pub use crate::gf2::{BitMatrix, BitVec, SparseBitMatrix};
     pub use crate::osd::{BpOsdDecoder, OsdConfig};
-    pub use crate::server::{
-        CommitEvent, DecodeService, FrontendConfig, NetFrontend, ServiceConfig, StreamError,
-        StreamResult, StreamSession,
-    };
+    pub use crate::server::{DecodeService, FrontendConfig, NetFrontend, ServiceConfig};
     pub use crate::sim::{
-        decoders, run_circuit_level, run_code_capacity, run_streaming, BatchConfig,
-        CircuitLevelConfig, CodeCapacityConfig, HardwareLatencyModel, StreamingConfig,
-        StreamingReport,
+        decoders, run_circuit_level, run_code_capacity, BatchConfig, CircuitLevelConfig,
+        CodeCapacityConfig, HardwareLatencyModel,
     };
 }
