@@ -15,7 +15,7 @@
 use qldpc_bp::{BpConfig, MinSumDecoder};
 use qldpc_decoder_api::SyndromeDecoder;
 use qldpc_gf2::BitVec;
-use qldpc_telemetry::{Stage, StageSet, StreamingHistogram};
+use qldpc_server::{Stage, StageSet, StreamingHistogram};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -18,6 +18,7 @@
 //! binary; EXPERIMENTS.md ("Paper figures") lists them with the line of
 //! the output to read.
 
+use bpsf_core::stats::log_histogram;
 use qldpc_bench::{build_dem, exit_with_usage};
 use qldpc_campaign::{CampaignSpec, Cell, DecoderSpec, NoiseSpec};
 use qldpc_sim::{
@@ -220,11 +221,11 @@ fn main() {
     let iterations: Vec<f64> = records.iter().map(|r| r.serial_iterations as f64).collect();
     println!(
         "\nwall clock [ms], log-histogram:\n{}",
-        wall.log_histogram(&wall_ms, 12)
+        log_histogram(&wall_ms, 12)
     );
     println!(
         "serial BP iterations, log-histogram:\n{}",
-        serial.log_histogram(&iterations, 12)
+        log_histogram(&iterations, 12)
     );
 
     // The paper's GPU numbers are themselves a model over iteration

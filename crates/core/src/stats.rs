@@ -1,7 +1,8 @@
-//! Latency, iteration and estimator statistics, shared by the Monte
-//! Carlo runners (`qldpc-sim`), the decoding-service metrics
-//! (`qldpc-server`) and the campaign engine (`qldpc-campaign`) so the
-//! percentile and confidence-interval implementations cannot drift.
+//! Latency, iteration and estimator statistics over a whole sample:
+//! exact percentiles for the Monte Carlo runners (`qldpc-sim`) and the
+//! Wilson interval for them and the campaign engine (`qldpc-campaign`).
+//! The decoding service estimates quantiles over an unbounded stream
+//! instead, from its own constant-memory histogram.
 
 /// Summary statistics over a sample of latencies (or iteration counts).
 ///
@@ -79,47 +80,47 @@ impl LatencyStats {
             self.count, self.mean, self.min, self.median, self.p95, self.p99, self.max
         )
     }
+}
 
-    /// Renders a text histogram on a log scale (the Fig. 15/16 "violin"
-    /// substitute): `bins` buckets between min and max.
-    ///
-    /// Non-finite samples (NaN, ±∞) are excluded from the buckets — a
-    /// NaN would otherwise land silently in bucket 0 via the saturating
-    /// float→int cast — and reported on a trailing line when present.
-    pub fn log_histogram(&self, samples: &[f64], bins: usize) -> String {
-        if samples.is_empty() || bins == 0 {
-            return String::from("(no samples)");
-        }
-        let non_finite = samples.iter().filter(|s| !s.is_finite()).count();
-        let finite = || samples.iter().copied().filter(|s| s.is_finite());
-        if non_finite == samples.len() {
-            return format!("(no finite samples; {non_finite} non-finite excluded)\n");
-        }
-        let lo = finite().fold(f64::INFINITY, f64::min).max(1e-9);
-        let hi = finite().fold(0.0, f64::max).max(lo * 1.0001);
-        let (llo, lhi) = (lo.ln(), hi.ln());
-        let mut counts = vec![0usize; bins];
-        for s in finite() {
-            let t = ((s.max(lo).ln() - llo) / (lhi - llo) * bins as f64) as usize;
-            counts[t.min(bins - 1)] += 1;
-        }
-        let peak = counts.iter().copied().max().unwrap_or(1).max(1);
-        let mut out = String::new();
-        for (i, &c) in counts.iter().enumerate() {
-            let left = (llo + (lhi - llo) * i as f64 / bins as f64).exp();
-            let bar_len = (c * 50).div_ceil(peak);
-            out.push_str(&format!(
-                "{:>10.3} | {:<50} {}\n",
-                left,
-                "#".repeat(if c > 0 { bar_len.max(1) } else { 0 }),
-                c
-            ));
-        }
-        if non_finite > 0 {
-            out.push_str(&format!("({non_finite} non-finite samples excluded)\n"));
-        }
-        out
+/// Renders a text histogram on a log scale (the Fig. 15/16 "violin"
+/// substitute): `bins` buckets between min and max.
+///
+/// Non-finite samples (NaN, ±∞) are excluded from the buckets — a
+/// NaN would otherwise land silently in bucket 0 via the saturating
+/// float→int cast — and reported on a trailing line when present.
+pub fn log_histogram(samples: &[f64], bins: usize) -> String {
+    if samples.is_empty() || bins == 0 {
+        return String::from("(no samples)");
     }
+    let non_finite = samples.iter().filter(|s| !s.is_finite()).count();
+    let finite = || samples.iter().copied().filter(|s| s.is_finite());
+    if non_finite == samples.len() {
+        return format!("(no finite samples; {non_finite} non-finite excluded)\n");
+    }
+    let lo = finite().fold(f64::INFINITY, f64::min).max(1e-9);
+    let hi = finite().fold(0.0, f64::max).max(lo * 1.0001);
+    let (llo, lhi) = (lo.ln(), hi.ln());
+    let mut counts = vec![0usize; bins];
+    for s in finite() {
+        let t = ((s.max(lo).ln() - llo) / (lhi - llo) * bins as f64) as usize;
+        counts[t.min(bins - 1)] += 1;
+    }
+    let peak = counts.iter().copied().max().unwrap_or(1).max(1);
+    let mut out = String::new();
+    for (i, &c) in counts.iter().enumerate() {
+        let left = (llo + (lhi - llo) * i as f64 / bins as f64).exp();
+        let bar_len = (c * 50).div_ceil(peak);
+        out.push_str(&format!(
+            "{:>10.3} | {:<50} {}\n",
+            left,
+            "#".repeat(if c > 0 { bar_len.max(1) } else { 0 }),
+            c
+        ));
+    }
+    if non_finite > 0 {
+        out.push_str(&format!("({non_finite} non-finite samples excluded)\n"));
+    }
+    out
 }
 
 /// A two-sided confidence interval on a binomial proportion (e.g. a
@@ -223,7 +224,7 @@ pub fn wilson_interval(failures: usize, shots: usize, confidence: f64) -> Binomi
 /// # Panics
 ///
 /// Panics if `p` is outside `(0, 1)`.
-pub fn probit(p: f64) -> f64 {
+fn probit(p: f64) -> f64 {
     assert!(p > 0.0 && p < 1.0, "probit argument must be in (0, 1)");
     const A: [f64; 6] = [
         -3.969_683_028_665_376e1,
@@ -289,7 +290,7 @@ pub fn probit(p: f64) -> f64 {
 ///
 /// Panics if `pct` is outside `[0, 100]`; in debug builds, also panics
 /// if `samples` is out of order.
-pub fn percentile(samples: &[f64], pct: f64) -> f64 {
+fn percentile(samples: &[f64], pct: f64) -> f64 {
     if samples.is_empty() {
         return 0.0;
     }
@@ -351,9 +352,7 @@ mod tests {
 
     #[test]
     fn histogram_renders() {
-        let samples = vec![0.1, 0.2, 0.2, 5.0, 50.0];
-        let s = LatencyStats::from_samples(samples.clone());
-        let h = s.log_histogram(&samples, 8);
+        let h = log_histogram(&[0.1, 0.2, 0.2, 5.0, 50.0], 8);
         assert_eq!(h.lines().count(), 8);
         assert!(h.contains('#'));
     }
@@ -368,8 +367,7 @@ mod tests {
     #[test]
     fn histogram_excludes_non_finite_samples() {
         let samples = vec![0.1, f64::NAN, 0.2, f64::INFINITY, 5.0, f64::NEG_INFINITY];
-        let s = LatencyStats::from_samples(vec![0.1, 0.2, 5.0]);
-        let h = s.log_histogram(&samples, 8);
+        let h = log_histogram(&samples, 8);
         // 8 bucket lines plus the exclusion note.
         assert_eq!(h.lines().count(), 9);
         assert!(h.contains("3 non-finite samples excluded"));
@@ -382,11 +380,11 @@ mod tests {
             .sum();
         assert_eq!(total, 3);
         // Finite-only input renders without the note.
-        let clean = s.log_histogram(&[0.1, 0.2, 5.0], 8);
+        let clean = log_histogram(&[0.1, 0.2, 5.0], 8);
         assert_eq!(clean.lines().count(), 8);
         assert!(!clean.contains("excluded"));
         // All-non-finite input degrades gracefully.
-        let empty = s.log_histogram(&[f64::NAN, f64::INFINITY], 4);
+        let empty = log_histogram(&[f64::NAN, f64::INFINITY], 4);
         assert!(empty.contains("no finite samples"));
         assert!(empty.contains("2 non-finite"));
     }

@@ -19,23 +19,23 @@ use std::fmt::Write as _;
 
 /// Accumulates metric lines and renders them as a sorted text block.
 #[derive(Debug, Default)]
-pub struct Exposition {
+pub(crate) struct Exposition {
     lines: Vec<String>,
 }
 
 impl Exposition {
     /// An empty exposition.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Emits one integer-valued series.
-    pub fn counter(&mut self, name: &str, labels: &[(&str, &str)], value: u64) {
+    pub(crate) fn counter(&mut self, name: &str, labels: &[(&str, &str)], value: u64) {
         self.lines.push(format!("{} {value}", series(name, labels)));
     }
 
     /// Emits one float-valued series.
-    pub fn gauge(&mut self, name: &str, labels: &[(&str, &str)], value: f64) {
+    pub(crate) fn gauge(&mut self, name: &str, labels: &[(&str, &str)], value: f64) {
         self.lines
             .push(format!("{} {}", series(name, labels), fmt_f64(value)));
     }
@@ -43,7 +43,7 @@ impl Exposition {
     /// Emits the standard decomposition of a histogram:
     /// `name_count`, `name_sum`, `name_min`, `name_max`, and one
     /// `name{…,quantile="q"}` estimate per requested quantile.
-    pub fn histogram(
+    pub(crate) fn histogram(
         &mut self,
         name: &str,
         labels: &[(&str, &str)],
@@ -64,7 +64,7 @@ impl Exposition {
 
     /// Renders the sorted exposition, one line per series, trailing
     /// newline included (empty string when no series were emitted).
-    pub fn render(mut self) -> String {
+    pub(crate) fn render(mut self) -> String {
         self.lines.sort_unstable();
         let mut out = String::new();
         for line in &self.lines {

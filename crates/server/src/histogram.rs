@@ -1,4 +1,5 @@
-//! The bounded, mergeable, lock-light streaming histogram.
+//! The bounded, lock-light streaming histogram behind every latency
+//! and stage-duration series the service exposes.
 //!
 //! Values land in fixed log-spaced buckets (three per doubling, so
 //! every bucket spans ~26% and a quantile estimate is never off by
@@ -19,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// histogram spans 32 doublings: from 2^-20 (≈ 1 µs when recording
 /// seconds) to 2^12 (≈ 68 minutes). Values outside the span clamp into
 /// the edge buckets; the exact min/max are kept regardless.
-pub const NUM_BUCKETS: usize = 96;
+const NUM_BUCKETS: usize = 96;
 
 /// Buckets per factor-of-two of value range.
 const BUCKETS_PER_DOUBLING: f64 = 3.0;
@@ -34,7 +35,7 @@ const MIN_EXP: f64 = -20.0;
 ///
 /// Panics when `i > NUM_BUCKETS` (index `NUM_BUCKETS` is allowed and
 /// returns the upper bound of the last bucket).
-pub fn bucket_lower_bound(i: usize) -> f64 {
+fn bucket_lower_bound(i: usize) -> f64 {
     assert!(i <= NUM_BUCKETS, "bucket index {i} out of range");
     if i == 0 {
         0.0
@@ -56,7 +57,7 @@ fn bucket_index(value: f64) -> usize {
     (((pos + 1e-9).floor() as usize) + 1).min(NUM_BUCKETS - 1)
 }
 
-/// A concurrent, constant-memory value histogram. See the crate docs
+/// A concurrent, constant-memory value histogram. See the module docs
 /// for the design.
 #[derive(Debug)]
 pub struct StreamingHistogram {
@@ -116,11 +117,6 @@ impl StreamingHistogram {
         }
     }
 
-    /// Samples recorded so far.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
     /// A point-in-time copy of the aggregates. Bucket counts are read
     /// bucket-by-bucket, so a snapshot taken concurrently with
     /// recording may be mid-sample (`count` and the bucket total can
@@ -154,8 +150,8 @@ impl StreamingHistogram {
     }
 }
 
-/// A plain-data copy of a [`StreamingHistogram`]: the mergeable,
-/// quantile-queryable form handed to renderers and tests.
+/// A plain-data copy of a [`StreamingHistogram`]: the form the
+/// exposition renders and the service's snapshots carry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistogramSnapshot {
     /// Samples recorded.
@@ -166,13 +162,15 @@ pub struct HistogramSnapshot {
     pub min: f64,
     /// Exact largest sample (0.0 when empty).
     pub max: f64,
-    /// Per-bucket sample counts ([`NUM_BUCKETS`] entries).
+    /// Per-bucket sample counts: a catch-all below 2^-20, then three
+    /// log-spaced buckets per doubling up to 2^12 (the last bucket also
+    /// catches everything above).
     pub buckets: Vec<u64>,
 }
 
 impl HistogramSnapshot {
-    /// An empty snapshot (identity element of [`merge`](Self::merge)).
-    pub fn empty() -> Self {
+    /// An empty snapshot.
+    fn empty() -> Self {
         Self {
             count: 0,
             sum: 0.0,
@@ -182,21 +180,12 @@ impl HistogramSnapshot {
         }
     }
 
-    /// Mean sample value (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
     /// Estimates the `q`-quantile (`q` in `[0, 1]`) by locating the
     /// bucket holding the target rank and interpolating linearly
     /// within it, clamped to the exact `[min, max]`. Returns 0.0 when
     /// empty. The estimate is exact for `q = 0` and `q = 1` and within
     /// one bucket width (~26%) otherwise.
-    pub fn quantile(&self, q: f64) -> f64 {
+    pub(crate) fn quantile(&self, q: f64) -> f64 {
         assert!((0.0..=1.0).contains(&q), "quantile {q} out of range");
         if self.count == 0 {
             return 0.0;
@@ -222,34 +211,6 @@ impl HistogramSnapshot {
             seen += n;
         }
         self.max
-    }
-
-    /// Combines two snapshots into the histogram of the union of their
-    /// samples. Bucket counts, totals, and extrema merge exactly; the
-    /// sum is a floating-point addition, so merging is associative up
-    /// to rounding in `sum` (and exactly associative in every other
-    /// field) — the property test in `tests/properties.rs` pins this.
-    pub fn merge(&self, other: &Self) -> Self {
-        let count = self.count + other.count;
-        let (min, max) = if self.count == 0 {
-            (other.min, other.max)
-        } else if other.count == 0 {
-            (self.min, self.max)
-        } else {
-            (self.min.min(other.min), self.max.max(other.max))
-        };
-        Self {
-            count,
-            sum: self.sum + other.sum,
-            min,
-            max,
-            buckets: self
-                .buckets
-                .iter()
-                .zip(&other.buckets)
-                .map(|(a, b)| a + b)
-                .collect(),
-        }
     }
 }
 
@@ -289,7 +250,6 @@ mod tests {
         assert!((s.sum - 14.5).abs() < 1e-12);
         assert_eq!(s.min, 0.5);
         assert_eq!(s.max, 10.0);
-        assert!((s.mean() - 3.625).abs() < 1e-12);
     }
 
     #[test]
@@ -299,7 +259,7 @@ mod tests {
         assert!(!h.record(f64::INFINITY));
         assert!(!h.record(-1.0));
         assert!(h.record(0.0));
-        assert_eq!(h.count(), 1);
+        assert_eq!(h.snapshot().count, 1);
     }
 
     #[test]
@@ -309,7 +269,6 @@ mod tests {
         assert_eq!(s.min, 0.0);
         assert_eq!(s.max, 0.0);
         assert_eq!(s.quantile(0.5), 0.0);
-        assert_eq!(s.mean(), 0.0);
     }
 
     #[test]
@@ -351,18 +310,35 @@ mod tests {
     }
 
     #[test]
-    fn merge_identity_and_exact_fields() {
-        let h = StreamingHistogram::new();
-        for v in [0.1, 0.2, 0.3] {
-            h.record(v);
+    fn quantiles_rise_with_q_from_min_to_max() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        for _ in 0..200 {
+            // Samples spanning 2^-30 .. 2^16, past both clamped ends of
+            // the bucket range.
+            let len = rng.random_range(1..=64usize);
+            let values: Vec<f64> = (0..len)
+                .map(|_| 2f64.powf(rng.random_range(-30.0..16.0)))
+                .collect();
+            let h = StreamingHistogram::new();
+            for &v in &values {
+                assert!(h.record(v), "unrecordable sample {v}");
+            }
+            let s = h.snapshot();
+            let min = values.iter().copied().fold(f64::INFINITY, f64::min);
+            let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            // Exact at the ends, non-decreasing in between: so every
+            // estimate stays within [min, max].
+            assert_eq!(s.quantile(0.0), min);
+            assert_eq!(s.quantile(1.0), max);
+            let mut previous = min;
+            for step in 1..=200 {
+                let v = s.quantile(step as f64 / 200.0);
+                assert!(v >= previous, "step {step}: {v} < {previous}");
+                previous = v;
+            }
         }
-        let s = h.snapshot();
-        assert_eq!(s.merge(&HistogramSnapshot::empty()), s);
-        assert_eq!(HistogramSnapshot::empty().merge(&s), s);
-        let both = s.merge(&s);
-        assert_eq!(both.count, 6);
-        assert_eq!(both.min, 0.1);
-        assert_eq!(both.max, 0.3);
     }
 
     #[test]

@@ -13,7 +13,6 @@
 //! wins.
 
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -34,7 +33,7 @@ pub struct JournalEntry {
 
 /// A bounded, thread-safe ring of recent [`JournalEntry`]s.
 #[derive(Debug)]
-pub struct EventJournal {
+pub(crate) struct EventJournal {
     started: Instant,
     capacity: usize,
     inner: Mutex<Ring>,
@@ -52,7 +51,7 @@ impl EventJournal {
     /// # Panics
     ///
     /// Panics on zero capacity.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "journal capacity must be positive");
         Self {
             started: Instant::now(),
@@ -65,7 +64,7 @@ impl EventJournal {
     }
 
     /// Appends an event, evicting the oldest entry when full.
-    pub fn record(&self, kind: &'static str, detail: impl Into<String>) {
+    pub(crate) fn record(&self, kind: &'static str, detail: impl Into<String>) {
         let entry_elapsed = self.started.elapsed();
         let mut ring = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         let seq = ring.next_seq;
@@ -81,16 +80,8 @@ impl EventJournal {
         });
     }
 
-    /// Events ever recorded (including evicted ones).
-    pub fn recorded(&self) -> u64 {
-        self.inner
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .next_seq
-    }
-
     /// Copies out the retained entries, oldest first.
-    pub fn dump(&self) -> Vec<JournalEntry> {
+    pub(crate) fn dump(&self) -> Vec<JournalEntry> {
         self.inner
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -98,24 +89,6 @@ impl EventJournal {
             .iter()
             .cloned()
             .collect()
-    }
-
-    /// Renders the retained entries as human-readable lines:
-    /// `#seq [+12.345s] kind detail`. Empty string when nothing was
-    /// recorded.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for e in self.dump() {
-            let _ = writeln!(
-                out,
-                "#{} [+{:.3}s] {} {}",
-                e.seq,
-                e.elapsed.as_secs_f64(),
-                e.kind,
-                e.detail
-            );
-        }
-        out
     }
 }
 
@@ -134,17 +107,6 @@ mod tests {
         assert_eq!(dump[0].seq, 2);
         assert_eq!(dump[2].seq, 4);
         assert_eq!(dump[2].detail, "i=4");
-        assert_eq!(j.recorded(), 5);
-    }
-
-    #[test]
-    fn render_lines_up() {
-        let j = EventJournal::new(8);
-        j.record("worker-death", "code=gross shard=0");
-        let text = j.render();
-        assert!(text.starts_with("#0 [+"));
-        assert!(text.contains("worker-death code=gross shard=0"));
-        assert!(text.ends_with('\n'));
     }
 
     #[test]
@@ -164,7 +126,6 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(j.recorded(), 64);
         let seqs: Vec<u64> = j.dump().iter().map(|e| e.seq).collect();
         assert_eq!(seqs, (0..64).collect::<Vec<u64>>());
     }

@@ -37,12 +37,16 @@
 //!   are pulled for decoding while keeping every shard busy under
 //!   skewed load.
 //! * **Telemetry** ([`MetricsSnapshot`]) — throughput counters, a
-//!   dispatched batch-size histogram, constant-memory streaming latency
-//!   and per-stage duration histograms (queue-wait, coalesce-wait,
-//!   steal, kernel, post-process, fulfill), decoder convergence
-//!   counters ([`ConvergenceSnapshot`]), and a bounded post-mortem
-//!   event journal. [`DecodeService::render_exposition`] renders it all
-//!   as a deterministic Prometheus-style text page.
+//!   dispatched batch-size histogram, the end-to-end latency and one
+//!   duration histogram per [`Stage`] (queue-wait, coalesce-wait,
+//!   steal, kernel, post-process, fulfill), all lock-light
+//!   [`StreamingHistogram`]s of constant memory; decoder convergence
+//!   counters ([`ConvergenceSnapshot`]); and a bounded post-mortem
+//!   event journal ([`DecodeService::journal`]). Recording is a few
+//!   relaxed atomics per sample, so it stays on.
+//!   [`DecodeService::render_exposition`] renders it all as a
+//!   deterministic Prometheus-style text page: lines sorted, equal
+//!   values formatted to equal bytes.
 //! * **Shutdown drains** — closing the service gates out new
 //!   submissions, then workers drain every queue so each accepted
 //!   request still gets exactly one response.
@@ -106,14 +110,20 @@
 //! assert!(metrics.is_drained());
 //! ```
 
+mod exposition;
+mod histogram;
+mod journal;
 mod metrics;
 mod net;
 mod request;
 mod service;
 mod shard;
+mod stage;
 
-pub use metrics::{bucket_label, ConvergenceSnapshot, MetricsSnapshot, BATCH_HISTOGRAM_BUCKETS};
+pub use histogram::{HistogramSnapshot, StreamingHistogram};
+pub use journal::JournalEntry;
+pub use metrics::{ConvergenceSnapshot, MetricsSnapshot, BATCH_HISTOGRAM_BUCKETS};
 pub use net::{FrontendConfig, NetFrontend};
-pub use qldpc_telemetry::{HistogramSnapshot, JournalEntry, Stage, StageSnapshot};
 pub use request::{DecodeError, DecodeResponse, ResponseHandle, SubmitError};
 pub use service::{Client, CodeId, DecodeService, ServiceBuilder, ServiceConfig};
+pub use stage::{Stage, StageSet, StageSnapshot};

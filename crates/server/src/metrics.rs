@@ -2,20 +2,16 @@
 //! histogram, end-to-end latency, per-stage timing, decoder
 //! convergence counters, and a post-mortem event journal.
 //!
-//! Latency and stage durations live in `qldpc-telemetry`'s
-//! [`StreamingHistogram`] — constant memory, never drops a sample —
-//! and the percentile figures surfaced through [`LatencyStats`] are
-//! quantile *estimates* from its log-spaced buckets (exact min/max,
-//! estimates within one bucket width ≈ 26% elsewhere). The summary
-//! shape matches `bpsf_core::stats`, the same module the Monte Carlo
-//! runners report with, so service and simulation numbers stay
-//! comparable.
+//! Latency and stage durations live in [`StreamingHistogram`]s —
+//! constant memory, never drops a sample — and the exposed quantiles
+//! are *estimates* from its log-spaced buckets (exact min/max,
+//! estimates within one bucket width ≈ 26% elsewhere).
 
-use bpsf_core::stats::LatencyStats;
+use crate::exposition::Exposition;
+use crate::histogram::{HistogramSnapshot, StreamingHistogram};
+use crate::journal::EventJournal;
+use crate::stage::{Stage, StageSet, StageSnapshot};
 use qldpc_decoder_api::{DecodeTelemetry, Precision};
-use qldpc_telemetry::{
-    EventJournal, Exposition, HistogramSnapshot, StageSet, StageSnapshot, StreamingHistogram,
-};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -95,7 +91,7 @@ fn bucket_index(size: usize) -> usize {
 }
 
 /// Human-readable label of histogram bucket `i`.
-pub fn bucket_label(i: usize) -> String {
+fn bucket_label(i: usize) -> String {
     match i {
         0 => "1".into(),
         1 => "2".into(),
@@ -146,27 +142,11 @@ impl CodeMetrics {
             batch_histogram: std::array::from_fn(|i| {
                 self.batch_histogram[i].load(Ordering::Relaxed)
             }),
-            latency_ms: latency_stats_ms(&latency),
             latency_samples_dropped: self.latency_dropped.load(Ordering::Relaxed),
             latency,
             stages: self.stages.snapshot(),
             convergence: self.convergence.snapshot(),
         }
-    }
-}
-
-/// Converts a seconds-valued latency histogram into the millisecond
-/// [`LatencyStats`] shape the pre-histogram metrics exposed; the
-/// percentile fields are bucket-quantile estimates, min/max/mean exact.
-fn latency_stats_ms(h: &HistogramSnapshot) -> LatencyStats {
-    LatencyStats {
-        count: h.count as usize,
-        mean: h.mean() * 1e3,
-        min: h.min * 1e3,
-        max: h.max * 1e3,
-        median: h.quantile(0.5) * 1e3,
-        p95: h.quantile(0.95) * 1e3,
-        p99: h.quantile(0.99) * 1e3,
     }
 }
 
@@ -232,17 +212,6 @@ pub struct ConvergenceSnapshot {
     pub sf_trials: u64,
 }
 
-impl ConvergenceSnapshot {
-    /// Mean BP iterations per recorded decode (0.0 before any decode).
-    pub fn mean_bp_iterations(&self) -> f64 {
-        if self.decodes == 0 {
-            0.0
-        } else {
-            self.bp_iterations as f64 / self.decodes as f64
-        }
-    }
-}
-
 /// Frozen view of one code's service metrics.
 #[derive(Debug, Clone)]
 pub struct MetricsSnapshot {
@@ -266,16 +235,12 @@ pub struct MetricsSnapshot {
     pub mean_batch_size: f64,
     /// Requests decoded by a non-home shard (work stealing).
     pub stolen: u64,
-    /// Dispatched-batch-size counts in power-of-two buckets
-    /// (see [`bucket_label`]).
+    /// Dispatched-batch-size counts in power-of-two buckets: `1`, `2`,
+    /// `3-4`, … `129-256`, `>256`.
     pub batch_histogram: [u64; BATCH_HISTOGRAM_BUCKETS],
-    /// End-to-end (submit → fulfill) latency statistics in milliseconds;
-    /// `latency_ms.median`/`.p95`/`.p99` are bucket-quantile estimates
-    /// from [`Self::latency`] (min/max/mean/count exact).
-    pub latency_ms: LatencyStats,
     /// Latency samples the histogram refused (non-finite input).
     pub latency_samples_dropped: u64,
-    /// The full end-to-end latency histogram, in seconds.
+    /// The end-to-end (submit → fulfill) latency histogram, in seconds.
     pub latency: HistogramSnapshot,
     /// Per-stage duration histograms, in seconds.
     pub stages: StageSnapshot,
@@ -291,31 +256,6 @@ impl MetricsSnapshot {
         self.completed + self.expired + self.lost == self.submitted
     }
 
-    /// Multi-line human-readable rendering (bench/soak output).
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "precision={} submitted={} completed={} expired={} lost={} rejected={} batches={} \
-             mean_batch={:.2} stolen={}\n  latency_ms: {} (dropped={})\n  batch sizes:\n",
-            self.precision,
-            self.submitted,
-            self.completed,
-            self.expired,
-            self.lost,
-            self.rejected_overload,
-            self.batches,
-            self.mean_batch_size,
-            self.stolen,
-            self.latency_ms.summary(),
-            self.latency_samples_dropped,
-        );
-        for (i, &count) in self.batch_histogram.iter().enumerate() {
-            if count > 0 {
-                out.push_str(&format!("    {:>7}: {}\n", bucket_label(i), count));
-            }
-        }
-        out
-    }
-
     /// Emits this snapshot's series into a text exposition under
     /// `code="{code}"` labels — the per-code half of
     /// `DecodeService::render_exposition`. Timing-valued series carry a
@@ -325,7 +265,7 @@ impl MetricsSnapshot {
     /// `node="{node}"` so scrapes from several service nodes aggregate
     /// without colliding (the networked front-end threads its configured
     /// identity through here).
-    pub fn exposition_into(&self, code: &str, node: Option<&str>, exp: &mut Exposition) {
+    pub(crate) fn exposition_into(&self, code: &str, node: Option<&str>, exp: &mut Exposition) {
         fn joined<'a>(
             base: &[(&'a str, &'a str)],
             extra: &[(&'a str, &'a str)],
@@ -381,7 +321,7 @@ impl MetricsSnapshot {
             // to, so its series carries the active target as a label —
             // appended after `stage` so prefix-matching consumers keep
             // working. Other stages are dispatch-independent.
-            if stage == qldpc_telemetry::Stage::Kernel {
+            if stage == Stage::Kernel {
                 exp.histogram(
                     "qldpc_stage_duration_seconds",
                     &joined(
@@ -455,15 +395,15 @@ mod tests {
         assert!((s.mean_batch_size - 4.5).abs() < 1e-12);
         assert_eq!(s.batch_histogram[0], 1);
         assert_eq!(s.batch_histogram[3], 1);
-        assert_eq!(s.latency_ms.count, 2);
-        assert!((s.latency_ms.mean - 3.0).abs() < 1e-9);
+        assert_eq!(s.latency.count, 2);
+        assert!((s.latency.sum - 6e-3).abs() < 1e-12);
         assert_eq!(s.latency_samples_dropped, 0);
         // Exact extrema survive the histogram representation.
-        assert!((s.latency_ms.min - 2.0).abs() < 1e-9);
-        assert!((s.latency_ms.max - 4.0).abs() < 1e-9);
+        assert!((s.latency.min - 2e-3).abs() < 1e-12);
+        assert!((s.latency.max - 4e-3).abs() < 1e-12);
         // Quantile estimates stay inside the observed range.
-        assert!(s.latency_ms.median >= 2.0 && s.latency_ms.median <= 4.0);
-        assert_eq!(s.latency.count, 2);
+        let median = s.latency.quantile(0.5);
+        assert!((2e-3..=4e-3).contains(&median), "median = {median}");
     }
 
     #[test]
@@ -473,7 +413,7 @@ mod tests {
             m.record_latency(Duration::from_nanos(1_000 + i));
         }
         let s = m.snapshot(Precision::F64);
-        assert_eq!(s.latency_ms.count, 300_000);
+        assert_eq!(s.latency.count, 300_000);
         assert_eq!(s.latency_samples_dropped, 0);
     }
 
@@ -503,15 +443,20 @@ mod tests {
         assert_eq!(c.oscillating_bits, 3);
         assert_eq!(c.osd_invocations, 1);
         assert_eq!(c.osd_candidates, 11);
-        assert!((c.mean_bp_iterations() - 28.5).abs() < 1e-12);
     }
 
     #[test]
-    fn render_reports_dropped_samples() {
+    fn exposition_reports_dropped_samples() {
         let m = CodeMetrics::default();
         m.latency_dropped.store(7, Ordering::Relaxed);
-        let text = m.snapshot(Precision::F64).render();
-        assert!(text.contains("(dropped=7)"), "render: {text}");
+        let mut exp = Exposition::new();
+        m.snapshot(Precision::F64)
+            .exposition_into("gross", None, &mut exp);
+        let text = exp.render();
+        assert!(
+            text.contains("qldpc_latency_samples_dropped_total{code=\"gross\"} 7\n"),
+            "exposition: {text}"
+        );
     }
 
     #[test]

@@ -1,15 +1,16 @@
 //! Service assembly: code registration, client handles, submission
 //! gating, and drain-on-shutdown.
 
+use crate::exposition::Exposition;
+use crate::journal::JournalEntry;
 use crate::metrics::{CodeMetrics, MetricsSnapshot};
 use crate::request::{Request, ResponseHandle, ResponseSlot, SubmitError};
 use crate::shard::ShardContext;
 use crossbeam::channel::{self, Sender, TrySendError};
 use qldpc_decoder_api::{share_factory, DecoderFactory, Precision, SharedDecoderFactory};
 use qldpc_gf2::{BitVec, SparseBitMatrix};
-use qldpc_telemetry::{Exposition, JournalEntry};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, RwLock, RwLockWriteGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -198,12 +199,25 @@ struct Shared {
     /// send can race past the close — whatever a worker drains after
     /// observing `closed` is the complete remaining load. The last
     /// panicking worker of a code also drains under the write side
-    /// (`shard::WorkerGuard`), for the same no-race reason.
+    /// (`shard::WorkerGuard`), for the same no-race reason. Metrics
+    /// snapshots read the counters under the write side too: a submitter
+    /// counts its request only after the queue accepted it, so a worker
+    /// can answer it first, and only with no send in flight does every
+    /// answered request already show in `submitted`.
     gate: Arc<RwLock<bool>>,
     /// Lock-free mirror of the gate for worker polling loops.
     closed: Arc<AtomicBool>,
     next_request_id: AtomicU64,
     next_client_id: AtomicU64,
+}
+
+impl Shared {
+    /// Holds off submissions while metrics are read (see `gate`). The
+    /// gate's flag is valid after any panic, so a poisoned lock is used
+    /// as is: counters stay readable for post-mortems.
+    fn hold_sends(&self) -> RwLockWriteGuard<'_, bool> {
+        self.gate.write().unwrap_or_else(|e| e.into_inner())
+    }
 }
 
 /// The running decode service. Dropping it (or calling
@@ -257,13 +271,16 @@ impl DecodeService {
         self.shared.codes.get(code.0).map(|c| c.rows)
     }
 
-    /// Point-in-time metrics for one code.
+    /// Point-in-time metrics for one code. Submissions wait while the
+    /// counters are read, so they agree:
+    /// `completed + expired + lost <= submitted`.
     ///
     /// # Panics
     ///
     /// Panics on an unknown `code` id.
     pub fn metrics(&self, code: CodeId) -> MetricsSnapshot {
         let runtime = &self.shared.codes[code.0];
+        let _no_sends = self.shared.hold_sends();
         runtime.metrics.snapshot(runtime.precision)
     }
 
@@ -290,12 +307,15 @@ impl DecodeService {
         let mut exposition = Exposition::new();
         let mut codes: Vec<&CodeRuntime> = self.shared.codes.iter().collect();
         codes.sort_by(|a, b| a.name.cmp(&b.name));
-        for runtime in codes {
-            runtime.metrics.snapshot(runtime.precision).exposition_into(
-                &runtime.name,
-                node,
-                &mut exposition,
-            );
+        let snapshots: Vec<MetricsSnapshot> = {
+            let _no_sends = self.shared.hold_sends();
+            codes
+                .iter()
+                .map(|c| c.metrics.snapshot(c.precision))
+                .collect()
+        };
+        for (runtime, snapshot) in codes.iter().zip(snapshots) {
+            snapshot.exposition_into(&runtime.name, node, &mut exposition);
         }
         exposition.render()
     }

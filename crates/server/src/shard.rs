@@ -44,10 +44,10 @@
 
 use crate::metrics::CodeMetrics;
 use crate::request::{DecodeError, DecodeResponse, Request};
+use crate::stage::Stage;
 use crossbeam::channel::{Receiver, RecvTimeoutError};
 use qldpc_decoder_api::{DecodeOutcome, SharedDecoderFactory, SyndromeDecoder};
 use qldpc_gf2::{BitVec, SparseBitMatrix};
-use qldpc_telemetry::Stage;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};

@@ -1,4 +1,4 @@
-//! The per-request stage taxonomy and its clocks.
+//! The per-request stage taxonomy and its histograms.
 //!
 //! A decode request's life inside the service decomposes into six
 //! stages, and the latency argument the stack exists to make hinges on
@@ -9,19 +9,17 @@
 //! | `queue_wait` | submit → a worker picks the request up |
 //! | `coalesce_wait` | holding the batch open for more arrivals |
 //! | `steal` | scanning sibling shard queues for head-of-line work |
-//! | `kernel` | the decoder call itself (`decode_batch` / `decode_windows`) |
+//! | `kernel` | the decoder call itself (`decode_batch`) |
 //! | `post_process` | kernel return → all responses of the batch fulfilled |
 //! | `fulfill` | dispatch → this request's own response fulfilled |
 //!
-//! [`StageSet`] keeps one [`StreamingHistogram`] per stage (seconds);
-//! [`SpanClock`] is the cheap lap timer the worker loop uses to mark
-//! stage boundaries without re-reading the clock twice per boundary.
+//! [`StageSet`] keeps one [`StreamingHistogram`] per stage (seconds).
 
 use crate::histogram::{HistogramSnapshot, StreamingHistogram};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// One stage of a request's life. See the crate docs for the
-/// taxonomy.
+/// One stage of a request's life, in pipeline order; the discriminant
+/// indexes the per-stage histograms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
     /// Submit → a worker picks the request up.
@@ -40,7 +38,7 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in canonical (pipeline) order.
-    pub const ALL: [Stage; 6] = [
+    const ALL: [Stage; 6] = [
         Stage::QueueWait,
         Stage::CoalesceWait,
         Stage::Steal,
@@ -50,7 +48,7 @@ impl Stage {
     ];
 
     /// The exposition label, e.g. `"queue_wait"`.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Stage::QueueWait => "queue_wait",
             Stage::CoalesceWait => "coalesce_wait",
@@ -58,17 +56,6 @@ impl Stage {
             Stage::Kernel => "kernel",
             Stage::PostProcess => "post_process",
             Stage::Fulfill => "fulfill",
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            Stage::QueueWait => 0,
-            Stage::CoalesceWait => 1,
-            Stage::Steal => 2,
-            Stage::Kernel => 3,
-            Stage::PostProcess => 4,
-            Stage::Fulfill => 5,
         }
     }
 }
@@ -89,16 +76,11 @@ impl StageSet {
 
     /// Records `duration` against `stage`.
     pub fn record(&self, stage: Stage, duration: Duration) {
-        self.histograms[stage.index()].record(duration.as_secs_f64());
-    }
-
-    /// Records a duration already converted to seconds.
-    pub fn record_secs(&self, stage: Stage, seconds: f64) {
-        self.histograms[stage.index()].record(seconds);
+        self.histograms[stage as usize].record(duration.as_secs_f64());
     }
 
     /// Point-in-time copy of every stage histogram.
-    pub fn snapshot(&self) -> StageSnapshot {
+    pub(crate) fn snapshot(&self) -> StageSnapshot {
         StageSnapshot {
             stages: std::array::from_fn(|i| self.histograms[i].snapshot()),
         }
@@ -114,43 +96,12 @@ pub struct StageSnapshot {
 impl StageSnapshot {
     /// The histogram of one stage.
     pub fn get(&self, stage: Stage) -> &HistogramSnapshot {
-        &self.stages[stage.index()]
+        &self.stages[stage as usize]
     }
 
     /// Iterates `(stage, histogram)` pairs in canonical order.
-    pub fn iter(&self) -> impl Iterator<Item = (Stage, &HistogramSnapshot)> {
-        Stage::ALL.iter().map(|&s| (s, &self.stages[s.index()]))
-    }
-}
-
-/// A lap clock for marking successive stage boundaries: each
-/// [`lap`](Self::lap) returns the time since the previous lap (or
-/// construction) and restarts the clock, so a worker loop reads the
-/// clock once per boundary instead of twice per stage.
-#[derive(Debug)]
-pub struct SpanClock {
-    last: Instant,
-}
-
-impl SpanClock {
-    /// Starts the clock.
-    pub fn start() -> Self {
-        Self {
-            last: Instant::now(),
-        }
-    }
-
-    /// Time since the previous lap; restarts the clock.
-    pub fn lap(&mut self) -> Duration {
-        let now = Instant::now();
-        let elapsed = now - self.last;
-        self.last = now;
-        elapsed
-    }
-
-    /// Time since the previous lap without restarting the clock.
-    pub fn peek(&self) -> Duration {
-        self.last.elapsed()
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (Stage, &HistogramSnapshot)> {
+        Stage::ALL.into_iter().zip(&self.stages)
     }
 }
 
@@ -160,6 +111,9 @@ mod tests {
 
     #[test]
     fn stage_names_are_unique_and_ordered() {
+        // `ALL` lists the stages in discriminant order, so `iter` pairs
+        // each stage with its own histogram.
+        assert!(Stage::ALL.iter().enumerate().all(|(i, &s)| s as usize == i));
         let names: Vec<_> = Stage::ALL.iter().map(|s| s.name()).collect();
         let mut dedup = names.clone();
         dedup.sort_unstable();
@@ -174,23 +128,12 @@ mod tests {
         let set = StageSet::new();
         set.record(Stage::Kernel, Duration::from_micros(250));
         set.record(Stage::Kernel, Duration::from_micros(750));
-        set.record_secs(Stage::QueueWait, 0.001);
+        set.record(Stage::QueueWait, Duration::from_millis(1));
         let snap = set.snapshot();
         assert_eq!(snap.get(Stage::Kernel).count, 2);
         assert!((snap.get(Stage::Kernel).sum - 0.001).abs() < 1e-9);
         assert_eq!(snap.get(Stage::QueueWait).count, 1);
         assert_eq!(snap.get(Stage::Steal).count, 0);
         assert_eq!(snap.iter().count(), 6);
-    }
-
-    #[test]
-    fn span_clock_laps_monotonically() {
-        let mut clock = SpanClock::start();
-        std::thread::sleep(Duration::from_millis(1));
-        let first = clock.lap();
-        assert!(first >= Duration::from_millis(1));
-        let second = clock.lap();
-        assert!(second <= first);
-        assert!(clock.peek() < Duration::from_secs(1));
     }
 }

@@ -562,7 +562,6 @@ fn f32_precision_code_decodes_and_reports_precision() {
 
         let live = service.metrics(code_id);
         assert_eq!(live.precision, Precision::F32);
-        assert!(live.render().contains("precision=f32"));
         let final_snapshot = service.shutdown().remove(0);
         assert_eq!(final_snapshot.precision, Precision::F32);
         assert_eq!(final_snapshot.completed, 60);

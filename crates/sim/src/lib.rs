@@ -48,10 +48,9 @@ pub use decoders::{DecodeOutcome, DecoderFactory, SyndromeDecoder};
 pub use engine::BatchConfig;
 pub use latency::HardwareLatencyModel;
 pub use report::{RunReport, ShotRecord};
-// Percentile/latency statistics live in `bpsf_core::stats` (shared with
-// the `qldpc-server` metrics); re-exported here so sim's public API is
-// unchanged.
-pub use bpsf_core::stats::{percentile, LatencyStats};
+// `LatencyStats` lives in `bpsf_core::stats`, next to the Wilson
+// interval the reports and the campaign engine share.
+pub use bpsf_core::stats::LatencyStats;
 
 /// Converts an end-to-end logical error rate over `rounds` rounds into a
 /// per-round rate via the paper's Eq. 11: `1 − (1 − LER)^(1/d)`.

@@ -46,7 +46,6 @@ pub use qldpc_gf2 as gf2;
 pub use qldpc_osd as osd;
 pub use qldpc_server as server;
 pub use qldpc_sim as sim;
-pub use qldpc_telemetry as telemetry;
 pub use qldpc_wire as wire;
 
 /// The most common imports for working with the stack.
