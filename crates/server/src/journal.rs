@@ -27,7 +27,7 @@ pub struct JournalEntry {
     pub elapsed: Duration,
     /// Short machine-readable event class, e.g. `"worker-death"`.
     pub kind: &'static str,
-    /// Free-form context, e.g. `"code=gross shard=1"`.
+    /// Free-form context, e.g. `"code=gross worker=1"`.
     pub detail: String,
 }
 

@@ -18,12 +18,13 @@
 //!   get a [`ResponseHandle`] back — blocking `wait`, bounded
 //!   `wait_timeout`, and non-blocking `try_take`, plus per-request
 //!   dispatch deadlines.
-//! * **Shard queues** — each code runs `shards` workers, each owning a
-//!   decoder instance and a bounded FIFO queue (high-water mark ⇒
-//!   [`SubmitError::Overloaded`] backpressure). A client sticks to one
-//!   home shard, so its requests leave the queue in submission order
-//!   (completion order is additionally FIFO when the code runs a single
-//!   shard; concurrent shards may finish their batches out of order).
+//! * **One queue per code** — each code has one bounded FIFO queue
+//!   (full ⇒ [`SubmitError::Overloaded`] backpressure) and `shards`
+//!   workers, each owning a decoder instance, that all pop its head. A
+//!   client's requests therefore leave the queue in submission order,
+//!   and no worker idles while work waits (completion order is
+//!   additionally FIFO when the code runs a single worker; concurrent
+//!   workers may finish their batches out of order).
 //! * **Micro-batching scheduler** — a worker coalesces requests until
 //!   `max_batch` (default: the kernel lane width,
 //!   [`qldpc_bp::DEFAULT_MAX_LANES`]) or until the `max_wait` window
@@ -32,14 +33,10 @@
 //!   call. Batched and per-shot decoding are bit-identical (the PR-2
 //!   equivalence suites), so batching is invisible to clients except in
 //!   latency.
-//! * **Work stealing** — an idle worker pops the *head* of the deepest
-//!   sibling queue, preserving the order in which a client's requests
-//!   are pulled for decoding while keeping every shard busy under
-//!   skewed load.
 //! * **Telemetry** ([`MetricsSnapshot`]) — throughput counters, a
 //!   dispatched batch-size histogram, the end-to-end latency and one
-//!   duration histogram per [`Stage`] (queue-wait, coalesce-wait,
-//!   steal, kernel, post-process, fulfill), all lock-light
+//!   duration histogram per [`Stage`] (the five stages queue-wait,
+//!   coalesce-wait, kernel, post-process, fulfill), all lock-light
 //!   [`StreamingHistogram`]s of constant memory; decoder convergence
 //!   counters ([`ConvergenceSnapshot`]); and a bounded post-mortem
 //!   event journal ([`DecodeService::journal`]). Recording is a few
@@ -47,12 +44,12 @@
 //!   [`DecodeService::render_exposition`] renders it all as a
 //!   deterministic Prometheus-style text page: lines sorted, equal
 //!   values formatted to equal bytes.
-//! * **Shutdown drains** — closing the service gates out new
-//!   submissions, then workers drain every queue so each accepted
-//!   request still gets exactly one response.
+//! * **Shutdown drains** — closing the service drops the queues'
+//!   senders under the submission gate, then workers drain every queue
+//!   so each accepted request still gets exactly one response.
 //! * **Worker-death liveness** — a panicking decoder cannot strand its
 //!   waiters: drop guards answer the in-flight batch, and the last
-//!   panicking worker of a code drains that code's queues, with
+//!   panicking worker of a code drains that code's queue, with
 //!   [`DecodeError::WorkerLost`]; later submissions are refused with
 //!   [`SubmitError::Shutdown`].
 //! * **Networked front-end** ([`NetFrontend`]) — an optional std-only

@@ -26,7 +26,7 @@ const JOURNAL_CAPACITY: usize = 256;
 /// The quantile estimates every exposed histogram decomposes into.
 const EXPOSED_QUANTILES: [f64; 3] = [0.5, 0.95, 0.99];
 
-/// Live, lock-light counters one registered code's shards share.
+/// Live, lock-light counters one registered code's workers share.
 #[derive(Debug)]
 pub(crate) struct CodeMetrics {
     pub submitted: AtomicU64,
@@ -39,8 +39,6 @@ pub(crate) struct CodeMetrics {
     pub batches: AtomicU64,
     /// Live (non-expired) requests summed over all dispatched batches.
     pub batched_requests: AtomicU64,
-    /// Requests decoded by a shard other than their home shard.
-    pub stolen: AtomicU64,
     batch_histogram: [AtomicU64; BATCH_HISTOGRAM_BUCKETS],
     /// End-to-end (submit → fulfill) latency, in seconds.
     latency: StreamingHistogram,
@@ -48,7 +46,7 @@ pub(crate) struct CodeMetrics {
     /// happen for `Duration`-sourced values, but the accounting stays
     /// visible rather than silent).
     latency_dropped: AtomicU64,
-    /// Per-stage durations (queue-wait, coalesce-wait, steal, kernel,
+    /// Per-stage durations (queue-wait, coalesce-wait, kernel,
     /// post-process, fulfill), in seconds.
     pub stages: StageSet,
     /// Decoder convergence-effort counters.
@@ -67,7 +65,6 @@ impl Default for CodeMetrics {
             lost: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             batched_requests: AtomicU64::new(0),
-            stolen: AtomicU64::new(0),
             batch_histogram: std::array::from_fn(|_| AtomicU64::new(0)),
             latency: StreamingHistogram::new(),
             latency_dropped: AtomicU64::new(0),
@@ -138,7 +135,6 @@ impl CodeMetrics {
             } else {
                 batched as f64 / batches as f64
             },
-            stolen: self.stolen.load(Ordering::Relaxed),
             batch_histogram: std::array::from_fn(|i| {
                 self.batch_histogram[i].load(Ordering::Relaxed)
             }),
@@ -218,7 +214,7 @@ pub struct MetricsSnapshot {
     /// Declared message precision of this code's decoder pool
     /// (`ServiceConfig::precision`).
     pub precision: Precision,
-    /// Requests accepted into a shard queue.
+    /// Requests accepted into the code's queue.
     pub submitted: u64,
     /// Submissions refused with `SubmitError::Overloaded`.
     pub rejected_overload: u64,
@@ -233,8 +229,6 @@ pub struct MetricsSnapshot {
     pub batches: u64,
     /// Mean live requests per dispatched batch.
     pub mean_batch_size: f64,
-    /// Requests decoded by a non-home shard (work stealing).
-    pub stolen: u64,
     /// Dispatched-batch-size counts in power-of-two buckets: `1`, `2`,
     /// `3-4`, … `129-256`, `>256`.
     pub batch_histogram: [u64; BATCH_HISTOGRAM_BUCKETS],
@@ -293,7 +287,6 @@ impl MetricsSnapshot {
         exp.counter("qldpc_requests_completed_total", l, self.completed);
         exp.counter("qldpc_requests_expired_total", l, self.expired);
         exp.counter("qldpc_requests_lost_total", l, self.lost);
-        exp.counter("qldpc_requests_stolen_total", l, self.stolen);
         exp.counter("qldpc_batches_total", l, self.batches);
         exp.gauge("qldpc_batch_size_mean", l, self.mean_batch_size);
         exp.counter(
@@ -472,7 +465,6 @@ mod tests {
         for stage in [
             "queue_wait",
             "coalesce_wait",
-            "steal",
             "kernel",
             "post_process",
             "fulfill",

@@ -14,11 +14,11 @@
 //!   (many submissions can be in flight at once, bounded by
 //!   [`FrontendConfig::max_inflight`]).
 //!
-//! Back-pressure is layered: the service's own bounded shard queues
-//! refuse with [`ErrorCode::Overloaded`] (service-wide), while the
-//! per-connection in-flight cap refuses with [`ErrorCode::RateLimited`]
-//! (one client monopolizing the queues) — distinct wire errors so a
-//! client can tell "slow down" from "the service is saturated".
+//! Back-pressure is layered: a full code's queue refuses with
+//! [`ErrorCode::Overloaded`] (service-wide), while the per-connection
+//! in-flight cap refuses with [`ErrorCode::RateLimited`] (one client
+//! monopolizing the queue) — distinct wire errors so a client can tell
+//! "slow down" from "the service is saturated".
 //!
 //! A dropped connection can leak nothing: the writer drains every
 //! enqueued response handle even when the socket is already dead (write
@@ -33,7 +33,7 @@ use qldpc_wire::{
     PROTOCOL_VERSION,
 };
 use std::io::{self, BufReader, BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -67,8 +67,9 @@ impl Default for FrontendConfig {
     }
 }
 
-/// Interval at which the accept loop re-checks the stop flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(2);
+/// Pause after a failed `accept` (e.g. out of file descriptors), so a
+/// persistent error does not spin the accept thread.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(2);
 
 /// Both socket flavors a front-end serves, unified for the connection
 /// machinery.
@@ -140,7 +141,6 @@ impl NetFrontend {
     ) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let mut frontend = Self::new(Some(local_addr), None);
         let accept = frontend.accept_parts(service, config);
         let thread = std::thread::Builder::new()
@@ -164,7 +164,6 @@ impl NetFrontend {
     ) -> io::Result<Self> {
         let path = path.as_ref().to_path_buf();
         let listener = UnixListener::bind(&path)?;
-        listener.set_nonblocking(true)?;
         let mut frontend = Self::new(None, Some(path));
         let accept = frontend.accept_parts(service, config);
         let thread = std::thread::Builder::new()
@@ -213,11 +212,14 @@ impl NetFrontend {
         if self.stop.swap(true, Ordering::SeqCst) {
             return;
         }
-        for sock in self.conns.lock().expect("conn registry poisoned").iter() {
-            sock.shutdown();
-        }
+        self.wake_accept();
         if let Some(thread) = self.accept_thread.take() {
             let _ = thread.join();
+        }
+        // The accept loop has exited, so no connection can register
+        // behind this sweep.
+        for sock in self.conns.lock().expect("conn registry poisoned").iter() {
+            sock.shutdown();
         }
         let threads: Vec<_> = self
             .conn_threads
@@ -230,6 +232,23 @@ impl NetFrontend {
         }
         if let Some(path) = self.uds_path.take() {
             let _ = std::fs::remove_file(path);
+        }
+    }
+
+    /// Unblocks the accept loop with one connection to the front-end's
+    /// own socket; the loop sees `stop` and drops it unregistered.
+    fn wake_accept(&self) {
+        if let Some(mut addr) = self.local_addr {
+            if addr.ip().is_unspecified() {
+                addr.set_ip(match addr.ip() {
+                    IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            let _ = TcpStream::connect(addr);
+        }
+        if let Some(path) = &self.uds_path {
+            let _ = UnixStream::connect(path);
         }
     }
 }
@@ -257,8 +276,12 @@ impl AcceptLoop {
         register: impl Fn(&C) -> io::Result<RegSock>,
     ) {
         let mut conn_index = 0usize;
-        while !self.stop.load(Ordering::SeqCst) {
-            match accept() {
+        loop {
+            let accepted = accept();
+            if self.stop.load(Ordering::SeqCst) {
+                return;
+            }
+            match accepted {
                 Ok(stream) => {
                     if let Ok(reg) = register(&stream) {
                         self.conns.lock().expect("conn registry poisoned").push(reg);
@@ -276,15 +299,7 @@ impl AcceptLoop {
                             .push(thread);
                     }
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
-                }
-                Err(_) => {
-                    if self.stop.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    std::thread::sleep(ACCEPT_POLL);
-                }
+                Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
             }
         }
     }
@@ -304,8 +319,6 @@ enum WriteItem {
 }
 
 fn run_connection<C: Conn>(service: Arc<DecodeService>, config: FrontendConfig, stream: C) {
-    // The accepted socket may inherit the listener's non-blocking mode
-    // on some platforms; the protocol threads want blocking reads.
     let write_half = match stream.try_clone_conn() {
         Ok(half) => half,
         Err(_) => return,

@@ -12,8 +12,8 @@ use std::time::{Duration, Instant};
 /// queue and no [`ResponseHandle`] exists).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubmitError {
-    /// The target shard queue is at its high-water mark — backpressure.
-    /// Retry later or shed load upstream.
+    /// The code's queue is full — backpressure. Retry later or shed load
+    /// upstream.
     Overloaded,
     /// The service has been shut down (or every worker of the code has
     /// died — see [`DecodeError::WorkerLost`]).
@@ -33,7 +33,7 @@ pub enum SubmitError {
 impl fmt::Display for SubmitError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SubmitError::Overloaded => write!(f, "shard queue at high-water mark"),
+            SubmitError::Overloaded => write!(f, "the code's queue is full"),
             SubmitError::Shutdown => write!(f, "service is shut down"),
             SubmitError::UnknownCode => write!(f, "unknown code id"),
             SubmitError::SyndromeLength { expected, got } => {
@@ -51,7 +51,7 @@ pub enum DecodeError {
     /// The per-request deadline had already passed when the scheduler
     /// pulled the request into a batch; it was not decoded.
     DeadlineExceeded,
-    /// The shard worker owning the request died (panicked) before
+    /// The worker owning the request died (panicked) before
     /// producing an outcome. The request was not decoded, but the
     /// "exactly one response per accepted request" invariant holds:
     /// nothing waits forever on a dead worker.
@@ -62,7 +62,7 @@ impl fmt::Display for DecodeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DecodeError::DeadlineExceeded => write!(f, "deadline exceeded before dispatch"),
-            DecodeError::WorkerLost => write!(f, "shard worker lost before decoding"),
+            DecodeError::WorkerLost => write!(f, "worker lost before decoding"),
         }
     }
 }
@@ -85,7 +85,7 @@ pub struct DecodeResponse {
     pub batch_size: usize,
     /// Monotone per-code completion stamp: batches get a contiguous
     /// range in dispatch order, requests within a batch keep their
-    /// queue order. With a single shard this makes per-client FIFO
+    /// queue order. With a single worker this makes per-client FIFO
     /// directly observable (see the soak tests).
     pub completion_seq: u64,
     /// Time from submission to the scheduler pulling the request into a
@@ -93,8 +93,6 @@ pub struct DecodeResponse {
     pub queue_time: Duration,
     /// Time from submission to response fulfillment.
     pub total_time: Duration,
-    /// Whether a non-home shard decoded it (work stealing).
-    pub stolen: bool,
 }
 
 /// One-shot slot a worker fulfills and a waiter blocks on.
@@ -136,7 +134,7 @@ impl ResponseSlot {
 /// A claim on one in-flight request. Exactly one of [`wait`],
 /// [`wait_timeout`] or [`try_take`] eventually yields the
 /// [`DecodeResponse`]; the service fulfills every accepted request, even
-/// through shutdown (the shards drain their queues before exiting) and
+/// through shutdown (the workers drain the queues before exiting) and
 /// through worker death (a lost worker's requests are answered with
 /// [`DecodeError::WorkerLost`]).
 ///
@@ -215,13 +213,12 @@ impl ResponseHandle {
     }
 }
 
-/// Internal queued form of a request, owned by the shard queues.
+/// Internal queued form of a request, owned by its code's queue.
 pub(crate) struct Request {
     pub id: u64,
     pub client_seq: u64,
     pub deadline: Option<Instant>,
     pub submitted_at: Instant,
-    pub home_shard: usize,
     pub syndrome: BitVec,
     /// Where the answer goes.
     pub slot: Arc<ResponseSlot>,
@@ -240,7 +237,6 @@ impl Request {
             completion_seq,
             queue_time: total_time,
             total_time,
-            stolen: false,
         });
     }
 }
@@ -259,7 +255,6 @@ mod tests {
             completion_seq: 0,
             queue_time: Duration::ZERO,
             total_time: Duration::ZERO,
-            stolen: false,
         }
     }
 
@@ -351,7 +346,6 @@ mod tests {
             client_seq: 1,
             deadline: None,
             submitted_at: Instant::now(),
-            home_shard: 0,
             syndrome: BitVec::zeros(4),
             slot: Arc::clone(&slot),
         };

@@ -9,15 +9,16 @@ use crate::shard::ShardContext;
 use crossbeam::channel::{self, Sender, TrySendError};
 use qldpc_decoder_api::{share_factory, DecoderFactory, Precision, SharedDecoderFactory};
 use qldpc_gf2::{BitVec, SparseBitMatrix};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock, RwLockWriteGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Per-code tuning of the scheduler and its shard pool.
+/// Per-code tuning of the scheduler and its workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceConfig {
-    /// Worker shards (threads, each owning a decoder instance).
+    /// Workers on the code's queue (threads, each owning a decoder
+    /// instance).
     pub shards: usize,
     /// Dispatch a batch as soon as this many requests are in hand. The
     /// default is the batch kernel's lane width,
@@ -26,8 +27,9 @@ pub struct ServiceConfig {
     /// How long a worker holds the batch window open waiting for more
     /// requests after the first one arrives.
     pub max_wait: Duration,
-    /// Shard-queue high-water mark; submissions beyond it are rejected
-    /// with [`SubmitError::Overloaded`].
+    /// Capacity of the code's one queue, shared by all its workers;
+    /// submissions beyond it are rejected with
+    /// [`SubmitError::Overloaded`].
     pub queue_capacity: usize,
     /// Message precision of the decoders this code's factory builds.
     ///
@@ -65,8 +67,8 @@ struct CodeSpec {
     config: ServiceConfig,
 }
 
-/// Staged registration; [`ServiceBuilder::start`] spawns the shard pools
-/// and returns the running service.
+/// Staged registration; [`ServiceBuilder::start`] spawns every code's
+/// workers and returns the running service.
 #[derive(Default)]
 pub struct ServiceBuilder {
     codes: Vec<CodeSpec>,
@@ -120,25 +122,24 @@ impl ServiceBuilder {
         id
     }
 
-    /// Spawns every shard worker and opens the service for submissions.
+    /// Spawns every worker and opens the service for submissions.
     pub fn start(self) -> DecodeService {
-        let closed = Arc::new(AtomicBool::new(false));
-        let gate = Arc::new(RwLock::new(false));
+        let (senders, queues): (Vec<_>, Vec<_>) = self
+            .codes
+            .iter()
+            .map(|spec| channel::bounded::<Request>(spec.config.queue_capacity))
+            .unzip();
+        let gate = Arc::new(RwLock::new(senders));
         let mut codes = Vec::with_capacity(self.codes.len());
         let mut workers = Vec::new();
-        for spec in self.codes {
+        for (spec, queue) in self.codes.into_iter().zip(queues) {
             let metrics = Arc::new(CodeMetrics::default());
             let completion_counter = Arc::new(AtomicU64::new(0));
             let alive = Arc::new(AtomicUsize::new(spec.config.shards));
-            let pairs: Vec<_> = (0..spec.config.shards)
-                .map(|_| channel::bounded::<Request>(spec.config.queue_capacity))
-                .collect();
-            let receivers: Vec<_> = pairs.iter().map(|(_, rx)| rx.clone()).collect();
-            let senders: Vec<Sender<Request>> = pairs.into_iter().map(|(tx, _)| tx).collect();
             for shard_index in 0..spec.config.shards {
                 let ctx = ShardContext {
                     shard_index,
-                    queues: receivers.clone(),
+                    queue: queue.clone(),
                     h: Arc::clone(&spec.h),
                     priors: Arc::clone(&spec.priors),
                     factory: Arc::clone(&spec.factory),
@@ -146,22 +147,19 @@ impl ServiceBuilder {
                     max_wait: spec.config.max_wait,
                     metrics: Arc::clone(&metrics),
                     completion_counter: Arc::clone(&completion_counter),
-                    closed: Arc::clone(&closed),
                     alive: Arc::clone(&alive),
                     gate: Arc::clone(&gate),
                 };
                 let thread = std::thread::Builder::new()
                     .name(format!("qldpc-server/{}/{shard_index}", spec.name))
                     .spawn(move || ctx.run())
-                    .expect("failed to spawn shard worker");
+                    .expect("failed to spawn worker");
                 workers.push(thread);
             }
             codes.push(CodeRuntime {
                 rows: spec.h.rows(),
                 name: spec.name,
-                shards: spec.config.shards,
                 precision: spec.config.precision,
-                senders,
                 metrics,
                 alive,
             });
@@ -170,9 +168,7 @@ impl ServiceBuilder {
             shared: Arc::new(Shared {
                 codes,
                 gate,
-                closed,
                 next_request_id: AtomicU64::new(0),
-                next_client_id: AtomicU64::new(0),
             }),
             workers,
         }
@@ -183,9 +179,7 @@ struct CodeRuntime {
     name: String,
     /// Syndrome length the code accepts (`h.rows()`).
     rows: usize,
-    shards: usize,
     precision: Precision,
-    senders: Vec<Sender<Request>>,
     metrics: Arc<CodeMetrics>,
     /// Still-running workers; zero means every decoder of this code has
     /// died (see `shard::WorkerGuard`) and submissions must refuse.
@@ -194,34 +188,33 @@ struct CodeRuntime {
 
 struct Shared {
     codes: Vec<CodeRuntime>,
-    /// `true` once shut down. Submissions hold the read side across
-    /// check-and-send; shutdown flips it under the write side, so no
-    /// send can race past the close — whatever a worker drains after
-    /// observing `closed` is the complete remaining load. The last
-    /// panicking worker of a code also drains under the write side
-    /// (`shard::WorkerGuard`), for the same no-race reason. Metrics
-    /// snapshots read the counters under the write side too: a submitter
-    /// counts its request only after the queue accepted it, so a worker
-    /// can answer it first, and only with no send in flight does every
-    /// answered request already show in `submitted`.
-    gate: Arc<RwLock<bool>>,
-    /// Lock-free mirror of the gate for worker polling loops.
-    closed: Arc<AtomicBool>,
+    /// The sending half of each code's queue, indexed like `codes`;
+    /// empty once shut down. Submissions hold the read side across
+    /// check-and-send; shutdown drops the senders under the write side,
+    /// so no send can race past the close, and a worker's `recv` fails
+    /// only once the queue is empty — whatever the workers drain is the
+    /// complete remaining load. The last panicking worker of a code also
+    /// drains under the write side (`shard::WorkerGuard`), for the same
+    /// no-race reason. Metrics snapshots read the counters under the
+    /// write side too: a submitter counts its request only after the
+    /// queue accepted it, so a worker can answer it first, and only with
+    /// no send in flight does every answered request already show in
+    /// `submitted`.
+    gate: Arc<RwLock<Vec<Sender<Request>>>>,
     next_request_id: AtomicU64,
-    next_client_id: AtomicU64,
 }
 
 impl Shared {
     /// Holds off submissions while metrics are read (see `gate`). The
-    /// gate's flag is valid after any panic, so a poisoned lock is used
-    /// as is: counters stay readable for post-mortems.
-    fn hold_sends(&self) -> RwLockWriteGuard<'_, bool> {
+    /// senders are valid after any panic, so a poisoned lock is used as
+    /// is: counters stay readable for post-mortems.
+    fn hold_sends(&self) -> RwLockWriteGuard<'_, Vec<Sender<Request>>> {
         self.gate.write().unwrap_or_else(|e| e.into_inner())
     }
 }
 
 /// The running decode service. Dropping it (or calling
-/// [`DecodeService::shutdown`]) closes submissions, drains every shard
+/// [`DecodeService::shutdown`]) closes submissions, drains every code's
 /// queue — every accepted request still gets its response — and joins
 /// the worker threads.
 pub struct DecodeService {
@@ -235,17 +228,14 @@ impl DecodeService {
         ServiceBuilder::default()
     }
 
-    /// Creates a submission handle with a fresh client identity.
-    /// Requests from one client go to one *home shard*
-    /// (`client_id % shards`) in submission order, so they are pulled
-    /// out of that queue for decoding in submission order (every
-    /// consumer pops the head). Their *completion* order is also FIFO
-    /// when the code runs a single shard; with several shards,
-    /// concurrently decoded batches may finish out of order.
+    /// Creates a submission handle. Each code has one FIFO queue and
+    /// every worker pops its head, so a client's requests are pulled for
+    /// decoding in submission order. Their *completion* order is also
+    /// FIFO when the code runs a single worker; with several, batches
+    /// decoded concurrently may finish out of order.
     pub fn client(&self) -> Client {
         Client {
             shared: Arc::clone(&self.shared),
-            client_id: self.shared.next_client_id.fetch_add(1, Ordering::Relaxed),
             next_seq: 0,
         }
     }
@@ -331,17 +321,15 @@ impl DecodeService {
     }
 
     fn shutdown_impl(&mut self) {
-        {
-            let mut gate = self.shared.gate.write().expect("service gate poisoned");
-            *gate = true;
-        }
-        self.shared.closed.store(true, Ordering::Release);
+        // Dropping the senders is the close: once a code's queue is
+        // empty, its workers' `recv` fails and they exit.
+        self.shared.hold_sends().clear();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
     }
 
-    /// Closes submissions, waits for every shard to drain its queue
+    /// Closes submissions, waits for the workers to drain every queue
     /// (all outstanding handles resolve), joins the workers, and
     /// returns the final per-code metrics in registration order.
     pub fn shutdown(mut self) -> Vec<MetricsSnapshot> {
@@ -366,16 +354,10 @@ impl Drop for DecodeService {
 /// [`DecodeService::client`].
 pub struct Client {
     shared: Arc<Shared>,
-    client_id: u64,
     next_seq: u64,
 }
 
 impl Client {
-    /// This client's stable identity.
-    pub fn client_id(&self) -> u64 {
-        self.client_id
-    }
-
     /// Submits a syndrome with no deadline.
     pub fn submit(
         &mut self,
@@ -416,29 +398,28 @@ impl Client {
             });
         }
         // Hold the gate's read side across check-and-send (see `Shared`).
-        let gate = self.shared.gate.read().expect("service gate poisoned");
-        if *gate || runtime.alive.load(Ordering::Acquire) == 0 {
-            return Err(SubmitError::Shutdown);
-        }
-        let home_shard = (self.client_id as usize) % runtime.shards;
+        let senders = self.shared.gate.read().expect("service gate poisoned");
+        let queue = match senders.get(code.0) {
+            Some(queue) if runtime.alive.load(Ordering::Acquire) > 0 => queue,
+            _ => return Err(SubmitError::Shutdown),
+        };
         let slot = Arc::new(ResponseSlot::default());
         let request = Request {
             id: self.shared.next_request_id.fetch_add(1, Ordering::Relaxed),
             client_seq: self.next_seq,
             deadline,
             submitted_at: Instant::now(),
-            home_shard,
             syndrome,
             slot: Arc::clone(&slot),
         };
         let (id, seq) = (request.id, request.client_seq);
-        match runtime.senders[home_shard].try_send(request) {
+        match queue.try_send(request) {
             Ok(()) => {
                 // Count while still holding the gate: shutdown's write
                 // lock then orders after this increment, so a final
                 // snapshot can never see `completed > submitted`.
                 runtime.metrics.submitted.fetch_add(1, Ordering::Relaxed);
-                drop(gate);
+                drop(senders);
                 self.next_seq += 1;
                 Ok(ResponseHandle {
                     slot,
@@ -451,15 +432,14 @@ impl Client {
                     .metrics
                     .rejected_overload
                     .fetch_add(1, Ordering::Relaxed);
-                drop(gate);
-                runtime.metrics.journal.record(
-                    "overload",
-                    format!("request rejected: shard {home_shard} queue full"),
-                );
+                drop(senders);
+                runtime
+                    .metrics
+                    .journal
+                    .record("overload", "request rejected: the code's queue is full");
                 Err(SubmitError::Overloaded)
             }
-            // Workers only exit after shutdown, so a gone receiver is a
-            // closed service.
+            // Every worker of the code is gone: a closed service.
             Err(TrySendError::Disconnected(_)) => Err(SubmitError::Shutdown),
         }
     }

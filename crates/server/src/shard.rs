@@ -1,28 +1,29 @@
-//! Shard workers: the dynamic micro-batching scheduler and the
-//! work-stealing decode loop.
+//! Workers: the dynamic micro-batching scheduler and its decode loop.
 //!
-//! Each registered code owns `shards` workers. A worker's loop is:
+//! Each registered code owns one bounded FIFO queue and `shards`
+//! workers, each with its own decoder, that all pop its head. A
+//! worker's loop is:
 //!
-//! 1. **Acquire** — pop the oldest request from its own queue; if that
-//!    is empty, steal the head of the deepest sibling queue; if every
-//!    queue is empty, park on its own queue (bounded naps, so the
-//!    shutdown flag is observed within [`PARK`]).
+//! 1. **Acquire** — block until the queue yields its oldest request.
 //! 2. **Coalesce** — keep the batch window open for at most `max_wait`,
-//!    greedily draining its own queue (then stealing) until `max_batch`
-//!    requests are in hand. A full queue therefore dispatches immediately
-//!    at the kernel's lane width; a trickle dispatches after `max_wait`
-//!    with whatever arrived.
+//!    greedily draining the queue until `max_batch` requests are in
+//!    hand. A full queue therefore dispatches immediately at the
+//!    kernel's lane width; a trickle dispatches after `max_wait` with
+//!    whatever arrived.
 //! 3. **Dispatch** — expire requests whose deadline has passed, decode
 //!    the rest in one [`decode_batch`] call, and fulfill every slot.
 //!
-//! All consumers (owner and thieves) pop from the queue *head*, so
-//! requests of one client — which a [`Client`](crate::Client) always
-//! sends to one home shard — are *pulled into batches* in submission
-//! order no matter who decodes them. Note this ordering covers queue
-//! departure, not completion: with several shards, two batches holding
-//! a client's consecutive requests may be decoded concurrently and
-//! finish out of order; completion-order FIFO per client is guaranteed
-//! only at `shards = 1` (what the soak tests assert).
+//! Shutdown drops the queue's senders. The queue then reports
+//! `Disconnected` only once it is empty, so a worker drains it and
+//! exits with no flag to poll.
+//!
+//! Every worker pops the queue *head*, so a client's requests are
+//! *pulled into batches* in submission order no matter who decodes
+//! them. This ordering covers queue departure, not completion: with
+//! several workers, two batches holding a client's consecutive requests
+//! may be decoded concurrently and finish out of order; completion-order
+//! FIFO per client is guaranteed only at `shards = 1` (what the soak
+//! tests assert).
 //!
 //! # Worker death
 //!
@@ -34,7 +35,7 @@
 //!   the decoder panics, its `Drop` answers every not-yet-fulfilled
 //!   request of the batch with [`DecodeError::WorkerLost`].
 //! * [`WorkerGuard`] covers the whole worker lifetime. The *last*
-//!   worker of a code to die panicking drains every shard queue —
+//!   worker of a code to die panicking drains the code's queue —
 //!   under the submission gate's write side, so no new request can
 //!   slip in behind the drain — answering each queued request with
 //!   `WorkerLost`. Submissions observe `alive == 0` afterwards and are
@@ -45,25 +46,20 @@
 use crate::metrics::CodeMetrics;
 use crate::request::{DecodeError, DecodeResponse, Request};
 use crate::stage::Stage;
-use crossbeam::channel::{Receiver, RecvTimeoutError};
+use crossbeam::channel::{Receiver, Sender};
 use qldpc_decoder_api::{DecodeOutcome, SharedDecoderFactory, SyndromeDecoder};
 use qldpc_gf2::{BitVec, SparseBitMatrix};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
-/// Upper bound on any blocking nap in the worker loop; the shutdown flag
-/// is re-checked at least this often even when no traffic arrives.
-const PARK: Duration = Duration::from_millis(5);
-
-/// Everything one shard worker needs; moved into its thread at spawn.
+/// Everything one worker needs; moved into its thread at spawn.
 pub(crate) struct ShardContext {
-    /// This worker's shard index within its code.
+    /// This worker's index within its code (thread name and journal).
     pub shard_index: usize,
-    /// Receivers of *all* the code's shard queues, indexed by shard; the
-    /// worker owns index [`Self::shard_index`] and steals from the rest.
-    pub queues: Vec<Receiver<Request>>,
+    /// The code's one queue, shared by all its workers.
+    pub queue: Receiver<Request>,
     /// The code's check matrix and priors, and the factory this worker
     /// builds its own decoder instance from.
     pub h: Arc<SparseBitMatrix>,
@@ -72,109 +68,47 @@ pub(crate) struct ShardContext {
     pub max_batch: usize,
     pub max_wait: Duration,
     pub metrics: Arc<CodeMetrics>,
-    /// Per-code monotone completion stamp shared by all its shards.
+    /// Per-code monotone completion stamp shared by all its workers.
     pub completion_counter: Arc<AtomicU64>,
-    /// Service-wide shutdown flag; once set, no submission can enter a
-    /// queue, and workers drain every queue before exiting.
-    pub closed: Arc<AtomicBool>,
     /// Still-running workers of this code; submissions refuse when it
     /// hits zero (every decoder of the code is gone).
     pub alive: Arc<AtomicUsize>,
     /// The service's submission gate (see `service::Shared`); the last
-    /// worker to die panicking drains the queues under its write side.
-    pub gate: Arc<RwLock<bool>>,
+    /// worker to die panicking drains the queue under its write side.
+    pub gate: Arc<RwLock<Vec<Sender<Request>>>>,
 }
 
 impl ShardContext {
-    fn own(&self) -> &Receiver<Request> {
-        &self.queues[self.shard_index]
-    }
-
-    /// Steals the head of the deepest non-empty sibling queue.
-    fn steal(&self) -> Option<Request> {
-        let scan_start = Instant::now();
-        let mut victim = None;
-        let mut depth = 0;
-        for (i, queue) in self.queues.iter().enumerate() {
-            if i == self.shard_index {
-                continue;
-            }
-            let len = queue.len();
-            if len > depth {
-                depth = len;
-                victim = Some(i);
-            }
-        }
-        let stolen = self.queues[victim?].try_recv().ok()?;
-        // Only successful steals are worth a histogram sample; the
-        // empty-scan fast path stays clock-free past the single read.
-        self.metrics
-            .stages
-            .record(Stage::Steal, scan_start.elapsed());
-        Some(stolen)
-    }
-
-    /// Pops the next request without blocking: own queue first, then a
-    /// steal.
-    fn poll(&self) -> Option<Request> {
-        self.own().try_recv().ok().or_else(|| self.steal())
-    }
-
     /// The worker thread body.
     pub fn run(self) {
         // Arm the liveness guard before building the decoder: even a
         // panicking factory must not strand queued requests.
         let _guard = WorkerGuard { ctx: &self };
         let mut decoder = (self.factory)(&self.h, &self.priors);
-        loop {
-            let first = match self.poll() {
-                Some(request) => request,
-                None => {
-                    if self.closed.load(Ordering::Acquire) {
-                        // Closed and every queue empty: nothing can arrive
-                        // anymore (submissions are gated), we are done.
-                        match self.poll() {
-                            Some(request) => request,
-                            None => return,
-                        }
-                    } else {
-                        match self.own().recv_timeout(PARK) {
-                            Ok(request) => request,
-                            Err(RecvTimeoutError::Timeout) => continue,
-                            Err(RecvTimeoutError::Disconnected) => return,
-                        }
-                    }
-                }
-            };
+        // `recv` fails only once shutdown has dropped the senders and
+        // the queue is empty: drain, then exit.
+        while let Ok(first) = self.queue.recv() {
             let (batch, coalesce_wait) = self.coalesce(first);
             self.dispatch(decoder.as_mut(), batch, coalesce_wait);
         }
     }
 
     /// Grows a batch around `first` until `max_batch` requests are in
-    /// hand or the `max_wait` window closes (immediately, under
-    /// shutdown). Also returns how long the window was held open.
+    /// hand, the `max_wait` window closes with the queue empty, or the
+    /// queue is disconnected (under shutdown). Also returns how long
+    /// the window was held open.
     fn coalesce(&self, first: Request) -> (Vec<Request>, Duration) {
         let opened_at = Instant::now();
         let mut batch = Vec::with_capacity(self.max_batch.min(64));
         batch.push(first);
         let window_end = opened_at + self.max_wait;
         while batch.len() < self.max_batch {
-            if let Some(request) = self.poll() {
-                batch.push(request);
-                continue;
-            }
-            if self.closed.load(Ordering::Acquire) {
-                break; // drain fast; don't hold the window open
-            }
-            let Some(remaining) = window_end.checked_duration_since(Instant::now()) else {
-                break;
+            // A closed window still takes what is already queued.
+            let remaining = window_end.saturating_duration_since(Instant::now());
+            let Ok(request) = self.queue.recv_timeout(remaining) else {
+                break; // window closed and queue empty, or disconnected
             };
-            match self.own().recv_timeout(remaining.min(PARK)) {
-                Ok(request) => batch.push(request),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
+            batch.push(request);
         }
         (batch, opened_at.elapsed())
     }
@@ -275,14 +209,9 @@ impl ShardContext {
             id,
             client_seq,
             submitted_at,
-            home_shard,
             slot,
             ..
         } = request;
-        let stolen = home_shard != self.shard_index;
-        if stolen {
-            self.metrics.stolen.fetch_add(1, Ordering::Relaxed);
-        }
         let total_time = submitted_at.elapsed();
         if result.is_ok() {
             self.metrics.record_latency(total_time);
@@ -298,7 +227,6 @@ impl ShardContext {
             completion_seq,
             queue_time: dispatched_at.saturating_duration_since(submitted_at),
             total_time,
-            stolen,
         });
     }
 }
@@ -322,7 +250,7 @@ impl Drop for BatchGuard<'_> {
 }
 
 /// Tracks worker liveness for the whole thread body. On a panic of the
-/// *last* live worker of a code, drains every shard queue so nothing
+/// *last* live worker of a code, drains the code's queue so nothing
 /// waits forever on decoders that no longer exist.
 struct WorkerGuard<'a> {
     ctx: &'a ShardContext,
@@ -333,18 +261,18 @@ impl Drop for WorkerGuard<'_> {
         let ctx = self.ctx;
         let remaining = ctx.alive.fetch_sub(1, Ordering::AcqRel) - 1;
         if !std::thread::panicking() {
-            // Normal exit: queues already drained by the run loop.
+            // Normal exit: the run loop already drained the queue.
             return;
         }
         ctx.metrics.journal.record(
             "worker-death",
             format!(
-                "shard {} died panicking; {remaining} worker(s) remain",
+                "worker {} died panicking; {remaining} worker(s) remain",
                 ctx.shard_index
             ),
         );
         if remaining > 0 {
-            // Siblings survive and will keep stealing from our queue.
+            // Siblings survive and keep popping the shared queue.
             return;
         }
         // Last worker of the code, dying in a panic: answer everything
@@ -355,13 +283,11 @@ impl Drop for WorkerGuard<'_> {
         // inside a `Drop` during unwinding would abort the process.
         let gate = ctx.gate.write().unwrap_or_else(|e| e.into_inner());
         let mut drained = 0u64;
-        for queue in &ctx.queues {
-            while let Ok(request) = queue.try_recv() {
-                ctx.metrics.lost.fetch_add(1, Ordering::Relaxed);
-                let seq = ctx.completion_counter.fetch_add(1, Ordering::Relaxed);
-                request.fail(DecodeError::WorkerLost, 0, seq);
-                drained += 1;
-            }
+        while let Ok(request) = ctx.queue.try_recv() {
+            ctx.metrics.lost.fetch_add(1, Ordering::Relaxed);
+            let seq = ctx.completion_counter.fetch_add(1, Ordering::Relaxed);
+            request.fail(DecodeError::WorkerLost, 0, seq);
+            drained += 1;
         }
         drop(gate);
         ctx.metrics.journal.record(

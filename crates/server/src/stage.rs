@@ -1,6 +1,6 @@
 //! The per-request stage taxonomy and its histograms.
 //!
-//! A decode request's life inside the service decomposes into six
+//! A decode request's life inside the service decomposes into five
 //! stages, and the latency argument the stack exists to make hinges on
 //! knowing which of them the microseconds went to:
 //!
@@ -8,7 +8,6 @@
 //! |---|---|
 //! | `queue_wait` | submit → a worker picks the request up |
 //! | `coalesce_wait` | holding the batch open for more arrivals |
-//! | `steal` | scanning sibling shard queues for head-of-line work |
 //! | `kernel` | the decoder call itself (`decode_batch`) |
 //! | `post_process` | kernel return → all responses of the batch fulfilled |
 //! | `fulfill` | dispatch → this request's own response fulfilled |
@@ -26,8 +25,6 @@ pub enum Stage {
     QueueWait,
     /// Holding a forming batch open for more arrivals.
     CoalesceWait,
-    /// Scanning sibling shard queues for stealable work.
-    Steal,
     /// The decoder kernel call.
     Kernel,
     /// Kernel return → all of the batch's responses fulfilled.
@@ -38,10 +35,9 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in canonical (pipeline) order.
-    const ALL: [Stage; 6] = [
+    const ALL: [Stage; 5] = [
         Stage::QueueWait,
         Stage::CoalesceWait,
-        Stage::Steal,
         Stage::Kernel,
         Stage::PostProcess,
         Stage::Fulfill,
@@ -52,7 +48,6 @@ impl Stage {
         match self {
             Stage::QueueWait => "queue_wait",
             Stage::CoalesceWait => "coalesce_wait",
-            Stage::Steal => "steal",
             Stage::Kernel => "kernel",
             Stage::PostProcess => "post_process",
             Stage::Fulfill => "fulfill",
@@ -65,7 +60,7 @@ impl Stage {
 /// threads may record concurrently.
 #[derive(Debug, Default)]
 pub struct StageSet {
-    histograms: [StreamingHistogram; 6],
+    histograms: [StreamingHistogram; 5],
 }
 
 impl StageSet {
@@ -90,7 +85,7 @@ impl StageSet {
 /// A plain-data copy of a [`StageSet`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageSnapshot {
-    stages: [HistogramSnapshot; 6],
+    stages: [HistogramSnapshot; 5],
 }
 
 impl StageSnapshot {
@@ -120,7 +115,7 @@ mod tests {
         dedup.dedup();
         assert_eq!(dedup.len(), names.len());
         assert_eq!(names[0], "queue_wait");
-        assert_eq!(names[5], "fulfill");
+        assert_eq!(names[4], "fulfill");
     }
 
     #[test]
@@ -133,7 +128,6 @@ mod tests {
         assert_eq!(snap.get(Stage::Kernel).count, 2);
         assert!((snap.get(Stage::Kernel).sum - 0.001).abs() < 1e-9);
         assert_eq!(snap.get(Stage::QueueWait).count, 1);
-        assert_eq!(snap.get(Stage::Steal).count, 0);
-        assert_eq!(snap.iter().count(), 6);
+        assert_eq!(snap.iter().count(), 5);
     }
 }

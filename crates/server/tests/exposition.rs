@@ -24,7 +24,7 @@ const GOLDEN_PATH: &str = concat!(
     "/tests/fixtures/exposition.golden"
 );
 
-/// One-shard config so nothing is stolen and batches form one by one.
+/// One-worker config so batches form one by one.
 fn sequential_config() -> ServiceConfig {
     ServiceConfig {
         shards: 1,
@@ -191,16 +191,6 @@ fn exposition_covers_all_stages() {
         let (_, value) = split_line(line);
         assert_ne!(value, "0", "stage {stage} of {code} never sampled");
     }
-    // One shard ⇒ stealing cannot happen, but the series must still
-    // be exposed (at zero) so dashboards see the full taxonomy.
-    let steal = format!(
-        "qldpc_stage_duration_seconds_count{{code=\"{code}\",node=\"testnode\",\
-         stage=\"steal\"}} 0"
-    );
-    assert!(
-        text.contains(&steal),
-        "missing zero steal series for {code}"
-    );
     // Convergence counters from the kernel made it through.
     assert!(text.contains("qldpc_bp_iterations_total{code=\"rep5\",node=\"testnode\"}"));
 }

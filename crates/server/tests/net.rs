@@ -313,3 +313,33 @@ fn wire_deadline_surfaces_as_typed_failure() {
         frontend.shutdown();
     });
 }
+
+/// The accept loop blocks in `accept`; shutdown must wake it even when
+/// no client ever connected. Bound to the wildcard address, so the
+/// wake-up goes through loopback.
+#[test]
+fn tcp_shutdown_without_a_connection_returns() {
+    with_timeout(Duration::from_secs(30), || {
+        let service = rep5_service();
+        let mut frontend =
+            NetFrontend::serve_tcp(Arc::clone(&service), "0.0.0.0:0", frontend_config("idle"))
+                .expect("bind tcp");
+        frontend.shutdown();
+    });
+}
+
+/// The UDS twin of the test above: shutdown wakes an accept that never
+/// saw a client and still removes the socket file.
+#[test]
+fn uds_shutdown_without_a_connection_returns() {
+    with_timeout(Duration::from_secs(30), || {
+        let service = rep5_service();
+        let path = std::env::temp_dir().join(format!("qldpc-net-{}-idle.sock", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let mut frontend =
+            NetFrontend::serve_uds(Arc::clone(&service), &path, frontend_config("idle"))
+                .expect("bind uds");
+        frontend.shutdown();
+        assert!(!path.exists(), "UDS path survived shutdown");
+    });
+}

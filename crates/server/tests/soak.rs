@@ -15,6 +15,8 @@ use qldpc_server::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Runs `f` on a helper thread and panics if it neither finishes nor
@@ -461,13 +463,46 @@ fn submission_validation_errors() {
     });
 }
 
-/// Work stealing: with a hot shard and an idle shard (two clients pinned
-/// to shard 0 by id parity is not controllable, so use many clients),
-/// some requests are decoded off their home shard under load.
+/// A decoder whose every batch naps while counting how many batches
+/// of its code are being decoded at once.
+struct ConcurrencyProbe {
+    delay: Duration,
+    /// (batches in flight now, peak seen), shared by the code's workers.
+    in_flight: Arc<(AtomicUsize, AtomicUsize)>,
+}
+
+impl SyndromeDecoder for ConcurrencyProbe {
+    fn decode_syndrome(&mut self, syndrome: &BitVec) -> DecodeOutcome {
+        self.decode_batch(std::slice::from_ref(syndrome)).remove(0)
+    }
+
+    fn label(&self) -> String {
+        "ConcurrencyProbe".into()
+    }
+
+    fn decode_batch(&mut self, syndromes: &[BitVec]) -> Vec<DecodeOutcome> {
+        let (now, peak) = &*self.in_flight;
+        peak.fetch_max(now.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+        let outcomes = SlowDecoder { delay: self.delay }.decode_batch(syndromes);
+        now.fetch_sub(1, Ordering::SeqCst);
+        outcomes
+    }
+}
+
+/// One client's load keeps every worker busy: both workers pop the
+/// code's one queue, so a single producer is decoded two batches at a
+/// time.
 #[test]
-fn work_stealing_engages_under_skewed_load() {
+fn one_clients_load_keeps_every_worker_busy() {
     with_timeout(Duration::from_secs(60), || {
-        let h = tiny_h();
+        let in_flight = Arc::new((AtomicUsize::new(0), AtomicUsize::new(0)));
+        let probe = Arc::clone(&in_flight);
+        let factory: DecoderFactory = Box::new(move |_h, _priors| {
+            Box::new(ConcurrencyProbe {
+                delay: Duration::from_millis(2),
+                in_flight: Arc::clone(&probe),
+            })
+        });
         let mut builder = DecodeService::builder();
         let config = ServiceConfig {
             shards: 2,
@@ -476,37 +511,21 @@ fn work_stealing_engages_under_skewed_load() {
             queue_capacity: 256,
             ..ServiceConfig::default()
         };
-        let code = builder.register_code_with(
-            "tiny",
-            &h,
-            &[0.1; 3],
-            slow_factory(Duration::from_millis(2)),
-            config,
-        );
+        let code = builder.register_code_with("tiny", &tiny_h(), &[0.1; 3], factory, config);
         let service = builder.start();
-        // Clients get ids 0, 1, 2, … — use only the even ones so all
-        // load lands on shard 0 and shard 1 can only help by stealing.
-        let mut clients: Vec<_> = (0..4).map(|_| service.client()).collect();
-        let pinned: Vec<_> = clients
-            .iter_mut()
-            .filter(|c| c.client_id() % 2 == 0)
+        let mut client = service.client();
+        let handles: Vec<_> = (0..80)
+            .map(|_| submit_retrying(&mut client, code, BitVec::zeros(2), None))
             .collect();
-        let mut handles = Vec::new();
-        for client in pinned {
-            for _ in 0..40 {
-                handles.push(submit_retrying(client, code, BitVec::zeros(2), None));
-            }
+        for handle in handles {
+            assert!(handle.wait().result.is_ok());
         }
-        let stolen = handles
-            .into_iter()
-            .map(|h| h.wait())
-            .filter(|r| r.stolen)
-            .count();
         let metrics = service.shutdown().remove(0);
-        assert_eq!(metrics.stolen as usize, stolen);
-        assert!(
-            stolen > 0,
-            "idle sibling shard never stole from the hot shard"
+        assert_eq!(metrics.completed, 80);
+        assert_eq!(
+            in_flight.1.load(Ordering::SeqCst),
+            2,
+            "one client's load never kept both workers busy"
         );
     });
 }

@@ -146,9 +146,9 @@ fn coalesced_batch_resolves_after_worker_panic() {
     });
 }
 
-/// Same invariant under a trickle (max_batch = 1) and several shards:
+/// Same invariant under a trickle (max_batch = 1) and several workers:
 /// each worker dies on its first request, later requests land on the
-/// surviving shards until none remain, and the last death drains
+/// surviving workers until none remain, and the last death drains
 /// whatever is still queued.
 #[test]
 fn trickle_across_shards_resolves_after_every_worker_dies() {
@@ -167,7 +167,7 @@ fn trickle_across_shards_resolves_after_every_worker_dies() {
             },
         );
         let service = builder.start();
-        // Several clients so all three home shards see traffic.
+        // Several clients so all three workers see traffic.
         let mut clients: Vec<_> = (0..6).map(|_| service.client()).collect();
         let mut handles = Vec::new();
         for client in &mut clients {

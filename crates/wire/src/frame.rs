@@ -146,7 +146,7 @@ pub enum ErrorCode {
     UnsupportedVersion,
     /// No registered code matches the id or name.
     UnknownCode,
-    /// Shard-queue backpressure (`SubmitError::Overloaded`); retry
+    /// The code's queue is full (`SubmitError::Overloaded`); retry
     /// later.
     Overloaded,
     /// The per-connection in-flight cap was hit — the *client's* rate
@@ -228,7 +228,7 @@ pub enum DecodeFailure {
     /// The dispatch deadline passed before the scheduler pulled the
     /// request.
     DeadlineExceeded,
-    /// The owning shard worker died before decoding it.
+    /// The owning worker died before decoding it.
     WorkerLost,
 }
 

@@ -15,7 +15,7 @@
 //! | **BP-SF** | [`bpsf`] | the paper's oscillation-guided syndrome-flip decoder |
 //! | Monte Carlo | [`sim`] | LER estimation (one shot runner per noise model, shaped by a `BatchConfig`), latency stats, hardware models |
 //! | Campaigns | [`campaign`] | declarative sweep specs, adaptive shot allocation, resumable JSONL logs, generated `REPRO.md` |
-//! | Service | [`server`] | real-time decoding service: micro-batching scheduler, sharded decoder pools, backpressure, metrics |
+//! | Service | [`server`] | real-time decoding service: micro-batching scheduler, one queue per code shared by its decoder workers, backpressure, metrics |
 //!
 //! # Quickstart
 //!
