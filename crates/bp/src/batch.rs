@@ -241,17 +241,6 @@ impl<T: Llr> BatchMinSumDecoderOf<T> {
         self.max_lanes = max_lanes;
     }
 
-    /// Re-syncs configuration and channel LLRs from the owning scalar
-    /// decoder (the cached engine behind
-    /// `MinSumDecoderOf::decode_batch_results` must honor
-    /// `config_mut`/`set_priors` changes between calls).
-    pub(crate) fn sync(&mut self, config: BpConfig, channel_llrs: &[T]) {
-        debug_assert_eq!(channel_llrs.len(), self.graph.num_vars());
-        self.config = config;
-        self.channel_llrs.clear();
-        self.channel_llrs.extend_from_slice(channel_llrs);
-    }
-
     /// Decodes one syndrome (a batch of width 1).
     ///
     /// # Panics

@@ -250,10 +250,9 @@ impl<T: Llr> MinSumDecoderOf<T> {
     /// syndrome: fewer than two run the scalar loop, wider batches the
     /// shot-interleaved engine ([`BatchMinSumDecoderOf`]).
     ///
-    /// The engine is built on the first wide call, cached, and re-synced
-    /// to the current config and priors on every later one (`config_mut`
-    /// / `set_priors` may have changed them — the sync is O(n) and
-    /// allocation-free, so repeated batches reuse the slabs).
+    /// The engine is built from the decoder's config and channel LLRs on
+    /// the first wide call and cached, so repeated batches reuse its
+    /// slabs.
     ///
     /// # Panics
     ///
@@ -263,10 +262,7 @@ impl<T: Llr> MinSumDecoderOf<T> {
             return syndromes.iter().map(|s| self.decode(s)).collect();
         }
         let engine = match self.batch.take() {
-            Some(mut engine) => {
-                engine.sync(self.config, &self.channel_llrs);
-                engine
-            }
+            Some(engine) => engine,
             None => Box::new(BatchMinSumDecoderOf::from_scalar(self)),
         };
         self.batch.insert(engine).decode_batch_results(syndromes)
@@ -282,12 +278,6 @@ impl<T: Llr> MinSumDecoderOf<T> {
         &self.config
     }
 
-    /// Mutable access to the configuration (e.g. to change `max_iters`
-    /// between the initial BP-SF attempt and its trial decodes).
-    pub fn config_mut(&mut self) -> &mut BpConfig {
-        &mut self.config
-    }
-
     /// The check matrix this decoder is bound to.
     pub fn check_matrix(&self) -> &SparseBitMatrix {
         &self.h
@@ -296,20 +286,6 @@ impl<T: Llr> MinSumDecoderOf<T> {
     /// Number of variables (columns).
     pub fn num_vars(&self) -> usize {
         self.graph.num_vars()
-    }
-
-    /// Replaces the channel priors (lengths must match).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `priors.len() != num_vars()`.
-    pub fn set_priors(&mut self, priors: &[f64]) {
-        assert_eq!(
-            priors.len(),
-            self.graph.num_vars(),
-            "one prior per variable required"
-        );
-        self.channel_llrs = priors.iter().map(|&p| T::from_f64(prior_llr(p))).collect();
     }
 
     /// Runs BP on `syndrome` until convergence or the iteration budget is

@@ -499,42 +499,6 @@ fn no_state_leaks_across_lanes() {
     no_state_leaks_across_lanes_at::<f32>();
 }
 
-/// The cached engine behind the trait override must honor
-/// `config_mut`/`set_priors` changes made between batched calls — at
-/// either precision.
-fn trait_decode_batch_tracks_changes_at<T: Llr>() {
-    use qldpc_bp::SyndromeDecoder;
-    let h = repetition_h(9);
-    let mut dec = MinSumDecoderOf::<T>::new(&h, &[0.05; 9], BpConfig::default());
-    let syndromes = random_batch(&h, 6, 17);
-    let _warm_up_cache = dec.decode_batch(&syndromes);
-
-    dec.config_mut().max_iters = 3;
-    dec.set_priors(&[0.2; 9]);
-    let fresh = MinSumDecoderOf::<T>::new(
-        &h,
-        &[0.2; 9],
-        BpConfig {
-            max_iters: 3,
-            ..BpConfig::default()
-        },
-    );
-    let batched = dec.decode_batch(&syndromes);
-    let mut looped = fresh;
-    for (i, (out, s)) in batched.iter().zip(&syndromes).enumerate() {
-        let l = looped.decode_syndrome(s);
-        assert_eq!(out.solved, l.solved, "shot {i}");
-        assert_eq!(out.error_hat, l.error_hat, "shot {i}");
-        assert_eq!(out.serial_iterations, l.serial_iterations, "shot {i}");
-    }
-}
-
-#[test]
-fn trait_decode_batch_tracks_config_and_prior_changes() {
-    trait_decode_batch_tracks_changes_at::<f64>();
-    trait_decode_batch_tracks_changes_at::<f32>();
-}
-
 /// The `SyndromeDecoder::decode_batch` override on the scalar decoder
 /// routes through the interleaved kernel and must equal the default
 /// sequential loop it replaces.

@@ -8,9 +8,9 @@
 //! `B ≫ 1` syndromes per call — this crate is the piece that *produces*
 //! those batches from independent request streams.
 //!
-//! Everything is in-process and hermetic: no async runtime, just
-//! `std::thread` workers and the vendored `crossbeam` shim's bounded
-//! channels.
+//! Everything is in-process and hermetic: no async runtime and no
+//! dependency outside the workspace, just `std::thread` workers, one
+//! `Mutex` + `Condvar` queue per code, and `std::sync::mpsc` channels.
 //!
 //! # Architecture
 //!
@@ -37,21 +37,21 @@
 //!   dispatched batch-size histogram, the end-to-end latency and one
 //!   duration histogram per [`Stage`] (the five stages queue-wait,
 //!   coalesce-wait, kernel, post-process, fulfill), all lock-light
-//!   [`StreamingHistogram`]s of constant memory; decoder convergence
-//!   counters ([`ConvergenceSnapshot`]); and a bounded post-mortem
-//!   event journal ([`DecodeService::journal`]). Recording is a few
-//!   relaxed atomics per sample, so it stays on.
+//!   [`StreamingHistogram`]s of constant memory; and decoder convergence
+//!   counters ([`ConvergenceSnapshot`]). Recording is a few relaxed
+//!   atomics per sample, so it stays on.
 //!   [`DecodeService::render_exposition`] renders it all as a
 //!   deterministic Prometheus-style text page: lines sorted, equal
 //!   values formatted to equal bytes.
-//! * **Shutdown drains** — closing the service drops the queues'
-//!   senders under the submission gate, then workers drain every queue
-//!   so each accepted request still gets exactly one response.
+//! * **Shutdown drains** — shutting the service down closes every
+//!   code's queue: it refuses new submissions, and the workers drain
+//!   what it holds, so each accepted request still gets exactly one
+//!   response.
 //! * **Worker-death liveness** — a panicking decoder cannot strand its
 //!   waiters: drop guards answer the in-flight batch, and the last
-//!   panicking worker of a code drains that code's queue, with
-//!   [`DecodeError::WorkerLost`]; later submissions are refused with
-//!   [`SubmitError::Shutdown`].
+//!   panicking worker of a code closes that code's queue and answers
+//!   what it held, with [`DecodeError::WorkerLost`]; later submissions
+//!   are refused with [`SubmitError::Shutdown`].
 //! * **Networked front-end** ([`NetFrontend`]) — an optional std-only
 //!   TCP/UDS listener speaking the `qldpc-wire` binary protocol: one
 //!   reader + one writer thread per connection, a per-connection
@@ -109,16 +109,15 @@
 
 mod exposition;
 mod histogram;
-mod journal;
 mod metrics;
 mod net;
+mod queue;
 mod request;
 mod service;
 mod shard;
 mod stage;
 
 pub use histogram::{HistogramSnapshot, StreamingHistogram};
-pub use journal::JournalEntry;
 pub use metrics::{ConvergenceSnapshot, MetricsSnapshot, BATCH_HISTOGRAM_BUCKETS};
 pub use net::{FrontendConfig, NetFrontend};
 pub use request::{DecodeError, DecodeResponse, ResponseHandle, SubmitError};

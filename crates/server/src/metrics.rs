@@ -1,6 +1,6 @@
 //! Per-code service metrics: request counters, dispatched-batch-size
-//! histogram, end-to-end latency, per-stage timing, decoder
-//! convergence counters, and a post-mortem event journal.
+//! histogram, end-to-end latency, per-stage timing, and decoder
+//! convergence counters.
 //!
 //! Latency and stage durations live in [`StreamingHistogram`]s —
 //! constant memory, never drops a sample — and the exposed quantiles
@@ -9,7 +9,6 @@
 
 use crate::exposition::Exposition;
 use crate::histogram::{HistogramSnapshot, StreamingHistogram};
-use crate::journal::EventJournal;
 use crate::stage::{Stage, StageSet, StageSnapshot};
 use qldpc_decoder_api::{DecodeTelemetry, Precision};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -18,10 +17,6 @@ use std::time::Duration;
 /// Number of power-of-two batch-size buckets: `[1]`, `[2]`, `(2,4]`,
 /// `(4,8]`, … `(128,256]`, `>256`.
 pub const BATCH_HISTOGRAM_BUCKETS: usize = 10;
-
-/// Post-mortem journal entries retained per code (worker deaths,
-/// overload rejections, shutdown drains — rare, high-signal events).
-const JOURNAL_CAPACITY: usize = 256;
 
 /// The quantile estimates every exposed histogram decomposes into.
 const EXPOSED_QUANTILES: [f64; 3] = [0.5, 0.95, 0.99];
@@ -51,8 +46,6 @@ pub(crate) struct CodeMetrics {
     pub stages: StageSet,
     /// Decoder convergence-effort counters.
     pub convergence: ConvergenceCounters,
-    /// Bounded ring of worker-death/overload events for post-mortems.
-    pub journal: EventJournal,
 }
 
 impl Default for CodeMetrics {
@@ -70,7 +63,6 @@ impl Default for CodeMetrics {
             latency_dropped: AtomicU64::new(0),
             stages: StageSet::new(),
             convergence: ConvergenceCounters::default(),
-            journal: EventJournal::new(JOURNAL_CAPACITY),
         }
     }
 }

@@ -12,7 +12,8 @@
 //!   which waits for the service to fulfill each before writing its
 //!   reply — FIFO per connection, with pipelining *into* the service
 //!   (many submissions can be in flight at once, bounded by
-//!   [`FrontendConfig::max_inflight`]).
+//!   [`FrontendConfig::max_inflight`], which also bounds the writer's
+//!   backlog).
 //!
 //! Back-pressure is layered: a full code's queue refuses with
 //! [`ErrorCode::Overloaded`] (service-wide), while the per-connection
@@ -26,7 +27,6 @@
 
 use crate::request::{DecodeError, SubmitError};
 use crate::service::{Client, CodeId, DecodeService};
-use crossbeam::channel::{self, Sender};
 use qldpc_gf2::BitVec;
 use qldpc_wire::{
     read_frame, write_frame, DecodeFailure, ErrorCode, Frame, RecvError, DEFAULT_MAX_PAYLOAD,
@@ -37,6 +37,7 @@ use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, T
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -52,6 +53,9 @@ pub struct FrontendConfig {
     /// Submissions beyond it are refused with
     /// [`ErrorCode::RateLimited`] — the per-client rate limit layered
     /// on the service's own [`ErrorCode::Overloaded`] backpressure.
+    /// It also bounds the writer's backlog of unsent answers: a reader
+    /// that far ahead (its client writes and never reads) stops reading,
+    /// and the socket's flow control pushes back.
     pub max_inflight: usize,
     /// Largest frame payload this front-end accepts from a client.
     pub max_payload: u32,
@@ -323,7 +327,7 @@ fn run_connection<C: Conn>(service: Arc<DecodeService>, config: FrontendConfig, 
         Ok(half) => half,
         Err(_) => return,
     };
-    let (tx, rx) = channel::unbounded::<WriteItem>();
+    let (tx, rx) = mpsc::sync_channel::<WriteItem>(config.max_inflight);
     let inflight = Arc::new(AtomicUsize::new(0));
     let writer_inflight = Arc::clone(&inflight);
     let writer = std::thread::Builder::new()
@@ -376,7 +380,7 @@ fn run_connection<C: Conn>(service: Arc<DecodeService>, config: FrontendConfig, 
 
 /// Sends a typed error frame (best effort — the writer ignores a dead
 /// socket).
-fn send_error(tx: &Sender<WriteItem>, tag: u64, code: ErrorCode, detail: impl Into<String>) {
+fn send_error(tx: &SyncSender<WriteItem>, tag: u64, code: ErrorCode, detail: impl Into<String>) {
     let _ = tx.send(WriteItem::Frame(Frame::Error {
         tag,
         code,
@@ -397,7 +401,7 @@ fn reader_loop<C: Conn>(
     service: &DecodeService,
     config: &FrontendConfig,
     stream: C,
-    tx: &Sender<WriteItem>,
+    tx: &SyncSender<WriteItem>,
     inflight: &AtomicUsize,
 ) {
     let mut reader = BufReader::new(stream);
@@ -505,7 +509,7 @@ fn reader_loop<C: Conn>(
 fn handle_submit(
     config: &FrontendConfig,
     client: &mut Client,
-    tx: &Sender<WriteItem>,
+    tx: &SyncSender<WriteItem>,
     inflight: &AtomicUsize,
     tag: u64,
     code: u32,

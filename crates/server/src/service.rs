@@ -1,16 +1,15 @@
-//! Service assembly: code registration, client handles, submission
-//! gating, and drain-on-shutdown.
+//! Service assembly: code registration, client handles, and
+//! drain-on-shutdown.
 
 use crate::exposition::Exposition;
-use crate::journal::JournalEntry;
 use crate::metrics::{CodeMetrics, MetricsSnapshot};
+use crate::queue::CodeQueue;
 use crate::request::{Request, ResponseHandle, ResponseSlot, SubmitError};
 use crate::shard::ShardContext;
-use crossbeam::channel::{self, Sender, TrySendError};
 use qldpc_decoder_api::{share_factory, DecoderFactory, Precision, SharedDecoderFactory};
 use qldpc_gf2::{BitVec, SparseBitMatrix};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock, RwLockWriteGuard};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -124,22 +123,16 @@ impl ServiceBuilder {
 
     /// Spawns every worker and opens the service for submissions.
     pub fn start(self) -> DecodeService {
-        let (senders, queues): (Vec<_>, Vec<_>) = self
-            .codes
-            .iter()
-            .map(|spec| channel::bounded::<Request>(spec.config.queue_capacity))
-            .unzip();
-        let gate = Arc::new(RwLock::new(senders));
         let mut codes = Vec::with_capacity(self.codes.len());
         let mut workers = Vec::new();
-        for (spec, queue) in self.codes.into_iter().zip(queues) {
+        for spec in self.codes {
+            let queue = Arc::new(CodeQueue::new(spec.config.queue_capacity));
             let metrics = Arc::new(CodeMetrics::default());
             let completion_counter = Arc::new(AtomicU64::new(0));
             let alive = Arc::new(AtomicUsize::new(spec.config.shards));
             for shard_index in 0..spec.config.shards {
                 let ctx = ShardContext {
-                    shard_index,
-                    queue: queue.clone(),
+                    queue: Arc::clone(&queue),
                     h: Arc::clone(&spec.h),
                     priors: Arc::clone(&spec.priors),
                     factory: Arc::clone(&spec.factory),
@@ -148,7 +141,6 @@ impl ServiceBuilder {
                     metrics: Arc::clone(&metrics),
                     completion_counter: Arc::clone(&completion_counter),
                     alive: Arc::clone(&alive),
-                    gate: Arc::clone(&gate),
                 };
                 let thread = std::thread::Builder::new()
                     .name(format!("qldpc-server/{}/{shard_index}", spec.name))
@@ -160,14 +152,13 @@ impl ServiceBuilder {
                 rows: spec.h.rows(),
                 name: spec.name,
                 precision: spec.config.precision,
+                queue,
                 metrics,
-                alive,
             });
         }
         DecodeService {
             shared: Arc::new(Shared {
                 codes,
-                gate,
                 next_request_id: AtomicU64::new(0),
             }),
             workers,
@@ -180,37 +171,25 @@ struct CodeRuntime {
     /// Syndrome length the code accepts (`h.rows()`).
     rows: usize,
     precision: Precision,
+    /// The code's one queue. Shutdown closes it, and so does the last
+    /// of its workers to die panicking (`shard::WorkerGuard`); a closed
+    /// queue refuses submissions.
+    queue: Arc<CodeQueue>,
     metrics: Arc<CodeMetrics>,
-    /// Still-running workers; zero means every decoder of this code has
-    /// died (see `shard::WorkerGuard`) and submissions must refuse.
-    alive: Arc<AtomicUsize>,
+}
+
+impl CodeRuntime {
+    /// Reads the counters under the queue's lock. A request is counted
+    /// in `submitted` before any worker can pop it, so the snapshot
+    /// agrees: `completed + expired + lost <= submitted`.
+    fn snapshot(&self) -> MetricsSnapshot {
+        self.queue.locked(|| self.metrics.snapshot(self.precision))
+    }
 }
 
 struct Shared {
     codes: Vec<CodeRuntime>,
-    /// The sending half of each code's queue, indexed like `codes`;
-    /// empty once shut down. Submissions hold the read side across
-    /// check-and-send; shutdown drops the senders under the write side,
-    /// so no send can race past the close, and a worker's `recv` fails
-    /// only once the queue is empty — whatever the workers drain is the
-    /// complete remaining load. The last panicking worker of a code also
-    /// drains under the write side (`shard::WorkerGuard`), for the same
-    /// no-race reason. Metrics snapshots read the counters under the
-    /// write side too: a submitter counts its request only after the
-    /// queue accepted it, so a worker can answer it first, and only with
-    /// no send in flight does every answered request already show in
-    /// `submitted`.
-    gate: Arc<RwLock<Vec<Sender<Request>>>>,
     next_request_id: AtomicU64,
-}
-
-impl Shared {
-    /// Holds off submissions while metrics are read (see `gate`). The
-    /// senders are valid after any panic, so a poisoned lock is used as
-    /// is: counters stay readable for post-mortems.
-    fn hold_sends(&self) -> RwLockWriteGuard<'_, Vec<Sender<Request>>> {
-        self.gate.write().unwrap_or_else(|e| e.into_inner())
-    }
 }
 
 /// The running decode service. Dropping it (or calling
@@ -261,17 +240,15 @@ impl DecodeService {
         self.shared.codes.get(code.0).map(|c| c.rows)
     }
 
-    /// Point-in-time metrics for one code. Submissions wait while the
-    /// counters are read, so they agree:
+    /// Point-in-time metrics for one code. Submissions to the code wait
+    /// while the counters are read, so they agree:
     /// `completed + expired + lost <= submitted`.
     ///
     /// # Panics
     ///
     /// Panics on an unknown `code` id.
     pub fn metrics(&self, code: CodeId) -> MetricsSnapshot {
-        let runtime = &self.shared.codes[code.0];
-        let _no_sends = self.shared.hold_sends();
-        runtime.metrics.snapshot(runtime.precision)
+        self.shared.codes[code.0].snapshot()
     }
 
     /// Renders a Prometheus-style text exposition covering every
@@ -297,33 +274,21 @@ impl DecodeService {
         let mut exposition = Exposition::new();
         let mut codes: Vec<&CodeRuntime> = self.shared.codes.iter().collect();
         codes.sort_by(|a, b| a.name.cmp(&b.name));
-        let snapshots: Vec<MetricsSnapshot> = {
-            let _no_sends = self.shared.hold_sends();
-            codes
-                .iter()
-                .map(|c| c.metrics.snapshot(c.precision))
-                .collect()
-        };
-        for (runtime, snapshot) in codes.iter().zip(snapshots) {
-            snapshot.exposition_into(&runtime.name, node, &mut exposition);
+        for runtime in codes {
+            runtime
+                .snapshot()
+                .exposition_into(&runtime.name, node, &mut exposition);
         }
         exposition.render()
     }
 
-    /// The retained post-mortem journal of one code (worker deaths,
-    /// overload rejections, shutdown drains), oldest first.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unknown `code` id.
-    pub fn journal(&self, code: CodeId) -> Vec<JournalEntry> {
-        self.shared.codes[code.0].metrics.journal.dump()
-    }
-
     fn shutdown_impl(&mut self) {
-        // Dropping the senders is the close: once a code's queue is
-        // empty, its workers' `recv` fails and they exit.
-        self.shared.hold_sends().clear();
+        // A closed queue refuses submissions and hands its workers what
+        // it still holds; once it is empty, their `pop` returns `None`
+        // and they exit.
+        for runtime in &self.shared.codes {
+            runtime.queue.close();
+        }
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
@@ -337,7 +302,7 @@ impl DecodeService {
         self.shared
             .codes
             .iter()
-            .map(|c| c.metrics.snapshot(c.precision))
+            .map(CodeRuntime::snapshot)
             .collect()
     }
 }
@@ -397,12 +362,6 @@ impl Client {
                 got: syndrome.len(),
             });
         }
-        // Hold the gate's read side across check-and-send (see `Shared`).
-        let senders = self.shared.gate.read().expect("service gate poisoned");
-        let queue = match senders.get(code.0) {
-            Some(queue) if runtime.alive.load(Ordering::Acquire) > 0 => queue,
-            _ => return Err(SubmitError::Shutdown),
-        };
         let slot = Arc::new(ResponseSlot::default());
         let request = Request {
             id: self.shared.next_request_id.fetch_add(1, Ordering::Relaxed),
@@ -413,34 +372,12 @@ impl Client {
             slot: Arc::clone(&slot),
         };
         let (id, seq) = (request.id, request.client_seq);
-        match queue.try_send(request) {
-            Ok(()) => {
-                // Count while still holding the gate: shutdown's write
-                // lock then orders after this increment, so a final
-                // snapshot can never see `completed > submitted`.
-                runtime.metrics.submitted.fetch_add(1, Ordering::Relaxed);
-                drop(senders);
-                self.next_seq += 1;
-                Ok(ResponseHandle {
-                    slot,
-                    request_id: id,
-                    client_seq: seq,
-                })
-            }
-            Err(TrySendError::Full(_)) => {
-                runtime
-                    .metrics
-                    .rejected_overload
-                    .fetch_add(1, Ordering::Relaxed);
-                drop(senders);
-                runtime
-                    .metrics
-                    .journal
-                    .record("overload", "request rejected: the code's queue is full");
-                Err(SubmitError::Overloaded)
-            }
-            // Every worker of the code is gone: a closed service.
-            Err(TrySendError::Disconnected(_)) => Err(SubmitError::Shutdown),
-        }
+        runtime.queue.push(request, &runtime.metrics)?;
+        self.next_seq += 1;
+        Ok(ResponseHandle {
+            slot,
+            request_id: id,
+            client_seq: seq,
+        })
     }
 }

@@ -13,9 +13,9 @@
 //! 3. **Dispatch** — expire requests whose deadline has passed, decode
 //!    the rest in one [`decode_batch`] call, and fulfill every slot.
 //!
-//! Shutdown drops the queue's senders. The queue then reports
-//! `Disconnected` only once it is empty, so a worker drains it and
-//! exits with no flag to poll.
+//! Shutdown closes the queue. A closed queue still hands out what it
+//! holds and reports `None` only once it is empty, so a worker drains
+//! it and exits with no flag to poll.
 //!
 //! Every worker pops the queue *head*, so a client's requests are
 //! *pulled into batches* in submission order no matter who decodes
@@ -35,31 +35,29 @@
 //!   the decoder panics, its `Drop` answers every not-yet-fulfilled
 //!   request of the batch with [`DecodeError::WorkerLost`].
 //! * [`WorkerGuard`] covers the whole worker lifetime. The *last*
-//!   worker of a code to die panicking drains the code's queue —
-//!   under the submission gate's write side, so no new request can
-//!   slip in behind the drain — answering each queued request with
-//!   `WorkerLost`. Submissions observe `alive == 0` afterwards and are
+//!   worker of a code to die panicking closes the code's queue and
+//!   takes what it holds in one step, so no new request can slip in
+//!   behind the drain, and answers each taken request with
+//!   `WorkerLost`. Later submissions meet the closed queue and are
 //!   refused with [`SubmitError::Shutdown`](crate::SubmitError).
 //!
 //! [`decode_batch`]: qldpc_decoder_api::SyndromeDecoder::decode_batch
 
 use crate::metrics::CodeMetrics;
+use crate::queue::CodeQueue;
 use crate::request::{DecodeError, DecodeResponse, Request};
 use crate::stage::Stage;
-use crossbeam::channel::{Receiver, Sender};
 use qldpc_decoder_api::{DecodeOutcome, SharedDecoderFactory, SyndromeDecoder};
 use qldpc_gf2::{BitVec, SparseBitMatrix};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Everything one worker needs; moved into its thread at spawn.
 pub(crate) struct ShardContext {
-    /// This worker's index within its code (thread name and journal).
-    pub shard_index: usize,
     /// The code's one queue, shared by all its workers.
-    pub queue: Receiver<Request>,
+    pub queue: Arc<CodeQueue>,
     /// The code's check matrix and priors, and the factory this worker
     /// builds its own decoder instance from.
     pub h: Arc<SparseBitMatrix>,
@@ -70,12 +68,9 @@ pub(crate) struct ShardContext {
     pub metrics: Arc<CodeMetrics>,
     /// Per-code monotone completion stamp shared by all its workers.
     pub completion_counter: Arc<AtomicU64>,
-    /// Still-running workers of this code; submissions refuse when it
-    /// hits zero (every decoder of the code is gone).
+    /// Still-running workers of this code; the worker that takes it to
+    /// zero by panicking closes and drains the queue.
     pub alive: Arc<AtomicUsize>,
-    /// The service's submission gate (see `service::Shared`); the last
-    /// worker to die panicking drains the queue under its write side.
-    pub gate: Arc<RwLock<Vec<Sender<Request>>>>,
 }
 
 impl ShardContext {
@@ -85,9 +80,9 @@ impl ShardContext {
         // panicking factory must not strand queued requests.
         let _guard = WorkerGuard { ctx: &self };
         let mut decoder = (self.factory)(&self.h, &self.priors);
-        // `recv` fails only once shutdown has dropped the senders and
-        // the queue is empty: drain, then exit.
-        while let Ok(first) = self.queue.recv() {
+        // `pop` returns `None` only once the queue is closed and empty:
+        // drain, then exit.
+        while let Some(first) = self.queue.pop(None) {
             let (batch, coalesce_wait) = self.coalesce(first);
             self.dispatch(decoder.as_mut(), batch, coalesce_wait);
         }
@@ -95,7 +90,7 @@ impl ShardContext {
 
     /// Grows a batch around `first` until `max_batch` requests are in
     /// hand, the `max_wait` window closes with the queue empty, or the
-    /// queue is disconnected (under shutdown). Also returns how long
+    /// queue is closed and empty (under shutdown). Also returns how long
     /// the window was held open.
     fn coalesce(&self, first: Request) -> (Vec<Request>, Duration) {
         let opened_at = Instant::now();
@@ -104,9 +99,8 @@ impl ShardContext {
         let window_end = opened_at + self.max_wait;
         while batch.len() < self.max_batch {
             // A closed window still takes what is already queued.
-            let remaining = window_end.saturating_duration_since(Instant::now());
-            let Ok(request) = self.queue.recv_timeout(remaining) else {
-                break; // window closed and queue empty, or disconnected
+            let Some(request) = self.queue.pop(Some(window_end)) else {
+                break; // window closed and queue empty, or queue closed
             };
             batch.push(request);
         }
@@ -250,8 +244,9 @@ impl Drop for BatchGuard<'_> {
 }
 
 /// Tracks worker liveness for the whole thread body. On a panic of the
-/// *last* live worker of a code, drains the code's queue so nothing
-/// waits forever on decoders that no longer exist.
+/// *last* live worker of a code, closes the code's queue and answers
+/// what it held, so nothing waits forever on decoders that no longer
+/// exist.
 struct WorkerGuard<'a> {
     ctx: &'a ShardContext,
 }
@@ -260,39 +255,17 @@ impl Drop for WorkerGuard<'_> {
     fn drop(&mut self) {
         let ctx = self.ctx;
         let remaining = ctx.alive.fetch_sub(1, Ordering::AcqRel) - 1;
-        if !std::thread::panicking() {
-            // Normal exit: the run loop already drained the queue.
+        // A normal exit follows the run loop's drain, and a panicking
+        // worker with live siblings leaves the queue to them.
+        if !std::thread::panicking() || remaining > 0 {
             return;
         }
-        ctx.metrics.journal.record(
-            "worker-death",
-            format!(
-                "worker {} died panicking; {remaining} worker(s) remain",
-                ctx.shard_index
-            ),
-        );
-        if remaining > 0 {
-            // Siblings survive and keep popping the shared queue.
-            return;
-        }
-        // Last worker of the code, dying in a panic: answer everything
-        // still queued. Take the gate's write side so the drain cannot
-        // race a submission — submitters hold the read side across
-        // check-and-send, and after we release, they observe
-        // `alive == 0` and refuse. `into_inner` on poisoning: a panic
-        // inside a `Drop` during unwinding would abort the process.
-        let gate = ctx.gate.write().unwrap_or_else(|e| e.into_inner());
-        let mut drained = 0u64;
-        while let Ok(request) = ctx.queue.try_recv() {
+        // Last worker of the code, dying in a panic: close the queue and
+        // answer everything still in it.
+        for request in ctx.queue.close_and_take() {
             ctx.metrics.lost.fetch_add(1, Ordering::Relaxed);
             let seq = ctx.completion_counter.fetch_add(1, Ordering::Relaxed);
             request.fail(DecodeError::WorkerLost, 0, seq);
-            drained += 1;
         }
-        drop(gate);
-        ctx.metrics.journal.record(
-            "queue-drain",
-            format!("last worker gone; answered {drained} queued request(s) as lost"),
-        );
     }
 }

@@ -1,5 +1,6 @@
-//! Fault injection against the networked front-end: dead clients, dead
-//! workers, rate limiting, garbage on the wire, and shutdown races.
+//! Fault injection against the networked front-end: dead clients,
+//! clients that never read, dead workers, rate limiting, and garbage on
+//! the wire.
 //! Every fault must surface as a *typed* outcome — never a hang, never
 //! a leaked in-flight slot.
 
@@ -12,8 +13,9 @@ use qldpc_wire::{
     read_frame, write_frame, DecodeFailure, ErrorCode, Frame, DEFAULT_MAX_PAYLOAD, PROTOCOL_VERSION,
 };
 use std::io::Write as _;
+use std::os::unix::net::UnixStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Deadlock guard: runs `f` on a helper thread, fails the test if it
 /// neither finishes nor panics within `limit`.
@@ -258,6 +260,115 @@ fn rate_limit_refusal_is_distinct_and_typed() {
     });
 }
 
+/// A client that writes and never reads cannot make the server buffer
+/// answers without limit: once `max_inflight` of them wait on the
+/// connection's writer, the reader stops reading and the socket pushes
+/// back. Every submission is still answered once the client reads.
+#[test]
+fn client_that_never_reads_is_pushed_back() {
+    with_timeout(Duration::from_secs(120), || {
+        let mut builder = DecodeService::builder();
+        let factory: DecoderFactory =
+            Box::new(|h, priors| Box::new(MinSumDecoder::new(h, priors, BpConfig::default())));
+        builder.register_code_with("rep5", &rep5(), &[0.05; 5], factory, sequential_config());
+        let service = Arc::new(builder.start());
+        let path =
+            std::env::temp_dir().join(format!("qldpc-faults-{}-mute.sock", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let config = FrontendConfig {
+            max_inflight: 2,
+            ..Default::default()
+        };
+        let mut frontend =
+            NetFrontend::serve_uds(Arc::clone(&service), &path, config).expect("bind uds");
+
+        let mut sock = UnixStream::connect(&path).expect("connect");
+        write_frame(
+            &mut sock,
+            &Frame::Hello {
+                version: PROTOCOL_VERSION,
+                client: "mute".to_string(),
+            },
+        )
+        .expect("send hello");
+        match read_frame(&mut sock, DEFAULT_MAX_PAYLOAD).expect("handshake reply") {
+            Some(Frame::HelloAck { .. }) => {}
+            other => panic!("expected HelloAck, got {other:?}"),
+        }
+
+        // Write submissions and read nothing until every write has been
+        // refused for 500 ms.
+        const LIMIT: usize = 16 << 20;
+        let submit = |tag| {
+            Frame::Submit {
+                tag,
+                code: 0,
+                deadline_micros: 0,
+                syndrome: BitVec::zeros(4),
+            }
+            .encode()
+        };
+        sock.set_nonblocking(true).unwrap();
+        let (mut frame, mut offset, mut submissions) = (submit(0), 0, 1u64);
+        let mut written = 0usize;
+        let mut blocked_since = None;
+        loop {
+            if offset == frame.len() {
+                (frame, offset) = (submit(submissions), 0);
+                submissions += 1;
+            }
+            match sock.write(&frame[offset..]) {
+                Ok(n) => {
+                    offset += n;
+                    written += n;
+                    blocked_since = None;
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    let since = *blocked_since.get_or_insert_with(Instant::now);
+                    if since.elapsed() >= Duration::from_millis(500) {
+                        break;
+                    }
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                Err(e) => panic!("write failed: {e}"),
+            }
+            assert!(
+                written < LIMIT,
+                "{written} bytes ({submissions} submissions) went in with no reply read"
+            );
+        }
+
+        // Read on a second handle, finish the partial frame and hang up
+        // the write half: one answer per submission, in order.
+        sock.set_nonblocking(false).unwrap();
+        let mut reader = sock.try_clone().expect("clone socket");
+        let answers = std::thread::spawn(move || {
+            let mut tags = Vec::new();
+            while let Some(frame) = read_frame(&mut reader, DEFAULT_MAX_PAYLOAD).expect("answer") {
+                match frame {
+                    Frame::DecodeReply { tag, result, .. } => {
+                        assert!(result.expect("decode outcome").solved);
+                        tags.push(tag);
+                    }
+                    Frame::Error {
+                        tag,
+                        code: ErrorCode::RateLimited,
+                        ..
+                    } => tags.push(tag),
+                    other => panic!("expected DecodeReply or RateLimited, got {other:?}"),
+                }
+            }
+            tags
+        });
+        sock.write_all(&frame[offset..]).expect("finish frame");
+        sock.shutdown(std::net::Shutdown::Write).unwrap();
+        let tags = answers.join().expect("answer reader panicked");
+        assert_eq!(tags, (0..submissions).collect::<Vec<_>>());
+
+        frontend.shutdown();
+    });
+}
+
 /// A worker that dies mid-request answers with a typed `WorkerLost`
 /// failure over the wire, and later submissions are refused with a
 /// typed `Shutdown` — the client never hangs on a dead code.
@@ -298,7 +409,7 @@ fn dead_worker_surfaces_as_typed_failure_then_shutdown() {
                 Err(ClientError::Remote { code, .. }) => break code,
                 // A brief window exists where a queue still accepts
                 // before the drain marks the code dead; such a request
-                // resolves as WorkerLost. Retry until the gate closes.
+                // resolves as WorkerLost. Retry until the queue closes.
                 Ok(reply) => assert_eq!(reply.result, Err(DecodeFailure::WorkerLost)),
                 Err(other) => panic!("expected typed refusal, got {other}"),
             }

@@ -117,25 +117,6 @@ fn coalesced_batch_resolves_after_worker_panic() {
             }
         }
 
-        // The death left a post-mortem trail: the journal records the
-        // panicking worker and (being the last of its code) the queue
-        // drain it performed. The dying thread journals moments after
-        // it flips the liveness counter, so poll briefly.
-        let deadline = std::time::Instant::now() + Duration::from_secs(30);
-        loop {
-            let journal = service.journal(code);
-            let death = journal.iter().any(|e| e.kind == "worker-death");
-            let drain = journal.iter().any(|e| e.kind == "queue-drain");
-            if death && drain {
-                break;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "missing post-mortem journal entries: {journal:?}"
-            );
-            std::thread::yield_now();
-        }
-
         // Shutdown joins the (already dead) worker without hanging, and
         // the lost counter balances the books.
         let metrics = service.shutdown().remove(0);

@@ -257,7 +257,7 @@ pub enum Frame {
     Hello {
         /// The client's [`PROTOCOL_VERSION`].
         version: u16,
-        /// Informational client label (shows up in server journals).
+        /// Informational client label; the server does not act on it.
         client: String,
     },
     /// Server → client handshake acceptance:
