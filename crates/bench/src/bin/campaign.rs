@@ -30,9 +30,9 @@ run     execute (or resume) a campaign; writes JSONL + REPRO.md + results.tsv
 plan    print the expanded cell grid of a spec without decoding
 report  regenerate reports from one or more JSONL logs (merges shards)
 
---service <addr> decodes through a running `qldpc-serve` instead of
+--service <addr> decodes through a running `serve` instead of
 in-process decoders: TCP host:port, or a UDS path when it contains '/'.
-Serve the same spec (`qldpc-serve --spec <file>`) so every cell id is
+Serve the same spec (`serve --spec <file>`) so every cell id is
 registered; every decoder family (BP, BP-OSD, BP-SF) produces
 byte-identical rows either way.";
 

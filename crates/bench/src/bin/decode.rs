@@ -20,23 +20,25 @@
 
 use bpsf_core::stats::log_histogram;
 use qldpc_bench::{build_dem, exit_with_usage};
-use qldpc_campaign::{CampaignSpec, Cell, DecoderSpec, NoiseSpec};
+use qldpc_campaign::{CampaignSpec, Cell, NoiseSpec};
 use qldpc_sim::{
-    decoders, run_circuit_level, run_code_capacity, BatchConfig, CircuitLevelConfig,
-    CodeCapacityConfig, HardwareLatencyModel, LatencyStats,
+    run_circuit_level, run_code_capacity, BatchConfig, CircuitLevelConfig, CodeCapacityConfig,
+    HardwareLatencyModel, LatencyStats,
 };
 use std::fmt::Write as _;
 
 const USAGE: &str = "\
 usage: decode --code SLUG --noise code-capacity|circuit-level --p F --decoder SPEC
-              [--rounds N|d] [--precision f64|f32] [--pool P]
+              [--rounds N|d] [--precision f64|f32]
               [--shots N] [--threads N] [--seed N]
   --code       bb72 | gross | bb288 | coprime126 | coprime154 | gb254 | shyps225
   --decoder    bp:ITERS | bp-osd:ITERS:ORDER | bp-sf:ITERS:CANDS:WMAX[:NS],
-               each optionally prefixed layered-
+               each optionally prefixed layered-; a bp-sf token may end in
+               ;KEY=VALUE options (quote it): select=min-weight,
+               rank=flips|llr, pad=off, damp=A, rule=sum-product, mem=G,
+               workers=P (its trials on P threads)
   --rounds     circuit-level only; default d, the code's distance
   --precision  f32 exists for bp / layered-bp only (default f64)
-  --pool P     run a bp-sf decoder's trials on P worker threads
   --shots N    shots to decode (default 500), split over --threads streams
                (default 1); every decode call takes one syndrome, so wall
                clock is per-shot latency";
@@ -54,105 +56,74 @@ const SPEC_FLAGS: [(&str, &str); 9] = [
     ("--seed", "seed"),
 ];
 
-/// The parsed command line: the one cell to run and how.
-struct Cli {
-    spec: CampaignSpec,
-    cell: Cell,
-    pool: Option<usize>,
-}
-
-impl Cli {
-    /// Turns the arguments into a one-cell campaign spec — one spec line
-    /// per flag — and lets the campaign parser validate it, so an error
-    /// names the flag whose line it points at.
-    fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
-        let mut text = String::from("name = decode\n");
-        let mut flags: Vec<String> = Vec::new();
-        let mut pool = None;
-        let mut it = args.into_iter();
-        while let Some(flag) = it.next() {
-            if flag == "--help" || flag == "-h" {
-                println!("{USAGE}");
-                std::process::exit(0);
+/// Turns the arguments into a one-cell campaign spec — one spec line per
+/// flag — and lets the campaign parser validate it, so an error names the
+/// flag whose line it points at. Returns the spec and its one cell.
+fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<(CampaignSpec, Cell), String> {
+    let mut text = String::from("name = decode\n");
+    let mut flags: Vec<String> = Vec::new();
+    let mut it = args.into_iter();
+    while let Some(flag) = it.next() {
+        if flag == "--help" || flag == "-h" {
+            println!("{USAGE}");
+            std::process::exit(0);
+        }
+        let value = it.next().ok_or(format!("{flag} needs a value"))?;
+        if let Some((_, key)) = SPEC_FLAGS.iter().find(|(f, _)| *f == flag) {
+            // One value, one spec line: list separators and comment
+            // markers would make it a grid or hide the rest.
+            if value.contains([',', '#', '\n']) {
+                return Err(format!("{flag} takes a single value, got '{value}'"));
             }
-            let value = it.next().ok_or(format!("{flag} needs a value"))?;
-            if flag == "--pool" {
-                pool = match value.parse() {
-                    Ok(workers) if workers > 0 => Some(workers),
-                    _ => return Err(format!("--pool needs a positive count, got '{value}'")),
-                };
-            } else if let Some((_, key)) = SPEC_FLAGS.iter().find(|(f, _)| *f == flag) {
-                // One value, one spec line: list separators and comment
-                // markers would make it a grid or hide the rest.
-                if value.contains([',', '#', '\n']) {
-                    return Err(format!("{flag} takes a single value, got '{value}'"));
-                }
-                writeln!(text, "{key} = {value}").expect("writing to a String");
-                flags.push(flag);
-            } else {
-                return Err(format!("unknown argument '{flag}'"));
-            }
+            writeln!(text, "{key} = {value}").expect("writing to a String");
+            flags.push(flag);
+        } else {
+            return Err(format!("unknown argument '{flag}'"));
         }
-        for required in ["--code", "--noise", "--p", "--decoder"] {
-            if !flags.iter().any(|f| f == required) {
-                return Err(format!("{required} is required"));
-            }
-        }
-        for (flag, default) in [("--shots", "max_shots = 500"), ("--threads", "threads = 1")] {
-            if !flags.iter().any(|f| f == flag) {
-                writeln!(text, "{default}").expect("writing to a String");
-            }
-        }
-        // Line 1 is the name; line k + 1 is the k-th flag's.
-        let spec =
-            CampaignSpec::parse(&text).map_err(|e| match flags.get(e.line.wrapping_sub(2)) {
-                Some(flag) => format!("{flag}: {}", e.message),
-                None => e.message,
-            })?;
-        let (decoder, precision) = (spec.decoders[0], spec.precisions[0]);
-        if !decoder.supports(precision) {
-            return Err(format!(
-                "--precision {precision}: {} has no {precision} variant",
-                decoder.spec_syntax()
-            ));
-        }
-        if pool.is_some() && !matches!(decoder, DecoderSpec::BpSf { layered: false, .. }) {
-            return Err(format!(
-                "--pool runs the trials of a bp-sf:… decoder, not of {}",
-                decoder.spec_syntax()
-            ));
-        }
-        if spec.threads == 0 {
-            return Err("--threads needs a positive count".into());
-        }
-        let cell = spec.cells().map_err(|e| e.message)?.remove(0);
-        Ok(Self { spec, cell, pool })
     }
+    for required in ["--code", "--noise", "--p", "--decoder"] {
+        if !flags.iter().any(|f| f == required) {
+            return Err(format!("{required} is required"));
+        }
+    }
+    for (flag, default) in [("--shots", "max_shots = 500"), ("--threads", "threads = 1")] {
+        if !flags.iter().any(|f| f == flag) {
+            writeln!(text, "{default}").expect("writing to a String");
+        }
+    }
+    // Line 1 is the name; line k + 1 is the k-th flag's.
+    let spec = CampaignSpec::parse(&text).map_err(|e| match flags.get(e.line.wrapping_sub(2)) {
+        Some(flag) => format!("{flag}: {}", e.message),
+        None => e.message,
+    })?;
+    let (decoder, precision) = (spec.decoders[0], spec.precisions[0]);
+    if !decoder.supports(precision) {
+        return Err(format!(
+            "--precision {precision}: {} has no {precision} variant",
+            decoder.spec_syntax()
+        ));
+    }
+    if spec.threads == 0 {
+        return Err("--threads needs a positive count".into());
+    }
+    let cell = spec.cells().map_err(|e| e.message)?.remove(0);
+    Ok((spec, cell))
 }
 
 fn main() {
-    let Cli { spec, cell, pool } = Cli::parse(std::env::args().skip(1))
+    let (spec, cell) = parse_cli(std::env::args().skip(1))
         .unwrap_or_else(|error| exit_with_usage("decode", &error, USAGE));
     let code = qldpc_codes::paper_code(&cell.code_slug).expect("the spec parser checked the slug");
-    let factory = match pool {
-        None => cell.decoder.factory(cell.precision),
-        Some(workers) => decoders::parallel_bp_sf(
-            cell.decoder
-                .bp_sf_config()
-                .expect("--pool was checked against bp-sf"),
-            workers,
-        ),
-    };
+    let factory = cell.decoder.factory(cell.precision);
     let (shots, seed) = (spec.max_shots, spec.seed);
     let batch = BatchConfig {
         threads: spec.threads,
         batch_size: 1,
     };
     println!(
-        "decode: {} — {shots} shots, seed {seed}, {} thread(s){}",
+        "decode: {} — {shots} shots, seed {seed}, {} thread(s)",
         cell.id(),
         batch.threads,
-        pool.map_or_else(String::new, |p| format!(", {p} trial workers")),
     );
 
     let report = match spec.noise {

@@ -67,18 +67,18 @@ fn main() -> ExitCode {
         let uds = take_value(&mut args, "--uds")?;
         let spec = take_value(&mut args, "--spec")?;
         let node = take_value(&mut args, "--node")?.unwrap_or_else(|| "node0".to_string());
-        let max_inflight = take_value(&mut args, "--max-inflight")?
-            .map(|v| {
-                v.parse::<usize>()
-                    .map_err(|_| "--max-inflight needs a number".to_string())
-            })
-            .transpose()?;
-        let shards = take_value(&mut args, "--shards")?
-            .map(|v| {
-                v.parse::<usize>()
-                    .map_err(|_| "--shards needs a number".to_string())
-            })
-            .transpose()?;
+        // A zero would leave the service unable to decode: no worker, or
+        // every submission answered `RateLimited`.
+        let mut count = |flag: &str| {
+            take_value(&mut args, flag)?
+                .map(|v| match v.parse::<usize>() {
+                    Ok(n) if n > 0 => Ok(n),
+                    _ => Err(format!("{flag} needs a positive count, got '{v}'")),
+                })
+                .transpose()
+        };
+        let max_inflight = count("--max-inflight")?;
+        let shards = count("--shards")?;
         Ok((tcp, uds, spec, node, max_inflight, shards))
     })();
     let (tcp, uds, spec, node, max_inflight, shards) = match parsed {
@@ -94,9 +94,6 @@ fn main() -> ExitCode {
 
     let mut config = ServiceConfig::default();
     if let Some(shards) = shards {
-        if shards == 0 {
-            return fail("--shards must be at least 1");
-        }
         config.shards = shards;
     }
 

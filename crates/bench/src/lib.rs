@@ -5,11 +5,14 @@
 //! (`specs/paper/*.campaign`, run by `campaign`), and latency/iteration
 //! figures are invocations of `decode`, the one-cell anatomy tool —
 //! EXPERIMENTS.md ("Paper figures") maps every figure to its spec or
-//! command line and to the paper's value. Two figure binaries remain,
-//! `fig03` and `ablations`, because they reach APIs no spec names; they
-//! share [`BenchArgs`], [`banner`] and [`paper_reference`]; `decode` and
-//! `fig03` share the DEM builder. The rest of this module is the soak
-//! harness's digest and syndrome stream (`soak_client`, `cluster_soak`).
+//! command line and to the paper's value; BP-SF's design-choice
+//! ablations are a spec too, one `;key=value` decoder token per variant
+//! (`specs/paper/ablations.campaign`). One figure binary remains, `fig03`,
+//! because its candidate precision/recall needs the true error, which no
+//! decode outcome carries; it alone uses [`BenchArgs`], [`banner`] and
+//! [`paper_reference`], and shares the DEM builder with `decode`. The rest
+//! of this module is the soak harness's digest and syndrome stream
+//! (`soak_client`, `cluster_soak`).
 //!
 //! Absolute values differ from the paper's: it ran a Xeon E5-2698v4 +
 //! V100 with Stim-generated circuits; this reproduction runs a pure-Rust
@@ -26,7 +29,7 @@ pub fn exit_with_usage(tool: &str, error: &str, usage: &str) -> ! {
     std::process::exit(2)
 }
 
-/// Parsed CLI arguments of the figure binaries (`fig03`, `ablations`).
+/// Parsed CLI arguments of the figure binary `fig03`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BenchArgs {
     /// Shots per data point.

@@ -3,6 +3,7 @@
 //! bit-identity against in-process decoding, and clean drain on the
 //! stdin-EOF shutdown convention. Plus the campaign-over-the-service
 //! smoke: `--service` reproduces the in-process REPRO.md byte for byte.
+//! Last, `serve` refuses an in-flight budget it could never serve.
 //!
 //! Hermetic: the binaries come from `CARGO_BIN_EXE_*`, the transport is
 //! a UDS under the temp dir, and every wait is bounded by a deadlock
@@ -202,7 +203,7 @@ fn campaign_over_service_reproduces_in_process_rows() {
             codes  = gross\n\
             noise  = code-capacity\n\
             p      = 0.02, 0.05\n\
-            decoders   = bp:40, bp-osd:40:10, bp-sf:40:8:2:3\n\
+            decoders   = bp:40, bp-osd:40:10, bp-sf:40:8:2:3, bp-sf:40:8:2:3;rank=flips;workers=2\n\
             precisions = f64\n\
             target_half_width = 0.05\n\
             chunk_shots = 50\n\
@@ -266,4 +267,18 @@ fn campaign_over_service_reproduces_in_process_rows() {
         }
         let _ = std::fs::remove_file(&spec_path);
     });
+}
+
+/// `--max-inflight 0` would answer every submission `RateLimited`, so
+/// the command line refuses it.
+#[test]
+fn serve_rejects_a_zero_inflight_budget() {
+    let output = Command::new(SERVE)
+        .args(["--max-inflight", "0"])
+        .stdin(Stdio::null())
+        .output()
+        .expect("run serve");
+    assert!(!output.status.success(), "serve accepted --max-inflight 0");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("--max-inflight"), "stderr: {stderr}");
 }

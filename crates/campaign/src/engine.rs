@@ -87,10 +87,10 @@ pub struct RunOptions {
     /// Decode through a networked service at this address (TCP
     /// `host:port`, or a UDS path when it contains `/`) instead of
     /// in-process decoders. The service must have every cell registered
-    /// under its cell id (see [`cell_decoder_inputs`]); `qldpc-serve
-    /// --spec` does exactly that. Every decoder family is a pure
-    /// function of its inputs and the syndrome, so the rows are
-    /// byte-identical either way.
+    /// under its cell id (see [`cell_decoder_inputs`]); `serve --spec`
+    /// does exactly that. Every decoder family is a pure function of its
+    /// inputs and the syndrome, so the rows are byte-identical either
+    /// way.
     pub service: Option<String>,
 }
 

@@ -20,7 +20,8 @@
 //! threads     = 2
 //! ```
 
-use bpsf_core::BpSfConfig;
+use bpsf_core::{BpSfConfig, TrialSampling};
+use qldpc_bp::{BpConfig, Schedule};
 use qldpc_decoder_api::{DecoderFactory, DecoderFamily, Precision};
 use qldpc_sim::decoders;
 use std::fmt;
@@ -93,8 +94,11 @@ pub enum Rounds {
 /// * `bp-sf:ITERS:CANDS:WMAX:NS` — sampled-trial BP-SF,
 ///
 /// each with an optional `layered-` prefix that runs its BP stage on the
-/// layered schedule instead of flooding (`layered-bp-osd:1000:10`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// layered schedule instead of flooding (`layered-bp-osd:1000:10`). A
+/// BP-SF token may end in `;key=value` options, which
+/// [`BpSfConfig::set_option`] spells and applies
+/// (`bp-sf:50:8:1;rank=flips;workers=2`).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DecoderSpec {
     /// Plain min-sum BP.
     Bp {
@@ -114,22 +118,19 @@ pub enum DecoderSpec {
     },
     /// The paper's BP-SF decoder.
     BpSf {
-        /// Initial/trial BP iteration budget.
-        iters: usize,
-        /// Candidate-set size |Φ|.
-        candidates: usize,
-        /// Maximum trial weight `w_max`.
-        w_max: usize,
-        /// Sampled trials per weight (`None` = exhaustive trials).
-        n_s: Option<usize>,
-        /// Layered schedule (`layered-` prefix).
-        layered: bool,
+        /// Everything the token names but the worker count.
+        config: BpSfConfig,
+        /// Trial worker threads `P`.
+        workers: usize,
     },
 }
 
 impl DecoderSpec {
-    fn parse(text: &str, line: usize) -> Result<Self, SpecError> {
-        let mut parts = text.split(':');
+    /// Parses one decoder token; the caller names the token and its line
+    /// in the error.
+    fn parse(text: &str) -> Result<Self, String> {
+        let mut options = text.split(';');
+        let mut parts = options.next().unwrap_or_default().split(':');
         let head = parts.next().unwrap_or_default();
         let (layered, base) = match head.strip_prefix("layered-") {
             Some(base) => (true, base),
@@ -137,25 +138,20 @@ impl DecoderSpec {
         };
         let nums: Vec<usize> = parts
             .map(|p| {
-                p.trim().parse().map_err(|_| {
-                    SpecError::at(line, format!("decoder '{text}': '{p}' is not a count"))
-                })
+                p.trim()
+                    .parse()
+                    .map_err(|_| format!("'{p}' is not a count"))
             })
             .collect::<Result<_, _>>()?;
-        let arity = |want: &[usize]| -> Result<(), SpecError> {
+        let arity = |want: &[usize]| {
             if want.contains(&nums.len()) {
                 Ok(())
             } else {
-                Err(SpecError::at(
-                    line,
-                    format!(
-                        "decoder '{text}': '{head}' takes {} colon-separated counts, got {}",
-                        want.iter()
-                            .map(|n| n.to_string())
-                            .collect::<Vec<_>>()
-                            .join(" or "),
-                        nums.len()
-                    ),
+                let want: Vec<String> = want.iter().map(usize::to_string).collect();
+                Err(format!(
+                    "'{head}' takes {} colon-separated counts, got {}",
+                    want.join(" or "),
+                    nums.len()
                 ))
             }
         };
@@ -164,56 +160,66 @@ impl DecoderSpec {
         // would otherwise surface as a construction panic deep in the
         // engine instead of a line-numbered spec error. (`bp-osd:…:0`
         // stays legal — order 0 is the standard OSD-0 baseline.)
-        let positive = |what: &str, v: usize| -> Result<usize, SpecError> {
-            if v > 0 {
-                Ok(v)
-            } else {
-                Err(SpecError::at(
-                    line,
-                    format!("decoder '{text}': {what} must be positive"),
-                ))
-            }
+        let positive = |what: &str, v: usize| match v {
+            0 => Err(format!("{what} must be positive")),
+            v => Ok(v),
         };
-        match base {
+        let mut spec = match base {
             "bp" => {
                 arity(&[1])?;
-                Ok(DecoderSpec::Bp {
+                DecoderSpec::Bp {
                     iters: positive("iterations", nums[0])?,
                     layered,
-                })
+                }
             }
             "bp-osd" => {
                 arity(&[2])?;
-                Ok(DecoderSpec::BpOsd {
+                DecoderSpec::BpOsd {
                     iters: positive("iterations", nums[0])?,
                     order: nums[1],
                     layered,
-                })
+                }
             }
             "bp-sf" => {
                 arity(&[3, 4])?;
-                Ok(DecoderSpec::BpSf {
-                    iters: positive("iterations", nums[0])?,
-                    candidates: positive("candidates", nums[1])?,
-                    w_max: positive("w_max", nums[2])?,
-                    n_s: nums
-                        .get(3)
-                        .copied()
-                        .map(|n| positive("n_s", n))
-                        .transpose()?,
-                    layered,
-                })
+                let iters = positive("iterations", nums[0])?;
+                let candidates = positive("candidates", nums[1])?;
+                let w_max = positive("w_max", nums[2])?;
+                let mut config = match nums.get(3) {
+                    None => BpSfConfig::code_capacity(iters, candidates, w_max),
+                    Some(&n_s) => {
+                        BpSfConfig::circuit_level(iters, candidates, w_max, positive("n_s", n_s)?)
+                    }
+                };
+                if layered {
+                    config.initial_bp.schedule = Schedule::Layered;
+                }
+                DecoderSpec::BpSf { config, workers: 1 }
             }
-            _ => Err(SpecError::at(
-                line,
-                format!(
-                    "unknown decoder '{head}' (expected bp, bp-osd or bp-sf, optionally prefixed layered-)"
-                ),
+            _ => return Err(format!(
+                "unknown decoder '{head}' (expected bp, bp-osd or bp-sf, optionally prefixed layered-)"
             )),
+        };
+        let mut seen = Vec::new();
+        for option in options {
+            let (key, value) = option.split_once('=').unwrap_or((option, ""));
+            let (key, value) = (key.trim(), value.trim());
+            let fail = |message: String| format!("option '{key}': {message}");
+            if seen.contains(&key) {
+                return Err(fail("given twice".into()));
+            }
+            seen.push(key);
+            let DecoderSpec::BpSf { config, workers } = &mut spec else {
+                return Err(fail(format!("'{head}' takes no options")));
+            };
+            config.set_option(workers, key, value).map_err(fail)?;
         }
+        Ok(spec)
     }
 
-    /// The spec syntax for this decoder (parses back to `self`).
+    /// The spec syntax for this decoder (parses back to `self`): options
+    /// in canonical order, none at its default, so each decoder has one
+    /// spelling and an option-free token is unchanged.
     pub fn spec_syntax(&self) -> String {
         let (layered, base) = match *self {
             DecoderSpec::Bp { iters, layered } => (layered, format!("bp:{iters}")),
@@ -222,15 +228,19 @@ impl DecoderSpec {
                 order,
                 layered,
             } => (layered, format!("bp-osd:{iters}:{order}")),
-            DecoderSpec::BpSf {
-                iters,
-                candidates,
-                w_max,
-                n_s,
-                layered,
-            } => {
-                let n_s = n_s.map_or_else(String::new, |n| format!(":{n}"));
-                (layered, format!("bp-sf:{iters}:{candidates}:{w_max}{n_s}"))
+            DecoderSpec::BpSf { config, workers } => {
+                let n_s = match config.sampling {
+                    TrialSampling::Exhaustive => String::new(),
+                    TrialSampling::Sampled { per_weight } => format!(":{per_weight}"),
+                };
+                let mut base = format!(
+                    "bp-sf:{}:{}:{}{n_s}",
+                    config.initial_bp.max_iters, config.candidates, config.max_flip_weight
+                );
+                for option in config.options(workers) {
+                    base += &format!(";{option}");
+                }
+                (config.initial_bp.schedule == Schedule::Layered, base)
             }
         };
         format!("{}{base}", if layered { "layered-" } else { "" })
@@ -258,25 +268,6 @@ impl DecoderSpec {
         }
     }
 
-    /// The flooding-schedule [`BpSfConfig`] a `bp-sf` decoder names
-    /// (`None` for the other families): what [`Self::factory`] builds
-    /// from, and what `decode --pool` hands the worker-pool executor.
-    pub fn bp_sf_config(&self) -> Option<BpSfConfig> {
-        match *self {
-            DecoderSpec::BpSf {
-                iters,
-                candidates,
-                w_max,
-                n_s,
-                ..
-            } => Some(match n_s {
-                None => BpSfConfig::code_capacity(iters, candidates, w_max),
-                Some(n_s) => BpSfConfig::circuit_level(iters, candidates, w_max, n_s),
-            }),
-            _ => None,
-        }
-    }
-
     /// Builds the [`DecoderFactory`] for this decoder at a precision.
     ///
     /// # Panics
@@ -289,33 +280,23 @@ impl DecoderSpec {
             "{} has no {precision} variant",
             self.spec_syntax()
         );
+        let bp = |max_iters, layered| BpConfig {
+            max_iters,
+            schedule: if layered {
+                Schedule::Layered
+            } else {
+                Schedule::Flooding
+            },
+            ..BpConfig::default()
+        };
         match *self {
-            DecoderSpec::Bp {
-                iters,
-                layered: false,
-            } => decoders::plain_bp_at(iters, precision),
-            DecoderSpec::Bp {
-                iters,
-                layered: true,
-            } => decoders::layered_bp_at(iters, precision),
+            DecoderSpec::Bp { iters, layered } => decoders::bp_with(bp(iters, layered), precision),
             DecoderSpec::BpOsd {
                 iters,
                 order,
-                layered: false,
-            } => decoders::bp_osd(iters, order),
-            DecoderSpec::BpOsd {
-                iters,
-                order,
-                layered: true,
-            } => decoders::layered_bp_osd(iters, order),
-            DecoderSpec::BpSf { layered, .. } => {
-                let config = self.bp_sf_config().expect("a bp-sf spec names its config");
-                if layered {
-                    decoders::layered_bp_sf(config)
-                } else {
-                    decoders::bp_sf(config)
-                }
-            }
+                layered,
+            } => decoders::bp_osd_with(bp(iters, layered), order),
+            DecoderSpec::BpSf { config, workers } => decoders::parallel_bp_sf(config, workers),
         }
     }
 }
@@ -517,9 +498,7 @@ impl CampaignSpec {
                     })?;
                 }
                 "decoders" => {
-                    spec.decoders = parse_list(value, line, "decoder", |d| {
-                        DecoderSpec::parse(d, line).map_err(|e| e.message)
-                    })?;
+                    spec.decoders = parse_list(value, line, "decoder", DecoderSpec::parse)?;
                 }
                 "precisions" => {
                     spec.precisions = parse_list(value, line, "precision", |p| {
@@ -854,20 +833,27 @@ threads = 2
     fn value_level_duplicate_cells_are_rejected_at_expansion() {
         // "0.1" and "0.10" pass the textual duplicate check but parse to
         // the same value, so the expanded cells would share an id — the
-        // resume log could not tell them apart.
-        let spec = CampaignSpec::parse(
-            "name = x\ncodes = gross\nnoise = code-capacity\np = 0.1, 0.10\ndecoders = bp:1",
-        )
-        .unwrap();
-        let err = spec.cells().unwrap_err();
-        assert!(err.to_string().contains("identical cells"), "{err}");
+        // resume log could not tell them apart. So do one decoder
+        // variant's options in two orders.
+        for (grid, cell) in [
+            ("p = 0.1, 0.10\ndecoders = bp:1", "p=0.1|bp:1"),
+            (
+                "p = 0.1\ndecoders = bp-sf:9:8:1;pad=off;rank=llr, bp-sf:9:8:1;rank=llr;pad=off",
+                "p=0.1|bp-sf:9:8:1;rank=llr;pad=off",
+            ),
+        ] {
+            let text = format!("name = x\ncodes = gross\nnoise = code-capacity\n{grid}");
+            let err = CampaignSpec::parse(&text).unwrap().cells().unwrap_err();
+            let needle = format!("identical cells 'gross|cc|{cell}'");
+            assert!(err.to_string().contains(&needle), "{err}");
+        }
     }
 
     #[test]
     fn osd_order_zero_is_the_osd0_baseline() {
         // Order 0 is a real configuration (OSD-0) and must stay legal,
         // unlike zero iteration budgets.
-        let d = DecoderSpec::parse("bp-osd:100:0", 1).unwrap();
+        let d = DecoderSpec::parse("bp-osd:100:0").unwrap();
         assert_eq!(
             d,
             DecoderSpec::BpOsd {
@@ -882,7 +868,10 @@ threads = 2
     fn decoder_syntax_round_trips() {
         let code = qldpc_codes::paper_code("bb72").unwrap();
         let hz = code.hz();
-        for (text, label) in [
+        let label = |options: &str| format!("BP-SF(BP50,w=1,|Φ|=8{options})");
+        // (token, its canonical form, the label of the decoder the
+        // factory builds)
+        let mut rows: Vec<(String, String, String)> = [
             ("bp:100", "BP100"),
             ("layered-bp:50", "LayeredBP50"),
             ("bp-osd:1000:10", "BP1000-OSD10"),
@@ -894,12 +883,41 @@ threads = 2
                 "Layered-BP-SF(BP100,w=10,|Φ|=50)",
             ),
             (
-                "layered-bp-sf:100:50:10:10",
-                "Layered-BP-SF(BP100,w=10,|Φ|=50)",
+                "layered-bp-sf:100:50:10:5",
+                "Layered-BP-SF(BP100,w=10,|Φ|=50,ns=5)",
+            ),
+        ]
+        .map(|(text, label)| (text.into(), text.into(), label.into()))
+        .into();
+        let all =
+            "select=min-weight;rank=flips;pad=off;damp=0.8;rule=sum-product;mem=0.3;workers=2";
+        // Each key alone reaches the decoder and its label.
+        for option in all.split(';').chain(["rank=llr"]) {
+            let text = format!("bp-sf:50:8:1;{option}");
+            rows.push((text.clone(), text, label(&format!(",{option}"))));
+        }
+        for (text, canonical, options) in [
+            // One spelling per value; options at their defaults are dropped.
+            ("bp-sf:50:8:1;damp=1.0", "bp-sf:50:8:1;damp=1", ",damp=1".into()),
+            ("bp-sf:50:8:1;mem=0;workers=1", "bp-sf:50:8:1", String::new()),
+            // The canonical order is the key table's, whatever the token's.
+            (
+                "bp-sf:50:8:1;workers=2;mem=0.3;rule=sum-product;damp=0.8;pad=off;rank=flips;select=min-weight",
+                &format!("bp-sf:50:8:1;{all}"),
+                format!(",{}", all.replace(';', ",")),
+            ),
+            (
+                "bp-sf:50:8:1 ; workers=3 ; rank = llr",
+                "bp-sf:50:8:1;rank=llr;workers=3",
+                ",rank=llr,workers=3".into(),
             ),
         ] {
-            let d = DecoderSpec::parse(text, 1).unwrap();
-            assert_eq!(d.spec_syntax(), text);
+            rows.push((text.into(), canonical.into(), label(&options)));
+        }
+        for (text, canonical, label) in rows {
+            let d = DecoderSpec::parse(&text).unwrap();
+            assert_eq!(d.spec_syntax(), canonical);
+            assert_eq!(DecoderSpec::parse(&canonical).unwrap(), d, "{text}");
             // Only plain BP has an f32 variant, on either schedule.
             assert!(d.supports(Precision::F64));
             assert_eq!(d.supports(Precision::F32), d.family() == DecoderFamily::Bp);
@@ -910,8 +928,15 @@ threads = 2
         }
     }
 
+    /// The error of a spec whose only decoder, on line 5, is `token`.
+    fn decoder_error(token: &str) -> SpecError {
+        let text =
+            format!("name = x\ncodes = gross\nnoise = code-capacity\np = 0.1\ndecoders = {token}");
+        CampaignSpec::parse(&text).unwrap_err()
+    }
+
     #[test]
-    fn layered_heads_keep_their_arity_and_positivity_checks() {
+    fn decoder_errors_name_the_line_and_the_key() {
         for (text, needle) in [
             (
                 "layered-bp-osd:1000",
@@ -929,13 +954,45 @@ threads = 2
                 "layered-layered-bp:10",
                 "unknown decoder 'layered-layered-bp'",
             ),
-        ] {
-            let err = DecoderSpec::parse(text, 7).unwrap_err();
-            assert_eq!(err.line, 7);
-            assert!(err.message.contains(needle), "{text}: {err}");
+            ("bp:40;workers=2", "option 'workers': 'bp' takes no options"),
+            (
+                "layered-bp-osd:100:10;pad=off",
+                "option 'pad': 'layered-bp-osd' takes no options",
+            ),
+        ]
+        .map(|(text, needle)| (text.to_string(), needle.to_string()))
+        .into_iter()
+        .chain(
+            [
+                ("bogus=1", "'bogus': unknown option"),
+                ("rank=flips;rank=llr", "'rank': given twice"),
+                ("pad=off;pad=off", "'pad': given twice"),
+                ("select=first", "'select': 'first' is not min-weight"),
+                ("rank", "'rank': '' is not flips or llr"),
+                ("pad=on", "'pad': 'on' is not off"),
+                ("damp=0", "'damp': '0' is not a factor in (0, 1]"),
+                ("damp=1.5", "'damp': '1.5' is not a factor"),
+                ("rule=min-sum", "'rule': 'min-sum' is not sum-product"),
+                ("mem=1", "'mem': '1' is not a strength in [0, 1)"),
+                ("mem=-0.1", "'mem': '-0.1' is not a strength"),
+                ("workers=0", "'workers': '0' is not a positive count"),
+            ]
+            .map(|(options, needle)| {
+                (
+                    format!("bp-sf:50:8:1;{options}"),
+                    format!("option {needle}"),
+                )
+            }),
+        ) {
+            let err = decoder_error(&text);
+            assert_eq!(err.line, 5, "{text}: {err}");
+            assert!(
+                err.message.contains(&format!("decoder '{text}': {needle}")),
+                "{text}: {err}"
+            );
         }
         // OSD-0 stays legal under the prefix, like the flooding head.
-        assert!(DecoderSpec::parse("layered-bp-osd:100:0", 1).is_ok());
+        assert!(DecoderSpec::parse("layered-bp-osd:100:0").is_ok());
     }
 
     #[test]

@@ -46,6 +46,9 @@ fn every_committed_spec_expands_and_builds_its_decoders() {
         // Decoders and precisions vary fastest, so the matrices of one
         // (code, p, rounds) point are built once and shared.
         let mut inputs = BTreeMap::new();
+        // REPRO.md tells the cells of one (code, p, rounds, precision)
+        // point apart by decoder label alone.
+        let mut labels = BTreeMap::new();
         for cell in &cells {
             let matrices = inputs
                 .entry((cell.code_slug.clone(), cell.p.to_bits(), cell.rounds))
@@ -55,6 +58,10 @@ fn every_committed_spec_expands_and_builds_its_decoders() {
                 let decoder = factory(h, priors);
                 assert_eq!(decoder.family(), cell.decoder.family(), "{}", cell.id());
                 assert_eq!(decoder.precision(), cell.precision, "{}", cell.id());
+                let point = (cell.p.to_bits(), cell.rounds, cell.precision.name());
+                let key = (&cell.code_slug, point, decoder.label());
+                let other = labels.insert(key, cell.id()).unwrap_or_else(|| cell.id());
+                assert_eq!(other, cell.id(), "two cells share a label");
             }
         }
     }

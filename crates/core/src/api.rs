@@ -34,25 +34,25 @@ impl SyndromeDecoder for BpSfDecoder {
             .collect()
     }
 
-    /// `"BP-SF(BP{iters},w={w_max},|Φ|={candidates}[,ns={per_weight}][,P={workers}])"`,
-    /// with a `Layered-` prefix (and no `ns`) under the layered schedule
-    /// (paper Fig. 8 naming); `P` appears only above one worker — the
-    /// paper's "BP-SF (CPU, P=N)" series.
+    /// `"BP-SF(BP{iters},w={w_max},|Φ|={candidates}[,ns={per_weight}][,{option}…])"`,
+    /// with a `Layered-` prefix under the layered schedule (paper Fig. 8
+    /// naming) and every option not at its default in its canonical
+    /// spelling ([`BpSfConfig::options`](crate::BpSfConfig::options)), so
+    /// `workers=N` marks the paper's "BP-SF (CPU, P=N)" series.
     fn label(&self) -> String {
         let c = self.config();
         let mut label = format!(
             "BP-SF(BP{},w={},|Φ|={}",
             c.initial_bp.max_iters, c.max_flip_weight, c.candidates
         );
-        match (c.initial_bp.schedule, c.sampling) {
-            (Schedule::Layered, _) => label.insert_str(0, "Layered-"),
-            (Schedule::Flooding, TrialSampling::Exhaustive) => {}
-            (Schedule::Flooding, TrialSampling::Sampled { per_weight }) => {
-                label += &format!(",ns={per_weight}");
-            }
+        if c.initial_bp.schedule == Schedule::Layered {
+            label.insert_str(0, "Layered-");
         }
-        if self.workers() > 1 {
-            label += &format!(",P={}", self.workers());
+        if let TrialSampling::Sampled { per_weight } = c.sampling {
+            label += &format!(",ns={per_weight}");
+        }
+        for option in c.options(self.workers()) {
+            label += &format!(",{option}");
         }
         label + ")"
     }
@@ -81,9 +81,12 @@ mod tests {
         layered_cfg.initial_bp.schedule = Schedule::Layered;
         let layered = BpSfDecoder::new(hz, &priors, layered_cfg);
         assert_eq!(layered.label(), "Layered-BP-SF(BP40,w=2,|Φ|=8)");
+        layered_cfg.sampling = TrialSampling::Sampled { per_weight: 5 };
+        let layered = BpSfDecoder::new(hz, &priors, layered_cfg);
+        assert_eq!(layered.label(), "Layered-BP-SF(BP40,w=2,|Φ|=8,ns=5)");
         let two =
             BpSfDecoder::with_workers(hz, &priors, BpSfConfig::circuit_level(60, 50, 3, 4), 2);
-        assert_eq!(two.label(), "BP-SF(BP60,w=3,|Φ|=50,ns=4,P=2)");
+        assert_eq!(two.label(), "BP-SF(BP60,w=3,|Φ|=50,ns=4,workers=2)");
     }
 
     /// The batched path (interleaved initial BP, then post-processing)

@@ -2,7 +2,8 @@
 
 /// How candidate bits are ranked (the paper's §VII names "more effective
 /// candidate selection" as future work; these variants make the design
-/// space measurable — see the `ablations` bench binary).
+/// space measurable — the `rank=` option of a `bp-sf` decoder token, and
+/// `specs/paper/ablations.campaign`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CandidateRanking {
     /// The paper's rule: flip count descending, ties broken by posterior

@@ -3,7 +3,7 @@
 
 use crate::candidates::{select_candidates_ranked, CandidateRanking};
 use crate::trials::{shot_rng, TrialVectors};
-use qldpc_bp::{BpConfig, BpResult, MinSumDecoder};
+use qldpc_bp::{BpAlgorithm, BpConfig, BpResult, DampingSchedule, MinSumDecoder};
 use qldpc_gf2::{BitVec, SparseBitMatrix};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -124,6 +124,87 @@ impl BpSfConfig {
             }
             TrialSampling::Sampled { per_weight } => per_weight * self.max_flip_weight,
         }
+    }
+
+    /// Applies one named option of a decoder token
+    /// (`bp-sf:50:8:1;rank=flips;workers=2`) to this configuration and to
+    /// a trial worker count. The spellings, with what they set:
+    ///
+    /// | Key | Values | Sets | Default |
+    /// |---|---|---|---|
+    /// | `select` | `min-weight` | [`TrialSelection::MinWeight`] | first success |
+    /// | `rank` | `flips`, `llr` | [`CandidateRanking::FlipCountOnly`], [`CandidateRanking::LlrOnly`] | flip count, then \|LLR\| |
+    /// | `pad` | `off` | `pad_candidates = false` | padding on |
+    /// | `damp` | α, 0 < α ≤ 1 | [`DampingSchedule::Fixed`] | adaptive |
+    /// | `rule` | `sum-product` | [`BpAlgorithm::SumProduct`] | min-sum |
+    /// | `mem` | γ, 0 ≤ γ < 1 | `memory_strength` | 0 |
+    /// | `workers` | P ≥ 1 | the worker count | 1 |
+    ///
+    /// `damp`, `rule` and `mem` set `initial_bp`, which the trials inherit.
+    ///
+    /// # Errors
+    ///
+    /// An unknown key or a value outside the table, as a message that
+    /// leaves naming the key to the caller.
+    pub fn set_option(
+        &mut self,
+        workers: &mut usize,
+        key: &str,
+        value: &str,
+    ) -> Result<(), String> {
+        let bad = |expected: &str| Err(format!("'{value}' is not {expected}"));
+        let fraction = value.parse::<f64>().unwrap_or(f64::NAN);
+        match (key, value) {
+            ("select", "min-weight") => self.selection = TrialSelection::MinWeight,
+            ("select", _) => return bad("min-weight"),
+            ("rank", "flips") => self.ranking = CandidateRanking::FlipCountOnly,
+            ("rank", "llr") => self.ranking = CandidateRanking::LlrOnly,
+            ("rank", _) => return bad("flips or llr"),
+            ("pad", "off") => self.pad_candidates = false,
+            ("pad", _) => return bad("off"),
+            ("damp", _) if fraction > 0.0 && fraction <= 1.0 => {
+                self.initial_bp.damping = DampingSchedule::Fixed(fraction);
+            }
+            ("damp", _) => return bad("a factor in (0, 1]"),
+            ("rule", "sum-product") => self.initial_bp.algorithm = BpAlgorithm::SumProduct,
+            ("rule", _) => return bad("sum-product"),
+            ("mem", _) if (0.0..1.0).contains(&fraction) => {
+                self.initial_bp.memory_strength = fraction
+            }
+            ("mem", _) => return bad("a strength in [0, 1)"),
+            ("workers", _) => match value.parse() {
+                Ok(p) if p > 0 => *workers = p,
+                _ => return bad("a positive count"),
+            },
+            _ => return Err("unknown option (keys: select rank pad damp rule mem workers)".into()),
+        }
+        Ok(())
+    }
+
+    /// `key=value` for every option of [`Self::set_option`] that is not at
+    /// its default, in the order of its table: the canonical spelling,
+    /// which applied in turn rebuilds `(self, workers)`.
+    pub fn options(&self, workers: usize) -> Vec<String> {
+        let bp = &self.initial_bp;
+        [
+            (self.selection == TrialSelection::MinWeight).then(|| "select=min-weight".into()),
+            match self.ranking {
+                CandidateRanking::FlipCountThenLlr => None,
+                CandidateRanking::FlipCountOnly => Some("rank=flips".into()),
+                CandidateRanking::LlrOnly => Some("rank=llr".into()),
+            },
+            (!self.pad_candidates).then(|| "pad=off".into()),
+            match bp.damping {
+                DampingSchedule::Adaptive => None,
+                DampingSchedule::Fixed(alpha) => Some(format!("damp={alpha}")),
+            },
+            (bp.algorithm == BpAlgorithm::SumProduct).then(|| "rule=sum-product".into()),
+            (bp.memory_strength != 0.0).then(|| format!("mem={}", bp.memory_strength)),
+            (workers > 1).then(|| format!("workers={workers}")),
+        ]
+        .into_iter()
+        .flatten()
+        .collect()
     }
 }
 
@@ -334,11 +415,6 @@ impl BpSfDecoder {
     /// The decoder configuration.
     pub fn config(&self) -> &BpSfConfig {
         &self.config
-    }
-
-    /// The bound check matrix.
-    pub fn check_matrix(&self) -> &SparseBitMatrix {
-        &self.h
     }
 
     /// Number of trial workers `P`.

@@ -10,15 +10,16 @@
 //! one instance per basis (X/Z) and per worker thread.
 
 use bpsf_core::{BpSfConfig, BpSfDecoder};
-use qldpc_bp::{BpConfig, MinSumDecoder, MinSumDecoderF32, Schedule};
+use qldpc_bp::{BpConfig, MinSumDecoder, MinSumDecoderF32};
 use qldpc_osd::{BpOsdDecoder, OsdConfig};
 
 pub use qldpc_decoder_api::{DecodeOutcome, DecoderFactory, Precision, SyndromeDecoder};
 
-/// Builds a BP factory for an explicit config at the requested message
-/// precision — the one place the `Precision` runtime value is turned
-/// into a decoder *type*, shared by every BP factory below.
-fn bp_factory(config: BpConfig, precision: Precision) -> DecoderFactory {
+/// Builds a BP factory for an explicit config (schedule, rule, damping,
+/// …) at the requested message precision — the one place the
+/// `Precision` runtime value is turned into a decoder *type*, shared by
+/// every BP factory below.
+pub fn bp_with(config: BpConfig, precision: Precision) -> DecoderFactory {
     match precision {
         Precision::F64 => {
             Box::new(move |h, priors| Box::new(MinSumDecoder::new(h, priors, config)))
@@ -38,22 +39,9 @@ pub fn plain_bp(max_iters: usize) -> DecoderFactory {
 /// [`plain_bp`] at an explicit message precision; `Precision::F32` runs
 /// the half-width fast path (labels gain an `@f32` suffix).
 pub fn plain_bp_at(max_iters: usize, precision: Precision) -> DecoderFactory {
-    bp_factory(
+    bp_with(
         BpConfig {
             max_iters,
-            ..BpConfig::default()
-        },
-        precision,
-    )
-}
-
-/// Factory for plain layered min-sum BP (used for `[[288,12,18]]`,
-/// Fig. 8) at an explicit message precision.
-pub fn layered_bp_at(max_iters: usize, precision: Precision) -> DecoderFactory {
-    bp_factory(
-        BpConfig {
-            max_iters,
-            schedule: Schedule::Layered,
             ..BpConfig::default()
         },
         precision,
@@ -62,49 +50,36 @@ pub fn layered_bp_at(max_iters: usize, precision: Precision) -> DecoderFactory {
 
 /// Factory for the `BP{bp_iters}-OSD{order}` baseline (flooding BP).
 pub fn bp_osd(bp_iters: usize, order: usize) -> DecoderFactory {
-    Box::new(move |h, priors| {
-        let bp = BpConfig {
+    bp_osd_with(
+        BpConfig {
             max_iters: bp_iters,
             ..BpConfig::default()
-        };
-        let osd = OsdConfig {
-            order,
-            ..OsdConfig::default()
-        };
-        Box::new(BpOsdDecoder::new(h, priors, bp, osd))
-    })
+        },
+        order,
+    )
 }
 
-/// Factory for the layered-schedule BP-OSD variant.
-pub fn layered_bp_osd(bp_iters: usize, order: usize) -> DecoderFactory {
-    Box::new(move |h, priors| {
-        let bp = BpConfig {
-            max_iters: bp_iters,
-            schedule: Schedule::Layered,
-            ..BpConfig::default()
-        };
-        let osd = OsdConfig {
-            order,
-            ..OsdConfig::default()
-        };
-        Box::new(BpOsdDecoder::new(h, priors, bp, osd))
-    })
+/// Factory for BP-OSD of combination-sweep order `order` after a BP
+/// stage of an explicit config (`schedule: Layered` is Fig. 8's layered
+/// BP-OSD).
+pub fn bp_osd_with(bp: BpConfig, order: usize) -> DecoderFactory {
+    let osd = OsdConfig {
+        order,
+        ..OsdConfig::default()
+    };
+    Box::new(move |h, priors| Box::new(BpOsdDecoder::new(h, priors, bp, osd)))
 }
 
 /// Factory for the BP-SF decoder with an explicit configuration, trials
 /// run one after another.
 pub fn bp_sf(config: BpSfConfig) -> DecoderFactory {
-    Box::new(move |h, priors| Box::new(BpSfDecoder::new(h, priors, config)))
-}
-
-/// Factory for the layered-schedule BP-SF variant (Fig. 8).
-pub fn layered_bp_sf(mut config: BpSfConfig) -> DecoderFactory {
-    config.initial_bp.schedule = Schedule::Layered;
-    Box::new(move |h, priors| Box::new(BpSfDecoder::new(h, priors, config)))
+    parallel_bp_sf(config, 1)
 }
 
 /// Factory for the BP-SF decoder with its trials spread over `workers`
-/// threads (the paper's "BP-SF (CPU, P={workers})").
+/// threads (the paper's "BP-SF (CPU, P={workers})"); the schedule, like
+/// every other knob, is the config's (`initial_bp.schedule = Layered` is
+/// Fig. 8's layered BP-SF).
 pub fn parallel_bp_sf(config: BpSfConfig, workers: usize) -> DecoderFactory {
     Box::new(move |h, priors| Box::new(BpSfDecoder::with_workers(h, priors, config, workers)))
 }
@@ -112,8 +87,17 @@ pub fn parallel_bp_sf(config: BpSfConfig, workers: usize) -> DecoderFactory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qldpc_bp::Schedule;
     use qldpc_codes::bb;
     use qldpc_gf2::BitVec;
+
+    fn layered(max_iters: usize) -> BpConfig {
+        BpConfig {
+            max_iters,
+            schedule: Schedule::Layered,
+            ..BpConfig::default()
+        }
+    }
 
     #[test]
     fn factories_produce_labeled_decoders() {
@@ -124,11 +108,11 @@ mod tests {
             (plain_bp(100)(hz, &priors).label(), "BP100"),
             (bp_osd(1000, 10)(hz, &priors).label(), "BP1000-OSD10"),
             (
-                layered_bp_at(50, Precision::F64)(hz, &priors).label(),
+                bp_with(layered(50), Precision::F64)(hz, &priors).label(),
                 "LayeredBP50",
             ),
             (
-                layered_bp_osd(50, 10)(hz, &priors).label(),
+                bp_osd_with(layered(50), 10)(hz, &priors).label(),
                 "LayeredBP50-OSD10",
             ),
         ];
@@ -139,7 +123,7 @@ mod tests {
         let f32_bp = plain_bp_at(100, Precision::F32)(hz, &priors);
         assert_eq!(f32_bp.label(), "BP100@f32");
         assert_eq!(f32_bp.precision(), Precision::F32);
-        let f32_layered = layered_bp_at(50, Precision::F32)(hz, &priors);
+        let f32_layered = bp_with(layered(50), Precision::F32)(hz, &priors);
         assert_eq!(f32_layered.label(), "LayeredBP50@f32");
         // The default-precision factories still build f64 decoders.
         assert_eq!(plain_bp(100)(hz, &priors).precision(), Precision::F64);
@@ -153,10 +137,8 @@ mod tests {
         let sf_desc = sf.descriptor();
         assert_eq!(sf_desc.label, sf.label());
         assert_eq!(sf_desc.family, DecoderFamily::BpSf);
-        let lsf = layered_bp_sf(BpSfConfig::code_capacity(50, 8, 1))(hz, &priors);
-        assert!(lsf.label().starts_with("Layered-BP-SF"));
         let psf = parallel_bp_sf(BpSfConfig::code_capacity(50, 4, 1), 2)(hz, &priors);
-        assert_eq!(psf.label(), "BP-SF(BP50,w=1,|Φ|=4,P=2)");
+        assert_eq!(psf.label(), "BP-SF(BP50,w=1,|Φ|=4,workers=2)");
     }
 
     #[test]
@@ -167,9 +149,9 @@ mod tests {
         let zero = BitVec::zeros(hz.rows());
         let factories: Vec<DecoderFactory> = vec![
             plain_bp(50),
-            layered_bp_at(50, Precision::F64),
+            bp_with(layered(50), Precision::F64),
             plain_bp_at(50, Precision::F32),
-            layered_bp_at(50, Precision::F32),
+            bp_with(layered(50), Precision::F32),
             bp_osd(50, 10),
             bp_sf(BpSfConfig::code_capacity(50, 4, 1)),
             parallel_bp_sf(BpSfConfig::code_capacity(50, 4, 1), 2),

@@ -100,7 +100,14 @@ fn no_state_leaks_across_batch_lanes() {
         ("plain_bp", decoders::plain_bp(30)),
         (
             "layered_bp",
-            decoders::layered_bp_at(30, decoders::Precision::F64),
+            decoders::bp_with(
+                qldpc_bp::BpConfig {
+                    max_iters: 30,
+                    schedule: qldpc_bp::Schedule::Layered,
+                    ..Default::default()
+                },
+                decoders::Precision::F64,
+            ),
         ),
         ("bp_osd", decoders::bp_osd(25, 10)),
         (
