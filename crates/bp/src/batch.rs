@@ -6,46 +6,54 @@
 //! across shots. [`BatchMinSumDecoder`] keeps all message state in
 //! structure-of-arrays slabs:
 //!
-//! * `c2v`, `v2c`: `num_edges × L` (edge-major, lane-minor),
-//! * `posterior`, `hard`, `flip_counts`: `num_vars × L`,
+//! * `c2v`: `num_edges × L` (edge-major, lane-minor),
+//! * `total`, `next_total`: `num_vars × L`, per-lane running totals;
+//!   `hard`, and `flip_counts` when oscillations are tracked,
 //! * syndrome bits/signs: `num_checks × L`,
 //!
 //! where `L = min(B, max_lanes)` is the lane width of one tile. Each BP
-//! iteration walks the graph's edge structure **once** for all live
-//! lanes. The slabs are 64-byte-aligned ([`AlignedSlab`]) and the hot
-//! per-iteration passes run as **explicit wide kernels**
-//! ([`wide`](crate::wide)) on the instruction set picked at runtime —
-//! AVX-512 → AVX2 → NEON → scalar, overridable per config
-//! ([`BpConfig::simd_target`]) or process-wide (`QLDPC_SIMD_TARGET`).
-//! On the scalar target, check-node updates go through the lane-generic
-//! [`kernel`](crate::kernel) core, the oracle; the wide targets
-//! re-express those loops with compare-blend selects chosen so each lane
+//! iteration is **one check-major sweep** over the graph for all live
+//! lanes — the lane-interleaved twin of the scalar
+//! [`MinSumDecoder`](crate::MinSumDecoder)'s: per check, V2C is formed
+//! as `clamp(total[v] − c2v[e])` into a per-check scratch, the check
+//! rule writes the new C2V in place, and it is added into `next_total`
+//! (flooding) or written through to the running posterior (layered). A
+//! lane's posterior is `clamp(total)`, so there is no V2C or posterior
+//! slab. The slabs are 64-byte-aligned ([`AlignedSlab`]) and the sweep
+//! runs as an **explicit wide kernel** ([`wide`](crate::wide)) on the
+//! instruction set picked at runtime — AVX-512 → AVX2 → NEON → scalar,
+//! overridable per config ([`BpConfig::simd_target`]) or process-wide
+//! (`QLDPC_SIMD_TARGET`). On the scalar target, and for lanes past the
+//! last whole vector, check updates go through the lane-generic
+//! [`kernel`](crate::kernel) core, the oracle; the wide kernel
+//! re-expresses it with compare-blend selects chosen so each lane
 //! executes the identical float stream. Either way every lane produces
 //! the same floats, summed in the same order, as a scalar
-//! [`MinSumDecoder::decode`] of that shot (whose check-major sweep is a
-//! one-lane re-expression of the same arithmetic) — the outputs are
-//! **bit-identical on every dispatch target**, enforced by the property
-//! suite in `crates/bp/tests/batch_equivalence.rs`.
+//! [`MinSumDecoder::decode`](crate::MinSumDecoder::decode) of that shot —
+//! the outputs are **bit-identical on every dispatch target**, enforced
+//! by the property suite in `crates/bp/tests/batch_equivalence.rs`.
 //!
 //! # Precision
 //!
 //! The engine is generic over the [`Llr`] message scalar. At `f32`
 //! ([`BatchMinSumDecoderF32`](crate::BatchMinSumDecoderF32)) the slabs
-//! are half as wide, which doubles the effective SIMD lanes of the
-//! auto-vectorized inner loops and halves their memory traffic — the
-//! hardware-BP trade the source paper leans on. The bit-identity
-//! contract holds *per precision*: f32 batch ≡ f32 scalar, f64 batch ≡
-//! f64 scalar, each via `to_bits`.
+//! are half as wide, which doubles the lanes of each vector and halves
+//! the memory traffic — the hardware-BP trade the source paper leans on.
+//! The bit-identity contract holds *per precision*: f32 batch ≡ f32
+//! scalar, f64 batch ≡ f64 scalar, each via `to_bits`.
 //!
 //! # Early termination: lane compaction
 //!
 //! Per-shot early exit is preserved via an active-lane prefix instead of
-//! a mask: when a lane converges, its column is swapped (a pure
-//! permutation — no lane's arithmetic changes) to the tail of every slab
-//! and the live width shrinks, so each iteration's cost is proportional
-//! to the number of *still-running* shots, exactly like the scalar
-//! decoder's per-shot iteration sum. Converged lanes keep their slot and
-//! frozen state until extraction.
+//! a mask. After each iteration's syndrome check, the converged lanes
+//! are snapshotted and the live width shrinks; one compaction pass then
+//! moves the surviving lanes above the new width into the holes below
+//! it, in the slabs that carry state across iterations (`c2v`, `total`,
+//! the syndrome slabs, and `hard` and `flip_counts` when oscillations
+//! are tracked) — a pure permutation, so no surviving lane's arithmetic
+//! changes. Each iteration's cost is then proportional to the number of
+//! *still-running* shots, exactly like the scalar decoder's per-shot
+//! iteration sum.
 //!
 //! # Examples
 //!
@@ -65,18 +73,19 @@ use crate::graph::TannerGraph;
 use crate::kernel::{self, CheckScratch};
 use crate::llr::Llr;
 use crate::wide;
-use crate::{prior_llr, BpConfig, BpResult, MinSumDecoderOf};
+use crate::{prior_llr, BpConfig, BpResult, MinSumDecoderOf, Schedule};
 use qldpc_gf2::{BitVec, SparseBitMatrix};
 use qldpc_simd::{AlignedSlab, SimdTarget};
 
 /// Default cap on the lane width of one interleaved tile.
 ///
-/// Bounds slab memory at `2 × num_edges × DEFAULT_MAX_LANES` message
-/// scalars regardless of the caller's batch size; larger batches are
-/// processed as consecutive tiles (the ragged tail simply runs at a
-/// narrower width). Use this constant — not its current literal value —
-/// anywhere a batch width should mean "one full kernel tile" (the
-/// service's `max_batch` default does exactly that).
+/// Bounds slab memory at about `(num_edges + 2 × num_vars) ×
+/// DEFAULT_MAX_LANES` message scalars (the `c2v` slab and the two
+/// running-total slabs) regardless of the caller's batch size; larger
+/// batches are processed as consecutive tiles (the ragged tail simply
+/// runs at a narrower width). Use this constant — not its current
+/// literal value — anywhere a batch width should mean "one full kernel
+/// tile" (the service's `max_batch` default does exactly that).
 ///
 /// Derived from the widest compiled-in vector
 /// ([`MAX_F32_LANES`](qldpc_simd::MAX_F32_LANES)) so a full tile is a
@@ -95,9 +104,9 @@ pub const DEFAULT_MAX_LANES: usize = 8 * qldpc_simd::MAX_F32_LANES;
 /// schedules, adaptive and fixed damping, posterior memory, min-sum and
 /// sum-product check rules, per-lane oscillation tracking for BP-SF —
 /// because both decoders compute the check update of `kernel.rs` (this
-/// one by running it, the scalar sweep as a one-lane re-expression) and
-/// sum each variable's messages in the same ascending-edge order per
-/// lane.
+/// one by running it or its wide twin, the scalar sweep as a one-lane
+/// re-expression) in the same check-major sweep, handing each variable
+/// its messages in the same ascending-edge order per lane.
 ///
 /// The decoder owns all slabs and grows them lazily to the widest tile it
 /// has seen; repeated batch decodes do not allocate (beyond the returned
@@ -109,36 +118,43 @@ pub struct BatchMinSumDecoderOf<T: Llr> {
     config: BpConfig,
     channel_llrs: Vec<T>,
     max_lanes: usize,
+    max_check_degree: usize,
     // Shot-interleaved working slabs at the current tile's lane stride,
-    // reused across decodes. All are 64-byte-aligned so the explicit
-    // wide kernels start every slab on a full cache line / AVX-512
-    // register boundary.
-    /// Per-(variable, lane) channel LLRs: the decoder's `channel_llrs`
-    /// broadcast across the tile.
-    lane_channel: AlignedSlab<T>,
+    // sized for the widest tile seen and reused across decodes. All are
+    // 64-byte-aligned so the explicit wide kernels start every row on a
+    // full cache line / AVX-512 register boundary.
     c2v: AlignedSlab<T>,
-    v2c: AlignedSlab<T>,
-    posterior: AlignedSlab<T>,
+    /// Per (variable, lane), what V2C messages are formed from: flooding,
+    /// the unclamped `l_ch + Σ c2v` of the last sweep; layered, the
+    /// running posterior. The lane's posterior is `clamp(total)`.
+    total: AlignedSlab<T>,
+    /// Where a flooding sweep sums the next `total`.
+    next_total: AlignedSlab<T>,
+    /// One check's V2C messages: `max_check_degree` rows of one lane
+    /// group (wide) or of the oracle's lanes (scalar).
+    incoming: AlignedSlab<T>,
+    /// The oracle's C2V output for the same rows.
+    outgoing: AlignedSlab<T>,
+    /// This iteration's hard decisions; with oscillation tracking, also
+    /// the last iteration's, which the flip counts compare against.
     hard: AlignedSlab<bool>,
-    hard_prev: AlignedSlab<bool>,
     flip_counts: AlignedSlab<u32>,
     /// `±1.0` per (check, lane): `-1.0` where the syndrome bit is set.
     syndrome_sign: AlignedSlab<T>,
     syndrome_bit: AlignedSlab<bool>,
-    /// Original shot index occupying each physical lane (compaction swaps
-    /// permute this alongside the slab columns).
+    /// Original shot index occupying each physical lane (compaction
+    /// moves it alongside the slab columns).
     lane_shot: Vec<usize>,
     // Per-shot (not per-lane) bookkeeping.
     converged: Vec<bool>,
     iterations: Vec<usize>,
-    /// Per-lane accumulator for the scalar-target variable phases (the
-    /// wide kernels keep their running sums in registers instead).
-    lane_sum: AlignedSlab<T>,
     /// Per-lane syndrome-satisfaction verdicts (one slab pass per
     /// iteration instead of a scalar walk per lane).
     lane_ok: AlignedSlab<bool>,
     /// Per-lane parity accumulator for the verdict pass.
     lane_parity: AlignedSlab<bool>,
+    /// One compaction pass's `(hole, filler)` lane pairs.
+    moves: Vec<(usize, usize)>,
     scratch: CheckScratch<T>,
 }
 
@@ -185,27 +201,32 @@ impl<T: Llr> BatchMinSumDecoderOf<T> {
         config: BpConfig,
         channel_llrs: Vec<T>,
     ) -> Self {
+        let max_check_degree = (0..graph.num_checks())
+            .map(|c| graph.check_edges(c).len())
+            .max()
+            .unwrap_or(0);
         Self {
             graph,
             h,
             config,
             channel_llrs,
             max_lanes: DEFAULT_MAX_LANES,
-            lane_channel: AlignedSlab::new(),
+            max_check_degree,
             c2v: AlignedSlab::new(),
-            v2c: AlignedSlab::new(),
-            posterior: AlignedSlab::new(),
+            total: AlignedSlab::new(),
+            next_total: AlignedSlab::new(),
+            incoming: AlignedSlab::new(),
+            outgoing: AlignedSlab::new(),
             hard: AlignedSlab::new(),
-            hard_prev: AlignedSlab::new(),
             flip_counts: AlignedSlab::new(),
             syndrome_sign: AlignedSlab::new(),
             syndrome_bit: AlignedSlab::new(),
             lane_shot: Vec::new(),
             converged: Vec::new(),
             iterations: Vec::new(),
-            lane_sum: AlignedSlab::new(),
             lane_ok: AlignedSlab::new(),
             lane_parity: AlignedSlab::new(),
+            moves: Vec::new(),
             scratch: CheckScratch::new(1),
         }
     }
@@ -283,35 +304,37 @@ impl<T: Llr> BatchMinSumDecoderOf<T> {
     /// Decodes one tile of up to `max_lanes` shots into `out`.
     fn decode_tile(&mut self, tile: &[BitVec], out: &mut Vec<BpResult<T>>) {
         let lanes = tile.len();
-        let vars = self.graph.num_vars();
         self.reset(tile);
         let mut target = wide::resolve_target(&self.config);
         // An auto-detected target steps down until one vector fits the
         // tile: a B=8 f32 tile holds no 16-lane groups, and routing it
-        // through the AVX-512 kernel means running its scalar epilogue
-        // for every lane — slower than the narrower wide kernel (or the
-        // scalar kernel's lane-minor loops) the tile actually fills. A
-        // *pinned* target is never stepped down; the equivalence suites
-        // rely on forcing wide kernels onto tiny tiles.
+        // through the AVX-512 kernel means running the oracle on every
+        // lane — slower than the narrower wide kernel (or the scalar
+        // target's lane-minor loops) the tile actually fills. A *pinned*
+        // target is never stepped down; the equivalence suites rely on
+        // forcing wide kernels onto tiny tiles.
         if self.config.simd_target.is_none() {
             while target != SimdTarget::Scalar && wide::lane_width::<T>(target) > lanes {
                 target = wide::step_down(target);
             }
         }
         let vw = wide::lane_width::<T>(target);
+        let flooding = self.config.schedule == Schedule::Flooding;
+        // Posterior memory (flooding only): `Some(γ)` when enabled.
+        let gamma = self.config.memory_strength;
+        let memory = (flooding && gamma != 0.0).then(|| T::from_f64(gamma));
 
         // Each shot's result is snapshotted the moment its lane retires,
         // not at the end of the tile: under a padded live width (below)
-        // the wide kernels may recompute a few retired columns past
+        // the wide kernel may recompute a few retired columns past
         // `width`, so a retired lane's slab state is no longer
         // guaranteed frozen — its snapshot is.
         let mut results: Vec<Option<BpResult<T>>> = (0..lanes).map(|_| None).collect();
 
-        // `width` is the live-lane prefix; converged lanes are swapped
-        // past it. For the wide kernels the prefix is padded to a whole
-        // number of vectors (`width_eff`, capped at the tile) so lane
-        // compaction cannot strand the iteration passes on a ragged
-        // scalar tail; the padding columns hold retired lanes whose
+        // `width` is the live-lane prefix. For the wide kernel the prefix
+        // is padded to a whole number of vectors (`width_eff`, capped at
+        // the tile) so lane compaction cannot strand the sweep on a
+        // ragged tail; the padding columns hold retired lanes whose
         // recomputation is harmless (lanes are arithmetically isolated,
         // and their results were already snapshotted).
         let mut width = lanes;
@@ -323,98 +346,62 @@ impl<T: Llr> BatchMinSumDecoderOf<T> {
                 self.iterations[self.lane_shot[b]] = iter;
             }
             let alpha = T::from_f64(self.config.damping.factor(iter));
-            match (self.config.schedule, target) {
-                (crate::Schedule::Flooding, SimdTarget::Scalar) => {
-                    self.flooding_iteration(lanes, width, alpha)
-                }
-                (crate::Schedule::Layered, SimdTarget::Scalar) => {
-                    self.layered_iteration(lanes, width, alpha)
-                }
-                (schedule, t) => {
-                    let width_eff = lanes.min(width.div_ceil(vw) * vw);
-                    let args = wide::IterArgs {
-                        graph: &self.graph,
-                        lane_channel: &self.lane_channel,
-                        syndrome_sign: &self.syndrome_sign,
-                        c2v: &mut self.c2v,
-                        v2c: &mut self.v2c,
-                        posterior: &mut self.posterior,
-                        gamma: self.config.memory_strength,
-                        alpha,
-                        lanes,
-                        width: width_eff,
-                    };
-                    match schedule {
-                        crate::Schedule::Flooding => wide::flooding_wide(t, args),
-                        crate::Schedule::Layered => wide::layered_wide(t, args),
-                    }
-                }
+            if let Some(gamma) = memory {
+                self.blend_memory(gamma, lanes, width);
             }
-            // Hard decision (paper Eq. 8) on the live lanes.
-            for v in 0..vars {
-                let vb = v * lanes;
-                for b in 0..width {
-                    self.hard[vb + b] = self.posterior[vb + b] <= T::ZERO;
-                }
+            let width_eff = lanes.min(width.div_ceil(vw) * vw);
+            let main = if target == SimdTarget::Scalar {
+                0
+            } else {
+                width_eff - width_eff % vw
+            };
+            if main > 0 {
+                let args = wide::SweepArgs {
+                    graph: &self.graph,
+                    channel: &self.channel_llrs,
+                    syndrome_sign: &self.syndrome_sign,
+                    c2v: &mut self.c2v,
+                    total: &mut self.total,
+                    next_total: &mut self.next_total,
+                    incoming: &mut self.incoming,
+                    flooding,
+                    alpha,
+                    lanes,
+                    width: main,
+                };
+                wide::sweep_wide(target, args);
             }
-            if self.config.track_oscillations {
-                for v in 0..vars {
-                    let vb = v * lanes;
-                    for b in 0..width {
-                        if self.hard[vb + b] != self.hard_prev[vb + b] {
-                            self.flip_counts[vb + b] += 1;
-                        }
-                        self.hard_prev[vb + b] = self.hard[vb + b];
-                    }
-                }
+            self.sweep_lanes(main, width_eff, lanes, alpha, flooding);
+            if flooding {
+                std::mem::swap(&mut self.total, &mut self.next_total);
             }
-            // Retire converged lanes by compacting the live prefix. The
-            // verdicts are precomputed for all live lanes in one
-            // vectorizable slab pass (they depend only on each lane's
-            // own frozen-by-now hard decision, so evaluating before the
-            // swaps is equivalent to the per-lane walk it replaces);
-            // when lane `b` retires, the occupant of `width - 1` — and
-            // its verdict — moves into `b` and is examined next, so no
-            // lane is skipped.
+            self.hard_decision(lanes, width);
             self.compute_lane_ok(target, lanes, width);
-            let mut b = 0;
-            while b < width {
-                if self.lane_ok[b] {
-                    let shot = self.lane_shot[b];
-                    self.converged[shot] = true;
-                    results[shot] = Some(self.snapshot_lane(b, lanes, shot));
-                    self.swap_lanes(b, width - 1, lanes);
-                    self.lane_ok.swap(b, width - 1);
-                    width -= 1;
-                } else {
-                    b += 1;
-                }
-            }
+            width = self.retire(lanes, width, &mut results);
         }
 
-        for (shot, slot) in results.iter_mut().enumerate() {
-            out.push(match slot.take() {
-                Some(result) => result,
-                None => {
-                    // Never retired: compaction left this shot's live
-                    // (untouched-by-padding) state in some physical lane.
-                    let b = self
-                        .lane_shot
-                        .iter()
-                        .position(|&s| s == shot)
-                        .expect("every shot occupies exactly one lane");
-                    self.snapshot_lane(b, lanes, shot)
-                }
-            });
+        // The lanes that never retired hold their live state in the
+        // prefix the last compaction left.
+        for b in 0..width {
+            let shot = self.lane_shot[b];
+            results[shot] = Some(self.snapshot_lane(b, lanes, shot));
         }
+        out.extend(
+            results
+                .into_iter()
+                .map(|r| r.expect("every shot retires or stays live")),
+        );
     }
 
     /// Captures physical lane `b`'s state as shot `shot`'s result.
     fn snapshot_lane(&self, b: usize, lanes: usize, shot: usize) -> BpResult<T> {
         let vars = self.graph.num_vars();
+        let posteriors: Vec<T> = (0..vars)
+            .map(|v| self.total[v * lanes + b].clamp_llr())
+            .collect();
         let mut error_hat = BitVec::zeros(vars);
-        for v in 0..vars {
-            if self.hard[v * lanes + b] {
+        for (v, &p) in posteriors.iter().enumerate() {
+            if p <= T::ZERO {
                 error_hat.set(v, true);
             }
         }
@@ -422,7 +409,7 @@ impl<T: Llr> BatchMinSumDecoderOf<T> {
             converged: self.converged[shot],
             error_hat,
             iterations: self.iterations[shot],
-            posteriors: (0..vars).map(|v| self.posterior[v * lanes + b]).collect(),
+            posteriors,
             flip_counts: if self.config.track_oscillations {
                 (0..vars).map(|v| self.flip_counts[v * lanes + b]).collect()
             } else {
@@ -442,47 +429,51 @@ impl<T: Llr> BatchMinSumDecoderOf<T> {
         wide::resolve_target(&self.config)
     }
 
-    /// Sizes the slabs for `tile.len()` lanes and loads the tile's state.
+    /// Grows the slabs for `tile.len()` lanes (never shrinks them) and
+    /// loads the tile's state. Only what a decode reads before writing is
+    /// initialised: `c2v`, the totals and the syndromes, plus the hard
+    /// decisions and flip counts when oscillations are tracked.
     fn reset(&mut self, tile: &[BitVec]) {
+        fn grow<X: Copy>(slab: &mut AlignedSlab<X>, len: usize, fill: X) {
+            if slab.len() < len {
+                slab.resize(len, fill);
+            }
+        }
         let lanes = tile.len();
         let edges = self.graph.num_edges();
         let vars = self.graph.num_vars();
         let checks = self.graph.num_checks();
-
-        self.c2v.clear();
-        self.c2v.resize(edges * lanes, T::ZERO);
-        // v2c is fully rewritten before it is read each iteration (both
-        // schedules), exactly like the scalar decoder's buffer.
-        self.v2c.resize(edges * lanes, T::ZERO);
-
-        // Channel LLRs per (variable, lane): the priors broadcast across
-        // the tile.
-        self.lane_channel.clear();
-        self.lane_channel.reserve(vars * lanes);
-        for &llr in &self.channel_llrs {
-            for _ in 0..lanes {
-                self.lane_channel.push(llr);
-            }
+        let track = self.config.track_oscillations;
+        grow(&mut self.c2v, edges * lanes, T::ZERO);
+        grow(&mut self.total, vars * lanes, T::ZERO);
+        grow(&mut self.next_total, vars * lanes, T::ZERO);
+        grow(&mut self.incoming, self.max_check_degree * lanes, T::ZERO);
+        grow(&mut self.outgoing, self.max_check_degree * lanes, T::ZERO);
+        grow(&mut self.hard, vars * lanes, false);
+        if track {
+            grow(&mut self.flip_counts, vars * lanes, 0);
         }
+        grow(&mut self.syndrome_sign, checks * lanes, T::ZERO);
+        grow(&mut self.syndrome_bit, checks * lanes, false);
+        grow(&mut self.lane_ok, lanes, false);
+        grow(&mut self.lane_parity, lanes, false);
+        self.scratch.ensure(lanes);
 
-        self.posterior.clear();
-        self.posterior.extend_from_slice(&self.lane_channel);
-        self.hard.clear();
-        self.hard.resize(vars * lanes, false);
-        self.hard_prev.clear();
-        self.hard_prev.resize(vars * lanes, false);
-        self.flip_counts.clear();
-        self.flip_counts.resize(vars * lanes, 0);
-
-        self.syndrome_bit.clear();
-        self.syndrome_bit.reserve(checks * lanes);
-        self.syndrome_sign.clear();
-        self.syndrome_sign.reserve(checks * lanes);
+        self.c2v[..edges * lanes].fill(T::ZERO);
+        let rows = self.total[..vars * lanes].chunks_exact_mut(lanes);
+        for (row, &llr) in rows.zip(&self.channel_llrs) {
+            row.fill(llr);
+        }
+        if track {
+            self.hard[..vars * lanes].fill(false);
+            self.flip_counts[..vars * lanes].fill(0);
+        }
         for c in 0..checks {
-            for s in tile {
-                let bit = s.get(c);
-                self.syndrome_bit.push(bit);
-                self.syndrome_sign.push(if bit { -T::ONE } else { T::ONE });
+            let bits = &mut self.syndrome_bit[c * lanes..(c + 1) * lanes];
+            let signs = &mut self.syndrome_sign[c * lanes..(c + 1) * lanes];
+            for ((bit, sign), s) in bits.iter_mut().zip(signs.iter_mut()).zip(tile) {
+                *bit = s.get(c);
+                *sign = if *bit { -T::ONE } else { T::ONE };
             }
         }
 
@@ -492,148 +483,157 @@ impl<T: Llr> BatchMinSumDecoderOf<T> {
         self.converged.resize(lanes, false);
         self.iterations.clear();
         self.iterations.resize(lanes, 0);
-        self.lane_sum.clear();
-        self.lane_sum.resize(lanes, T::ZERO);
-        self.lane_ok.clear();
-        self.lane_ok.resize(lanes, false);
-        self.lane_parity.clear();
-        self.lane_parity.resize(lanes, false);
-        self.scratch.ensure(lanes);
     }
 
-    /// Swaps physical lanes `a` and `b` in every slab — a pure column
-    /// permutation; no lane's values or operation order change.
-    fn swap_lanes(&mut self, a: usize, b: usize, lanes: usize) {
-        if a == b {
+    /// Posterior memory: re-forms each live lane's `total` with
+    /// `(1−γ)·l_ch + γ·posterior` in place of `l_ch`, as the scalar
+    /// decoder's `blend_memory` does. The one variable-major pass over
+    /// `c2v`, paid only by the configuration that needs it.
+    fn blend_memory(&mut self, gamma: T, lanes: usize, width: usize) {
+        for (v, &llr) in self.channel_llrs.iter().enumerate() {
+            let totals = &mut self.total[v * lanes..v * lanes + width];
+            for t in totals.iter_mut() {
+                *t = (T::ONE - gamma) * llr + gamma * t.clamp_llr();
+            }
+            for &e in self.graph.var_edges(v) {
+                let eb = e as usize * lanes;
+                for (t, &m) in totals.iter_mut().zip(&self.c2v[eb..eb + width]) {
+                    *t += m;
+                }
+            }
+        }
+    }
+
+    /// The sweep for lanes `lo..hi` through the oracle
+    /// ([`kernel::update_check_lanes`]): per check, V2C is formed into
+    /// `incoming` at stride `hi − lo`, the oracle writes the new C2V into
+    /// `outgoing`, and that is copied into `c2v` and folded back exactly
+    /// as the wide kernel does. Runs the whole tile on the scalar target,
+    /// and the lanes past the last whole vector on a wide one.
+    fn sweep_lanes(&mut self, lo: usize, hi: usize, lanes: usize, alpha: T, flooding: bool) {
+        let n = hi - lo;
+        if n == 0 {
             return;
         }
-        for e in 0..self.graph.num_edges() {
-            self.c2v.swap(e * lanes + a, e * lanes + b);
-            self.v2c.swap(e * lanes + a, e * lanes + b);
-        }
-        for v in 0..self.graph.num_vars() {
-            let vb = v * lanes;
-            self.lane_channel.swap(vb + a, vb + b);
-            self.posterior.swap(vb + a, vb + b);
-            self.hard.swap(vb + a, vb + b);
-            self.hard_prev.swap(vb + a, vb + b);
-            self.flip_counts.swap(vb + a, vb + b);
+        if flooding {
+            for (v, &llr) in self.channel_llrs.iter().enumerate() {
+                self.next_total[v * lanes + lo..v * lanes + hi].fill(llr);
+            }
         }
         for c in 0..self.graph.num_checks() {
-            let cb = c * lanes;
-            self.syndrome_bit.swap(cb + a, cb + b);
-            self.syndrome_sign.swap(cb + a, cb + b);
-        }
-        self.lane_shot.swap(a, b);
-    }
-
-    /// One flooding iteration over the live lanes: V2C, C2V, posteriors.
-    ///
-    /// Mirrors the scalar decoder's flooding pass per lane: same edge
-    /// order, same accumulation order, same clamps. `lanes` is the slab
-    /// stride, `width` the live prefix.
-    fn flooding_iteration(&mut self, lanes: usize, width: usize, alpha: T) {
-        let vars = self.graph.num_vars();
-        let gamma = self.config.memory_strength;
-        // V2C (paper Eq. 5): v2c[e] = lch[v] + Σ_{e'≠e} c2v[e'].
-        // Width-sliced rows hoist the bounds checks out of the per-lane
-        // loops so they vectorize over the batch dimension.
-        for v in 0..vars {
-            let lch = &self.lane_channel[v * lanes..v * lanes + width];
-            let sums = &mut self.lane_sum[..width];
-            if gamma == 0.0 {
-                sums.copy_from_slice(lch);
-            } else {
-                let g = T::from_f64(gamma);
-                let vrow = &self.posterior[v * lanes..v * lanes + width];
-                for ((s, &llr), &p) in sums.iter_mut().zip(lch).zip(vrow) {
-                    *s = (T::ONE - g) * llr + g * p;
+            let edges = self.graph.check_edges(c).zip(self.graph.check_vars(c));
+            let deg = edges.len();
+            let incoming = &mut self.incoming[..deg * n];
+            for (row, (e, &v)) in incoming.chunks_exact_mut(n).zip(edges.clone()) {
+                let totals = &self.total[v as usize * lanes + lo..][..n];
+                let old = &self.c2v[e * lanes + lo..][..n];
+                for ((m, &t), &o) in row.iter_mut().zip(totals).zip(old) {
+                    *m = (t - o).clamp_llr();
                 }
             }
-            for &e in self.graph.var_edges(v) {
-                let eb = e as usize * lanes;
-                let crow = &self.c2v[eb..eb + width];
-                for (s, &m) in sums.iter_mut().zip(crow) {
-                    *s += m;
-                }
-            }
-            for &e in self.graph.var_edges(v) {
-                let eb = e as usize * lanes;
-                let crow = &self.c2v[eb..eb + width];
-                let vrow = &mut self.v2c[eb..eb + width];
-                for ((out, &s), &m) in vrow.iter_mut().zip(sums.iter()).zip(crow) {
-                    *out = (s - m).clamp_llr();
-                }
-            }
-        }
-        // C2V (paper Eq. 6, or the exact tanh rule).
-        for c in 0..self.graph.num_checks() {
-            self.update_check(c, lanes, width, alpha);
-        }
-        // Posteriors (paper Eq. 7).
-        for v in 0..vars {
-            let sums = &mut self.lane_sum[..width];
-            sums.copy_from_slice(&self.lane_channel[v * lanes..v * lanes + width]);
-            for &e in self.graph.var_edges(v) {
-                let eb = e as usize * lanes;
-                let crow = &self.c2v[eb..eb + width];
-                for (s, &m) in sums.iter_mut().zip(crow) {
-                    *s += m;
-                }
-            }
-            let prow = &mut self.posterior[v * lanes..v * lanes + width];
-            for (p, &s) in prow.iter_mut().zip(sums.iter()) {
-                *p = s.clamp_llr();
-            }
-        }
-    }
-
-    /// One layered iteration over the live lanes: checks processed
-    /// sequentially, per-shot posteriors updated immediately after each
-    /// check.
-    fn layered_iteration(&mut self, lanes: usize, width: usize, alpha: T) {
-        for c in 0..self.graph.num_checks() {
-            let range = self.graph.check_edges(c);
-            // Fresh V2C from the running posterior, removing this check's
-            // previous contribution.
-            for e in range.clone() {
-                let v = self.graph.edge_var(e);
-                let (eb, vb) = (e * lanes, v * lanes);
-                let prow = &self.posterior[vb..vb + width];
-                let crow = &self.c2v[eb..eb + width];
-                let vrow = &mut self.v2c[eb..eb + width];
-                for ((out, &p), &m) in vrow.iter_mut().zip(prow).zip(crow) {
-                    *out = (p - m).clamp_llr();
-                }
-            }
-            self.update_check(c, lanes, width, alpha);
-            for e in range {
-                let v = self.graph.edge_var(e);
-                let (eb, vb) = (e * lanes, v * lanes);
-                let vrow = &self.v2c[eb..eb + width];
-                let crow = &self.c2v[eb..eb + width];
-                let prow = &mut self.posterior[vb..vb + width];
-                for ((out, &a), &m) in prow.iter_mut().zip(vrow).zip(crow) {
-                    *out = (a + m).clamp_llr();
+            let outgoing = &mut self.outgoing[..deg * n];
+            kernel::update_check_lanes(
+                self.config.algorithm,
+                incoming,
+                outgoing,
+                n,
+                n,
+                &self.syndrome_sign[c * lanes + lo..c * lanes + hi],
+                alpha,
+                &mut self.scratch,
+            );
+            let rows = incoming.chunks_exact(n).zip(outgoing.chunks_exact(n));
+            for ((row, out), (e, &v)) in rows.zip(edges) {
+                self.c2v[e * lanes + lo..][..n].copy_from_slice(out);
+                let vb = v as usize * lanes + lo;
+                if flooding {
+                    for (t, &new) in self.next_total[vb..vb + n].iter_mut().zip(out) {
+                        *t += new;
+                    }
+                } else {
+                    let totals = &mut self.total[vb..vb + n];
+                    for ((t, &m), &new) in totals.iter_mut().zip(row).zip(out) {
+                        *t = (m + new).clamp_llr();
+                    }
                 }
             }
         }
     }
 
-    /// Recomputes check `c`'s C2V messages for the live lanes via the
-    /// lane-generic check-update core.
-    fn update_check(&mut self, c: usize, lanes: usize, width: usize, alpha: T) {
-        let range = self.graph.check_edges(c);
-        kernel::update_check_lanes(
-            self.config.algorithm,
-            &self.v2c[range.start * lanes..range.end * lanes],
-            &mut self.c2v[range.start * lanes..range.end * lanes],
+    /// Hard decision (paper Eq. 8) on the live lanes: error where the
+    /// posterior `clamp(total)` is `<= 0`, which is where `total` is.
+    /// With oscillation tracking, counts the flips against the last
+    /// iteration's decision first.
+    fn hard_decision(&mut self, lanes: usize, width: usize) {
+        let len = self.graph.num_vars() * lanes;
+        let totals = self.total[..len].chunks_exact(lanes);
+        let rows = totals.zip(self.hard[..len].chunks_exact_mut(lanes));
+        if self.config.track_oscillations {
+            let flips = self.flip_counts[..len].chunks_exact_mut(lanes);
+            for ((totals, hard), flips) in rows.zip(flips) {
+                let lanes = hard[..width].iter_mut().zip(&mut flips[..width]);
+                for ((h, f), &t) in lanes.zip(&totals[..width]) {
+                    let bit = t <= T::ZERO;
+                    *f += u32::from(bit != *h);
+                    *h = bit;
+                }
+            }
+        } else {
+            for (totals, hard) in rows {
+                for (h, &t) in hard[..width].iter_mut().zip(&totals[..width]) {
+                    *h = t <= T::ZERO;
+                }
+            }
+        }
+    }
+
+    /// Retires the converged lanes of the live prefix `..width` and
+    /// returns the new width: each converged lane is snapshotted, then
+    /// one compaction pass moves the surviving lanes at or above the new
+    /// width into the converged lanes' holes below it, in every slab
+    /// that carries state into the next iteration.
+    fn retire(&mut self, lanes: usize, width: usize, results: &mut [Option<BpResult<T>>]) -> usize {
+        let mut kept = width;
+        for b in 0..width {
+            if self.lane_ok[b] {
+                let shot = self.lane_shot[b];
+                self.converged[shot] = true;
+                results[shot] = Some(self.snapshot_lane(b, lanes, shot));
+                kept -= 1;
+            }
+        }
+        let ok = &self.lane_ok[..width];
+        let holes = (0..kept).filter(|&b| ok[b]);
+        let fillers = (kept..width).filter(|&b| !ok[b]);
+        self.moves.clear();
+        self.moves.extend(holes.zip(fillers));
+        if self.moves.is_empty() {
+            return kept;
+        }
+        fn compact<X: Copy>(slab: &mut [X], lanes: usize, moves: &[(usize, usize)]) {
+            for row in slab.chunks_exact_mut(lanes) {
+                for &(hole, filler) in moves {
+                    row[hole] = row[filler];
+                }
+            }
+        }
+        let moves = &self.moves;
+        let vars = self.graph.num_vars() * lanes;
+        let checks = self.graph.num_checks() * lanes;
+        compact(
+            &mut self.c2v[..self.graph.num_edges() * lanes],
             lanes,
-            width,
-            &self.syndrome_sign[c * lanes..c * lanes + width],
-            alpha,
-            &mut self.scratch,
+            moves,
         );
+        compact(&mut self.total[..vars], lanes, moves);
+        compact(&mut self.syndrome_sign[..checks], lanes, moves);
+        compact(&mut self.syndrome_bit[..checks], lanes, moves);
+        compact(&mut self.lane_shot, lanes, moves);
+        if self.config.track_oscillations {
+            compact(&mut self.hard[..vars], lanes, moves);
+            compact(&mut self.flip_counts[..vars], lanes, moves);
+        }
+        kept
     }
 
     /// Checks `H·ê = s` for every live lane at once, filling

@@ -368,8 +368,8 @@ impl<T: Llr> MinSumDecoderOf<T> {
     /// (started at `l_ch`; it becomes `total` when the sweep ends), layered
     /// writes the running posterior through at once. Checks ascending and
     /// edges ascending within a check hand every variable its C2V terms in
-    /// ascending edge id: the association order of the batch engine's
-    /// variable-major sums, which keeps this sweep bit-identical to it.
+    /// ascending edge id. The batch engine's sweep is this one per lane,
+    /// in the same order, which keeps the two bit-identical.
     fn sweep_checks(&mut self, syndrome: &BitVec, alpha: T, flooding: bool) {
         self.next_total.copy_from_slice(&self.channel_llrs);
         let (total, next_total) = (&mut self.total[..], &mut self.next_total[..]);

@@ -2,11 +2,20 @@
 //! target, and the oracle every other check update is held against.
 //!
 //! [`update_check_lanes`] recomputes the check-to-variable messages of a
-//! single check for a prefix of `width` live lanes out of a slab with
-//! `stride` interleaved lanes. Message slabs are laid out edge-major,
-//! lane-minor: the message of local edge `j` in lane `b` lives at index
-//! `j * stride + b`, so the per-lane inner loops walk contiguous memory
-//! and auto-vectorize over the batch dimension.
+//! single check for a prefix of `width` live lanes out of a buffer with
+//! `stride` interleaved lanes, laid out edge-major, lane-minor: the
+//! message of local edge `j` in lane `b` lives at index `j * stride + b`,
+//! so the per-lane inner loops walk contiguous memory and auto-vectorize
+//! over the batch dimension. Its callers hand it one check's V2C
+//! messages in a per-check scratch and take the C2V messages from a
+//! second one:
+//!
+//! * the batch engine's check-major sweep (`crates/bp/src/batch.rs`),
+//!   on the scalar target for the whole tile and on a wide target for
+//!   the lanes past the last whole vector, with `stride == width` the
+//!   number of lanes it covers;
+//! * the scalar [`MinSumDecoder`](crate::MinSumDecoder)'s sweep, for the
+//!   sum-product rule only, at `stride == width == 1`.
 //!
 //! The core is generic over the [`Llr`] scalar (`f64` or `f32`): every
 //! arithmetic step, constant and clamp comes from the trait, so the two
@@ -17,21 +26,19 @@
 //! branch, each of which must produce *the same floats in the same
 //! association order per shot*:
 //!
-//! * the explicit-SIMD twins in `crates/bp/src/wide.rs`, which redo these
-//!   exact loops in vector ops chosen for bit-equality (ordered compares
-//!   and blends, sign-bit abs/neg, no FMA) and are pinned against this
-//!   path by the forced-target equivalence suites;
-//! * the scalar [`MinSumDecoder`](crate::MinSumDecoder)'s check-major
-//!   sweep (`crates/bp/src/decoder.rs`), which keeps one lane's
-//!   two-minimum reduction in registers instead of calling this core at
-//!   `stride == width == 1`, and is pinned to it through the
+//! * the explicit-SIMD sweep in `crates/bp/src/wide.rs`, which redoes
+//!   these exact loops in vector ops chosen for bit-equality (ordered
+//!   compares and blends, sign-bit abs/neg, no FMA) and is pinned
+//!   against this path by the forced-target equivalence suites;
+//! * the scalar decoder's check-major sweep (`crates/bp/src/decoder.rs`),
+//!   which keeps one lane's two-minimum reduction in registers instead
+//!   of calling this core, and is pinned to it through the
 //!   batch-vs-scalar property suite
 //!   (`crates/bp/tests/batch_equivalence.rs`) and the golden fingerprints.
 //!
 //! Any numerical change here must land in both in the same commit — the
 //! suites fail loudly if they drift. The sum-product branch has no twin:
-//! the batch engine and the scalar sweep (at width 1, on its per-check
-//! scratch) both run it here.
+//! the batch engine and the scalar sweep both run it here.
 
 use crate::llr::Llr;
 use crate::BpAlgorithm;
@@ -87,8 +94,7 @@ impl<T: Llr> CheckScratch<T> {
 /// `v2c` and `c2v` hold the check's `deg × stride` sub-slab (edge-major,
 /// lane-minor; with `stride == width == 1` these are plain per-edge
 /// slices). `base_sign[b]` is `-1.0` where lane `b`'s syndrome bit is
-/// set, `+1.0` otherwise. Lanes at or beyond `width` (retired by the
-/// batch decoder's compaction) are left untouched.
+/// set, `+1.0` otherwise. Lanes at or beyond `width` are left untouched.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn update_check_lanes<T: Llr>(
     algorithm: BpAlgorithm,

@@ -27,24 +27,27 @@
 //! same precision: for every lane, [`BatchMinSumDecoder`] produces the
 //! same posteriors (to the last ulp), iteration counts, convergence
 //! flags and oscillation sets as a scalar [`MinSumDecoder`] decode of
-//! that lane's syndrome. The lane-generic check-update core in
-//! `crates/bp/src/kernel.rs` is the oracle: the batch engine runs it (or
-//! an explicit-SIMD twin held to its bits), and the scalar decoder's
-//! check-major sweep — one pass over the checks per iteration, one
-//! lane's reduction in registers — computes the same floats in the same
-//! association order. The property suite in
-//! `crates/bp/tests/batch_equivalence.rs` pins the two against each
-//! other per precision, and `tests/golden_minsum.rs` pins both to fixed
-//! fingerprints on the code-capacity and circuit-level graphs.
+//! that lane's syndrome. Both run one check-major sweep per iteration
+//! over per-variable running totals, and the lane-generic check-update
+//! core in `crates/bp/src/kernel.rs` is the oracle: the batch engine
+//! runs it (or an explicit-SIMD twin held to its bits) on each check's
+//! interleaved lanes, and the scalar decoder keeps one lane's reduction
+//! in registers — the same floats in the same association order. The
+//! property suite in `crates/bp/tests/batch_equivalence.rs` pins the
+//! two against each other per precision, and `tests/golden_minsum.rs`
+//! pins both to fixed fingerprints on the code-capacity and
+//! circuit-level graphs.
 //!
-//! Per-shot early exit inside a batch uses **lane compaction**: when a
-//! lane's hard decision satisfies its syndrome, its column is swapped
-//! past the live prefix of every slab (a pure permutation — no
-//! surviving lane's arithmetic changes) and the live width shrinks.
-//! Total work is proportional to the *sum of per-shot iteration
-//! counts*, exactly like a scalar loop, while the live prefix keeps
-//! full vector width. Batches wider than [`DEFAULT_MAX_LANES`] run as
-//! consecutive tiles; the ragged tail just runs narrower.
+//! Per-shot early exit inside a batch uses **lane compaction**: after
+//! each iteration the lanes whose hard decision satisfies their syndrome
+//! are snapshotted and the live width shrinks, and one pass moves the
+//! surviving lanes above the new width into the holes below it, in the
+//! slabs that carry state into the next iteration (a pure permutation —
+//! no surviving lane's arithmetic changes). Total work is proportional
+//! to the *sum of per-shot iteration counts*, exactly like a scalar
+//! loop, while the live prefix keeps full vector width. Batches wider
+//! than [`DEFAULT_MAX_LANES`] run as consecutive tiles; the ragged tail
+//! just runs narrower.
 //!
 //! # Examples
 //!

@@ -1,13 +1,13 @@
 //! Explicit-SIMD twins of the batch decoder's hot loops, behind runtime
 //! dispatch.
 //!
-//! The scalar loops in [`batch`](crate::batch) and the check-update core
-//! in [`kernel`](crate::kernel) remain the **bit-identity oracle**; this
-//! module re-expresses the three hot per-iteration passes — the
-//! two-minimum/argmin check update, the damping/posterior variable
-//! update, and the slab syndrome check — as explicit wide kernels over
-//! the `qldpc-simd` vector types, one monomorphization per
-//! [`SimdTarget`]. Every wide op was chosen so each lane executes
+//! The check-update core in [`kernel`](crate::kernel) remains the
+//! **bit-identity oracle**; this module re-expresses the two hot
+//! per-iteration passes — the check-major sweep (V2C formed from the
+//! per-lane running totals, the two-minimum/argmin check update, the
+//! fold back into the totals) and the slab syndrome check — as explicit
+//! wide kernels over the `qldpc-simd` vector types, one monomorphization
+//! per [`SimdTarget`]. Every wide op was chosen so each lane executes
 //! *exactly* the scalar float stream (see the op-selection notes in
 //! `vendor/simd/src/vec.rs`):
 //!
@@ -16,15 +16,17 @@
 //!   diverges from `Llr::clamp_llr` (reachable: `alpha = 0` ×
 //!   degree-1 check gives `0 · INF = NaN`);
 //! * negation and `abs` are sign-bit ops, exact for `-0.0` messages;
-//! * products round one multiply at a time (no FMA), in the scalar
-//!   code's association order.
+//! * products round one multiply at a time (no FMA), and sums keep the
+//!   scalar code's operand order (which also fixes a NaN's payload).
 //!
-//! Lane tails (`width % LANES`) run an inline scalar epilogue that
-//! copies the oracle loop verbatim. The dispatch wrappers carry
-//! `#[target_feature]`, so the generic bodies below compile once per
-//! instruction set with full vector codegen; they are only reachable
-//! through [`dispatch`](SimdTarget) after runtime feature detection,
-//! which is the single safety contract of the unsafe vector ops.
+//! The sweep covers whole vectors only: lanes past the last one (a tile
+//! narrower than, or not a multiple of, the vector) run through the
+//! oracle in `batch.rs`. The syndrome check keeps a scalar epilogue. The
+//! dispatch wrappers carry `#[target_feature]`, so the generic bodies
+//! below compile once per instruction set with full vector codegen; they
+//! are only reachable through [`dispatch`](SimdTarget) after runtime
+//! feature detection, which is the single safety contract of the unsafe
+//! vector ops.
 
 use crate::decoder::{BpAlgorithm, BpConfig};
 use crate::graph::TannerGraph;
@@ -83,59 +85,65 @@ pub(crate) fn step_down(target: SimdTarget) -> SimdTarget {
     }
 }
 
-/// Borrowed view of one iteration's slabs, shared by the flooding and
-/// layered wide kernels. `width` is the (possibly padded) live prefix;
-/// every slab row must be valid for `width` lanes at stride `lanes`.
-pub(crate) struct IterArgs<'a, T: Llr> {
+/// Borrowed view of one check-major sweep's slabs. `width` is the
+/// (padded) live prefix the vector groups cover, a whole number of
+/// vectors; every slab row must be valid for `width` lanes at stride
+/// `lanes`.
+pub(crate) struct SweepArgs<'a, T: Llr> {
     pub graph: &'a TannerGraph,
-    pub lane_channel: &'a [T],
+    /// One channel LLR per variable: where a flooding sweep starts each
+    /// `next_total`.
+    pub channel: &'a [T],
     pub syndrome_sign: &'a [T],
     pub c2v: &'a mut [T],
-    pub v2c: &'a mut [T],
-    pub posterior: &'a mut [T],
-    /// Posterior-memory strength γ (flooding only).
-    pub gamma: f64,
+    pub total: &'a mut [T],
+    /// Flooding only; unread by a layered sweep.
+    pub next_total: &'a mut [T],
+    /// One check's V2C messages for one lane group: at least
+    /// `max_check_degree × vector width` scalars.
+    pub incoming: &'a mut [T],
+    pub flooding: bool,
     pub alpha: T,
     pub lanes: usize,
     pub width: usize,
 }
 
-/// One flooding iteration on a wide target (V2C with optional memory
-/// blending, check updates, posteriors).
+/// One check-major sweep (flooding or layered) on a wide target.
 ///
 /// `target` must be a non-scalar target supported by this CPU (the
-/// caller dispatches scalar through the oracle loops in `batch.rs`).
-pub(crate) fn flooding_wide<T: Llr>(target: SimdTarget, args: IterArgs<'_, T>) {
+/// caller runs the scalar target, and any lanes past the last whole
+/// vector, through the oracle in `batch.rs`).
+///
+/// # Panics
+///
+/// Panics if a slab is too short for `lanes` lanes, or `width` is not a
+/// whole number of vectors within `lanes`: the raw-pointer body relies
+/// on both.
+pub(crate) fn sweep_wide<T: Llr>(target: SimdTarget, args: SweepArgs<'_, T>) {
+    let (graph, lanes) = (args.graph, args.lanes);
+    assert!(
+        args.width <= lanes
+            && args.width.is_multiple_of(lane_width::<T>(target))
+            && args.channel.len() == graph.num_vars()
+            && args.c2v.len() >= graph.num_edges() * lanes
+            && args.total.len().min(args.next_total.len()) >= graph.num_vars() * lanes
+            && args.syndrome_sign.len() >= graph.num_checks() * lanes,
+        "sweep slabs too short for {lanes} lanes"
+    );
     match target {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: the caller only passes targets whose runtime feature
-        // check succeeded (resolve_target / supported_targets).
-        SimdTarget::Avx2 => unsafe { flooding_avx2(args) },
+        // check succeeded (resolve_target / supported_targets); the
+        // assert above (and the body's per-check one on `incoming`)
+        // keeps every vector load and store inside its slab.
+        SimdTarget::Avx2 => unsafe { sweep_avx2(args) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above.
-        SimdTarget::Avx512 => unsafe { flooding_avx512(args) },
+        SimdTarget::Avx512 => unsafe { sweep_avx512(args) },
         #[cfg(target_arch = "aarch64")]
         // SAFETY: as above.
-        SimdTarget::Neon => unsafe { flooding_neon(args) },
-        _ => unreachable!("scalar/unsupported target dispatched to the wide flooding kernel"),
-    }
-}
-
-/// One layered iteration on a wide target (per-check V2C refresh, check
-/// update, immediate posterior propagation).
-pub(crate) fn layered_wide<T: Llr>(target: SimdTarget, args: IterArgs<'_, T>) {
-    match target {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the caller only passes targets whose runtime feature
-        // check succeeded (resolve_target / supported_targets).
-        SimdTarget::Avx2 => unsafe { layered_avx2(args) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        SimdTarget::Avx512 => unsafe { layered_avx512(args) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: as above.
-        SimdTarget::Neon => unsafe { layered_neon(args) },
-        _ => unreachable!("scalar/unsupported target dispatched to the wide layered kernel"),
+        SimdTarget::Neon => unsafe { sweep_neon(args) },
+        _ => unreachable!("scalar/unsupported target dispatched to the wide sweep"),
     }
 }
 
@@ -184,38 +192,20 @@ pub(crate) fn lane_ok_wide(
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn flooding_avx2<T: Llr>(args: IterArgs<'_, T>) {
-    flooding_body::<T, T::Avx2>(args)
+unsafe fn sweep_avx2<T: Llr>(args: SweepArgs<'_, T>) {
+    sweep_body::<T, T::Avx2>(args)
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl")]
-unsafe fn flooding_avx512<T: Llr>(args: IterArgs<'_, T>) {
-    flooding_body::<T, T::Avx512>(args)
+unsafe fn sweep_avx512<T: Llr>(args: SweepArgs<'_, T>) {
+    sweep_body::<T, T::Avx512>(args)
 }
 
 #[cfg(target_arch = "aarch64")]
 #[target_feature(enable = "neon")]
-unsafe fn flooding_neon<T: Llr>(args: IterArgs<'_, T>) {
-    flooding_body::<T, T::Neon>(args)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn layered_avx2<T: Llr>(args: IterArgs<'_, T>) {
-    layered_body::<T, T::Avx2>(args)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl")]
-unsafe fn layered_avx512<T: Llr>(args: IterArgs<'_, T>) {
-    layered_body::<T, T::Avx512>(args)
-}
-
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-unsafe fn layered_neon<T: Llr>(args: IterArgs<'_, T>) {
-    layered_body::<T, T::Neon>(args)
+unsafe fn sweep_neon<T: Llr>(args: SweepArgs<'_, T>) {
+    sweep_body::<T, T::Neon>(args)
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -277,184 +267,15 @@ unsafe fn clamp_v<T: Llr, V: SimdF<Elem = T>>(x: V) -> V {
     V::select_lt(hi, t1, hi, t1)
 }
 
-/// One flooding iteration: the wide twin of
-/// `BatchMinSumDecoderOf::flooding_iteration`, lane for lane, op for op.
-#[inline(always)]
-unsafe fn flooding_body<T: Llr, V: SimdF<Elem = T>>(args: IterArgs<'_, T>) {
-    let IterArgs {
-        graph,
-        lane_channel,
-        syndrome_sign,
-        c2v,
-        v2c,
-        posterior,
-        gamma,
-        alpha,
-        lanes,
-        width,
-    } = args;
-    let w = V::LANES;
-    let main = width - width % w;
-    let lch = lane_channel.as_ptr();
-    let c2vp = c2v.as_mut_ptr();
-    let v2cp = v2c.as_mut_ptr();
-    let postp = posterior.as_mut_ptr();
-
-    // V2C (paper Eq. 5): v2c[e] = lch[v] + Σ_{e'} c2v[e'] − c2v[e],
-    // accumulated in the graph's edge order like the scalar pass. The
-    // per-lane running sum lives in a register instead of the lane_sum
-    // slab — same additions, same order, no memory traffic.
-    for v in 0..graph.num_vars() {
-        let vb = v * lanes;
-        let edges = graph.var_edges(v);
-        let mut b = 0;
-        while b < main {
-            let mut sum = if gamma == 0.0 {
-                V::load(lch.add(vb + b))
-            } else {
-                let g = T::from_f64(gamma);
-                let blend = V::splat(T::ONE - g).mul(V::load(lch.add(vb + b)));
-                blend.add(V::splat(g).mul(V::load(postp.add(vb + b))))
-            };
-            for &e in edges {
-                sum = sum.add(V::load(c2vp.add(e as usize * lanes + b)));
-            }
-            for &e in edges {
-                let m = V::load(c2vp.add(e as usize * lanes + b));
-                clamp_v::<T, V>(sum.sub(m)).store(v2cp.add(e as usize * lanes + b));
-            }
-            b += w;
-        }
-        for b in main..width {
-            let mut sum = if gamma == 0.0 {
-                *lch.add(vb + b)
-            } else {
-                let g = T::from_f64(gamma);
-                (T::ONE - g) * *lch.add(vb + b) + g * *postp.add(vb + b)
-            };
-            for &e in edges {
-                sum += *c2vp.add(e as usize * lanes + b);
-            }
-            for &e in edges {
-                let m = *c2vp.add(e as usize * lanes + b);
-                *v2cp.add(e as usize * lanes + b) = (sum - m).clamp_llr();
-            }
-        }
-    }
-
-    // C2V (paper Eq. 6).
-    let ssp = syndrome_sign.as_ptr();
-    for c in 0..graph.num_checks() {
-        let range = graph.check_edges(c);
-        check_update_body::<T, V>(
-            v2cp.add(range.start * lanes).cast_const(),
-            c2vp.add(range.start * lanes),
-            ssp.add(c * lanes),
-            range.len(),
-            lanes,
-            width,
-            alpha,
-        );
-    }
-
-    // Posteriors (paper Eq. 7).
-    for v in 0..graph.num_vars() {
-        let vb = v * lanes;
-        let edges = graph.var_edges(v);
-        let mut b = 0;
-        while b < main {
-            let mut sum = V::load(lch.add(vb + b));
-            for &e in edges {
-                sum = sum.add(V::load(c2vp.add(e as usize * lanes + b)));
-            }
-            clamp_v::<T, V>(sum).store(postp.add(vb + b));
-            b += w;
-        }
-        for b in main..width {
-            let mut sum = *lch.add(vb + b);
-            for &e in edges {
-                sum += *c2vp.add(e as usize * lanes + b);
-            }
-            *postp.add(vb + b) = sum.clamp_llr();
-        }
-    }
-}
-
-/// One layered iteration: the wide twin of
-/// `BatchMinSumDecoderOf::layered_iteration`.
-#[inline(always)]
-unsafe fn layered_body<T: Llr, V: SimdF<Elem = T>>(args: IterArgs<'_, T>) {
-    let IterArgs {
-        graph,
-        syndrome_sign,
-        c2v,
-        v2c,
-        posterior,
-        alpha,
-        lanes,
-        width,
-        ..
-    } = args;
-    let w = V::LANES;
-    let main = width - width % w;
-    let c2vp = c2v.as_mut_ptr();
-    let v2cp = v2c.as_mut_ptr();
-    let postp = posterior.as_mut_ptr();
-    let ssp = syndrome_sign.as_ptr();
-
-    for c in 0..graph.num_checks() {
-        let range = graph.check_edges(c);
-        // Fresh V2C from the running posterior, removing this check's
-        // previous contribution.
-        for e in range.clone() {
-            let v = graph.edge_var(e);
-            let (eb, vb) = (e * lanes, v * lanes);
-            let mut b = 0;
-            while b < main {
-                let p = V::load(postp.add(vb + b));
-                let m = V::load(c2vp.add(eb + b));
-                clamp_v::<T, V>(p.sub(m)).store(v2cp.add(eb + b));
-                b += w;
-            }
-            for b in main..width {
-                *v2cp.add(eb + b) = (*postp.add(vb + b) - *c2vp.add(eb + b)).clamp_llr();
-            }
-        }
-        check_update_body::<T, V>(
-            v2cp.add(range.start * lanes).cast_const(),
-            c2vp.add(range.start * lanes),
-            ssp.add(c * lanes),
-            range.len(),
-            lanes,
-            width,
-            alpha,
-        );
-        for e in range {
-            let v = graph.edge_var(e);
-            let (eb, vb) = (e * lanes, v * lanes);
-            let mut b = 0;
-            while b < main {
-                let a = V::load(v2cp.add(eb + b));
-                let m = V::load(c2vp.add(eb + b));
-                clamp_v::<T, V>(a.add(m)).store(postp.add(vb + b));
-                b += w;
-            }
-            for b in main..width {
-                *postp.add(vb + b) = (*v2cp.add(eb + b) + *c2vp.add(eb + b)).clamp_llr();
-            }
-        }
-    }
-}
-
-/// The branchless two-minimum/argmin check update (min-sum, paper
-/// Eq. 6) for one check over all lane groups: the wide twin of the
-/// `MinSum` arm of `kernel::update_check_lanes`.
+/// One check-major sweep over per-lane running totals: the
+/// lane-interleaved twin of the scalar decoder's `sweep_checks`.
 ///
-/// The whole reduction state (min1/min2/argmin/sign) stays in vector
-/// registers across both passes over the check's edges — the scratch
-/// slab of the scalar oracle holds exactly these values, so the float
-/// stream per lane is unchanged. Select-op choices mirror the oracle's
-/// branchy assignments:
+/// Per check and lane group (`V::LANES` shots), V2C (paper Eq. 5) is
+/// formed as `clamp(total[v] − c2v[e])` into `incoming` (one vector per
+/// edge), and the min-sum reduction (paper Eq. 6) runs in
+/// registers over it: the `MinSum` arm of `kernel::update_check_lanes`,
+/// the oracle, re-expressed in selects chosen so every lane executes its
+/// float stream:
 ///
 /// * `second = a<b ? min1 : min2`, then `min2' = new_best ? old_min1 :
 ///   (mag<min2 ? mag : min2)` — equal to the oracle's
@@ -463,70 +284,78 @@ unsafe fn layered_body<T: Llr, V: SimdF<Elem = T>>(args: IterArgs<'_, T>) {
 ///   overwritten;
 /// * sign flips are compare+blend on `m < 0`, so `-0.0` messages keep
 ///   the oracle's "not negative" classification.
+///
+/// The new C2V is written in place and folded back: flooding adds it
+/// into `next_total` (started at the channel LLR), layered writes the
+/// running posterior `clamp(m + c2v)` through at once. Checks ascending
+/// and edges ascending within a check hand every variable its terms in
+/// ascending edge id, the scalar sweep's order.
 #[inline(always)]
-unsafe fn check_update_body<T: Llr, V: SimdF<Elem = T>>(
-    v2c: *const T,
-    c2v: *mut T,
-    base_sign: *const T,
-    deg: usize,
-    stride: usize,
-    width: usize,
-    alpha: T,
-) {
+unsafe fn sweep_body<T: Llr, V: SimdF<Elem = T>>(args: SweepArgs<'_, T>) {
+    let SweepArgs {
+        graph,
+        channel,
+        syndrome_sign,
+        c2v,
+        total,
+        next_total,
+        incoming,
+        flooding,
+        alpha,
+        lanes,
+        width,
+    } = args;
     let w = V::LANES;
-    let main = width - width % w;
+    let c2vp = c2v.as_mut_ptr();
+    let totp = total.as_mut_ptr();
+    let nextp = next_total.as_mut_ptr();
+    let incp = incoming.as_mut_ptr();
+    let ssp = syndrome_sign.as_ptr();
     let zero = V::splat(T::ZERO);
     let alpha_v = V::splat(alpha);
     let pos_one = V::splat(T::ONE);
     let neg_one = V::splat(-T::ONE);
-    let mut b = 0;
-    while b < main {
-        let mut min1 = V::splat(T::INFINITY);
-        let mut min2 = V::splat(T::INFINITY);
-        let mut argmin = V::idx_splat(u32::MAX);
-        let mut sign = V::load(base_sign.add(b));
-        for j in 0..deg {
-            let m = V::load(v2c.add(j * stride + b));
-            let mag = m.abs();
-            let second = V::select_lt(mag, min1, min1, min2);
-            let tmp = V::select_lt(mag, min2, mag, second);
-            let new_min2 = V::select_lt(mag, min1, second, tmp);
-            argmin = V::idx_select_lt(mag, min1, V::idx_splat(j as u32), argmin);
-            min1 = V::select_lt(mag, min1, mag, min1);
-            min2 = new_min2;
-            sign = V::select_lt(m, zero, sign.neg(), sign);
+    if flooding {
+        for (v, &llr) in channel.iter().enumerate() {
+            for b in (0..width).step_by(w) {
+                V::splat(llr).store(nextp.add(v * lanes + b));
+            }
         }
-        for j in 0..deg {
-            let m = V::load(v2c.add(j * stride + b));
-            let mag = V::select_idx_eq(argmin, V::idx_splat(j as u32), min2, min1);
-            let own = V::select_lt(m, zero, neg_one, pos_one);
-            let out = sign.mul(own).mul(alpha_v).mul(mag);
-            clamp_v::<T, V>(out).store(c2v.add(j * stride + b));
-        }
-        b += w;
     }
-    // Scalar epilogue: the oracle's loop verbatim, with the per-lane
-    // scratch values in locals.
-    for b in main..width {
-        let mut min1 = T::INFINITY;
-        let mut min2 = T::INFINITY;
-        let mut argmin = u32::MAX;
-        let mut sign = *base_sign.add(b);
-        for j in 0..deg {
-            let m = *v2c.add(j * stride + b);
-            let mag = m.abs();
-            let new_best = mag < min1;
-            let second = if new_best { min1 } else { min2 };
-            min2 = if mag < min2 && !new_best { mag } else { second };
-            min1 = if new_best { mag } else { min1 };
-            argmin = if new_best { j as u32 } else { argmin };
-            sign = if m < T::ZERO { -sign } else { sign };
-        }
-        for j in 0..deg {
-            let m = *v2c.add(j * stride + b);
-            let mag = if j as u32 == argmin { min2 } else { min1 };
-            let own_sign = if m < T::ZERO { -T::ONE } else { T::ONE };
-            *c2v.add(j * stride + b) = (sign * own_sign * alpha * mag).clamp_llr();
+    for c in 0..graph.num_checks() {
+        let edges = graph.check_edges(c).zip(graph.check_vars(c));
+        assert!(edges.len() * w <= incoming.len(), "incoming too short");
+        for b in (0..width).step_by(w) {
+            let mut min1 = V::splat(T::INFINITY);
+            let mut min2 = V::splat(T::INFINITY);
+            let mut argmin = V::idx_splat(u32::MAX);
+            let mut sign = V::load(ssp.add(c * lanes + b));
+            for (j, (e, &v)) in edges.clone().enumerate() {
+                let t = V::load(totp.add(v as usize * lanes + b));
+                let m = clamp_v::<T, V>(t.sub(V::load(c2vp.add(e * lanes + b))));
+                m.store(incp.add(j * w));
+                let mag = m.abs();
+                let second = V::select_lt(mag, min1, min1, min2);
+                let tmp = V::select_lt(mag, min2, mag, second);
+                let new_min2 = V::select_lt(mag, min1, second, tmp);
+                argmin = V::idx_select_lt(mag, min1, V::idx_splat(j as u32), argmin);
+                min1 = V::select_lt(mag, min1, mag, min1);
+                min2 = new_min2;
+                sign = V::select_lt(m, zero, sign.neg(), sign);
+            }
+            for (j, (e, &v)) in edges.clone().enumerate() {
+                let m = V::load(incp.add(j * w));
+                let mag = V::select_idx_eq(argmin, V::idx_splat(j as u32), min2, min1);
+                let own = V::select_lt(m, zero, neg_one, pos_one);
+                let out = clamp_v::<T, V>(sign.mul(own).mul(alpha_v).mul(mag));
+                out.store(c2vp.add(e * lanes + b));
+                let vb = v as usize * lanes + b;
+                if flooding {
+                    V::load(nextp.add(vb)).add(out).store(nextp.add(vb));
+                } else {
+                    clamp_v::<T, V>(m.add(out)).store(totp.add(vb));
+                }
+            }
         }
     }
 }

@@ -457,6 +457,74 @@ fn failing_lanes_report_per_lane_iterations() {
     failing_lanes_report_per_lane_iterations_at::<f32>();
 }
 
+/// Retirement in the final iteration, where lane compaction moves lanes
+/// that are still live. The budget is the iteration at which the
+/// slowest-converging error of weight ≤ 2 converges, so those shots
+/// retire in the last iteration. Shots that can never converge sit at
+/// lane 0 and at three lanes above the final live width of 4. Two zero
+/// syndromes retire in iteration 1 and pull survivors down first. In the
+/// last iteration several lanes retire together and the never-converging
+/// shots above width 4 fill the holes; their snapshots are taken after
+/// the loop from the moved state.
+fn final_iteration_retirement_at<T: Llr>() {
+    // A chain under a doubled first check: (1, 0) on the doubled pair is
+    // inconsistent, so no hard decision can ever satisfy it.
+    let n = 12;
+    let mut rows = vec![vec![0, 1]];
+    rows.extend((0..n - 1).map(|i| vec![i, i + 1]));
+    let h = SparseBitMatrix::from_row_indices(rows.len(), n, &rows);
+    let priors = vec![0.05; n];
+    let never = BitVec::from_indices(h.rows(), &[0]);
+    for &target in qldpc_bp::supported_simd_targets() {
+        for schedule in [Schedule::Flooding, Schedule::Layered] {
+            for track_oscillations in [false, true] {
+                let mut config = BpConfig {
+                    max_iters: 40,
+                    schedule,
+                    track_oscillations,
+                    simd_target: Some(target),
+                    ..BpConfig::default()
+                };
+                let mut scalar = MinSumDecoderOf::<T>::new(&h, &priors, config);
+                let (budget, late) = (0..n)
+                    .flat_map(|a| (a..n).map(move |b| BitVec::from_indices(n, &[a, b])))
+                    .filter_map(|e| {
+                        let s = h.mul_vec(&e);
+                        let r = scalar.decode(&s);
+                        r.converged.then_some((r.iterations, s))
+                    })
+                    .max_by_key(|(iterations, _)| *iterations)
+                    .expect("some error converges");
+                let ctx = format!("{target} {schedule:?} tracking={track_oscillations}");
+                assert!(budget >= 2, "{ctx}: no late-converging shot");
+                config.max_iters = budget;
+                let syndromes: Vec<BitVec> = (0..35)
+                    .map(|b| match b {
+                        0 | 20 | 27 | 34 => never.clone(),
+                        1 | 2 => BitVec::zeros(h.rows()),
+                        _ => late.clone(),
+                    })
+                    .collect();
+                let mut batch = BatchMinSumDecoderOf::<T>::new(&h, &priors, config);
+                let mut scalar = MinSumDecoderOf::<T>::new(&h, &priors, config);
+                let rs = batch.decode_batch_results(&syndromes);
+                for (i, (rb, s)) in rs.iter().zip(&syndromes).enumerate() {
+                    let ctx = format!("{ctx}: shot {i} ({})", T::PRECISION);
+                    assert_bit_identical(rb, &scalar.decode(s), &ctx);
+                }
+                assert!(!rs[34].converged && rs[34].iterations == budget, "{ctx}");
+                assert!(rs[33].converged && rs[33].iterations == budget, "{ctx}");
+            }
+        }
+    }
+}
+
+#[test]
+fn final_iteration_retirement_moves_live_lanes() {
+    final_iteration_retirement_at::<f64>();
+    final_iteration_retirement_at::<f32>();
+}
+
 /// The lane-isolation contract: the same syndrome decoded at lane 0 and
 /// at lane B−1 of one batch call must produce identical outcomes, no
 /// matter what the other lanes carry or when they converge.

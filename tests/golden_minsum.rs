@@ -451,3 +451,52 @@ fn batch_kernel_matches_pinned_dem_goldens() {
 fn batch_kernel_f32_matches_pinned_dem_goldens() {
     check_batch_dem_goldens::<f32>(DEM_GOLDENS_F32);
 }
+
+/// Full-width tiles of the benchmark's DEM: one `DEFAULT_MAX_LANES`-shot
+/// tile plus a ragged tail, oscillation tracking on, on every dispatch
+/// target, with every field of every shot equal to the scalar decode.
+/// The pinned rows above run as one narrow batch; a full tile is what
+/// the benchmark and the service run, with lanes retiring in most
+/// iterations and the never-converging shots (about one in seventy)
+/// running to the budget after compaction has moved them.
+fn check_full_dem_tiles<T: Llr>() {
+    const TAIL: u64 = 5;
+    let w = circuit_level();
+    let shots = bpsf::bp::DEFAULT_MAX_LANES as u64 + TAIL;
+    let syndromes: Vec<BitVec> = (0..shots).map(|seed| (w.syndrome)(seed)).collect();
+    let mut scalar = MinSumDecoderOf::<T>::new(&w.h, &w.priors, w.config);
+    let expected: Vec<BpResult<T>> = syndromes.iter().map(|s| scalar.decode(s)).collect();
+    assert!(expected.iter().any(|r| !r.converged));
+    for &target in bpsf::bp::supported_simd_targets() {
+        let config = BpConfig {
+            simd_target: Some(target),
+            ..w.config
+        };
+        let mut batch = BatchMinSumDecoderOf::<T>::new(&w.h, &w.priors, config);
+        let results = batch.decode_batch_results(&syndromes);
+        assert_eq!(results.len(), syndromes.len());
+        for (seed, (r, s)) in results.iter().zip(&expected).enumerate() {
+            let ctx = format!("seed {seed} ({}, {target})", T::PRECISION);
+            assert_eq!(r.converged, s.converged, "{ctx}: converged");
+            assert_eq!(r.iterations, s.iterations, "{ctx}: iterations");
+            assert_eq!(r.error_hat, s.error_hat, "{ctx}: error_hat");
+            assert_eq!(r.flip_counts, s.flip_counts, "{ctx}: flip counts");
+            let bits = |p: &[T]| p.iter().map(|x| x.to_bits_u64()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&r.posteriors),
+                bits(&s.posteriors),
+                "{ctx}: posteriors"
+            );
+        }
+    }
+}
+
+#[test]
+fn batch_kernel_matches_scalar_on_full_dem_tiles() {
+    check_full_dem_tiles::<f64>();
+}
+
+#[test]
+fn batch_kernel_f32_matches_scalar_on_full_dem_tiles() {
+    check_full_dem_tiles::<f32>();
+}
