@@ -10,7 +10,7 @@
 //! memory traffic, so f32 should win and win more as B grows; the JSON
 //! records by how much on this machine.
 //!
-//! Since the explicit-SIMD batch kernels landed, the artifact also
+//! Since the per-target batch kernels landed, the artifact also
 //! records the **resolved dispatch target** and CPU feature string the
 //! un-forced series ran on, plus a forced per-target series at the
 //! widest batch (every compiled-in target × both precisions) — the
@@ -107,7 +107,7 @@ fn sweep_precision<T: Llr>(
 
 /// Forces the batch engine through every compiled-in SIMD dispatch
 /// target at one batch width and returns the per-target ns/shot — the
-/// explicit-SIMD payoff measurement (wide kernel vs the scalar oracle
+/// SIMD payoff measurement (wide kernel vs the scalar oracle
 /// kernel at the *same* width, same precision, same bits out).
 fn sweep_forced_targets<T: Llr>(
     syndromes: &[BitVec],
@@ -178,7 +178,7 @@ fn main() {
     let (scalar64, series64) = sweep_precision::<f64>(&syndromes, &widths, samples, config);
     let (scalar32, series32) = sweep_precision::<f32>(&syndromes, &widths, samples, config);
 
-    // The explicit-SIMD payoff at the widest batch: every compiled-in
+    // The SIMD payoff at the widest batch: every compiled-in
     // target forced in turn, both precisions.
     let max_width = *widths.last().expect("nonempty width list");
     let targets64 = sweep_forced_targets::<f64>(&syndromes, max_width, samples, config);

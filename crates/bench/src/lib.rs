@@ -19,6 +19,8 @@
 //! substrate (see EXPERIMENTS.md for the measurement recipes and the
 //! provenance of every recorded number).
 
+#![forbid(unsafe_code)]
+
 use qldpc_circuit::{DetectorErrorModel, MemoryExperiment, NoiseModel};
 use qldpc_codes::CssCode;
 

@@ -20,14 +20,15 @@
 //! (flooding) or written through to the running posterior (layered). A
 //! lane's posterior is `clamp(total)`, so there is no V2C or posterior
 //! slab. The slabs are 64-byte-aligned ([`AlignedSlab`]) and the sweep
-//! runs as an **explicit wide kernel** ([`wide`](crate::wide)) on the
-//! instruction set picked at runtime — AVX-512 → AVX2 → NEON → scalar,
-//! overridable per config ([`BpConfig::simd_target`]) or process-wide
-//! (`QLDPC_SIMD_TARGET`). On the scalar target, and for lanes past the
-//! last whole vector, check updates go through the lane-generic
-//! [`kernel`](crate::kernel) core, the oracle; the wide kernel
-//! re-expresses it with compare-blend selects chosen so each lane
-//! executes the identical float stream. Either way every lane produces
+//! runs as a **lane-block kernel** ([`wide`](crate::wide)) — one safe
+//! body over `[T; L]` blocks, compiled for the instruction set picked
+//! at runtime: AVX-512 → AVX2 → NEON → scalar, overridable per config
+//! ([`BpConfig::simd_target`]) or process-wide (`QLDPC_SIMD_TARGET`).
+//! On the scalar target, and for lanes past the last whole vector,
+//! check updates go through the lane-generic [`kernel`](crate::kernel)
+//! core, the oracle; the lane-block body re-expresses it with the same
+//! selects in the same operand order, so each lane executes the
+//! identical float stream. Either way every lane produces
 //! the same floats, summed in the same order, as a scalar
 //! [`MinSumDecoder::decode`](crate::MinSumDecoder::decode) of that shot —
 //! the outputs are **bit-identical on every dispatch target**, enforced
@@ -121,8 +122,8 @@ pub struct BatchMinSumDecoderOf<T: Llr> {
     max_check_degree: usize,
     // Shot-interleaved working slabs at the current tile's lane stride,
     // sized for the widest tile seen and reused across decodes. All are
-    // 64-byte-aligned so the explicit wide kernels start every row on a
-    // full cache line / AVX-512 register boundary.
+    // 64-byte-aligned so the lane-block kernels start every row of a
+    // full tile on a cache line / AVX-512 register boundary.
     c2v: AlignedSlab<T>,
     /// Per (variable, lane), what V2C messages are formed from: flooding,
     /// the unclamped `l_ch + Σ c2v` of the last sweep; layered, the
@@ -151,8 +152,6 @@ pub struct BatchMinSumDecoderOf<T: Llr> {
     /// Per-lane syndrome-satisfaction verdicts (one slab pass per
     /// iteration instead of a scalar walk per lane).
     lane_ok: AlignedSlab<bool>,
-    /// Per-lane parity accumulator for the verdict pass.
-    lane_parity: AlignedSlab<bool>,
     /// One compaction pass's `(hole, filler)` lane pairs.
     moves: Vec<(usize, usize)>,
     scratch: CheckScratch<T>,
@@ -225,7 +224,6 @@ impl<T: Llr> BatchMinSumDecoderOf<T> {
             converged: Vec::new(),
             iterations: Vec::new(),
             lane_ok: AlignedSlab::new(),
-            lane_parity: AlignedSlab::new(),
             moves: Vec::new(),
             scratch: CheckScratch::new(1),
         }
@@ -396,8 +394,10 @@ impl<T: Llr> BatchMinSumDecoderOf<T> {
     /// Captures physical lane `b`'s state as shot `shot`'s result.
     fn snapshot_lane(&self, b: usize, lanes: usize, shot: usize) -> BpResult<T> {
         let vars = self.graph.num_vars();
+        // Slabs are borrowed once, outside the per-variable loops.
+        let (total, flip_counts) = (&self.total[..], &self.flip_counts[..]);
         let posteriors: Vec<T> = (0..vars)
-            .map(|v| self.total[v * lanes + b].clamp_llr())
+            .map(|v| total[v * lanes + b].clamp_llr())
             .collect();
         let mut error_hat = BitVec::zeros(vars);
         for (v, &p) in posteriors.iter().enumerate() {
@@ -411,7 +411,7 @@ impl<T: Llr> BatchMinSumDecoderOf<T> {
             iterations: self.iterations[shot],
             posteriors,
             flip_counts: if self.config.track_oscillations {
-                (0..vars).map(|v| self.flip_counts[v * lanes + b]).collect()
+                (0..vars).map(|v| flip_counts[v * lanes + b]).collect()
             } else {
                 Vec::new()
             },
@@ -456,7 +456,6 @@ impl<T: Llr> BatchMinSumDecoderOf<T> {
         grow(&mut self.syndrome_sign, checks * lanes, T::ZERO);
         grow(&mut self.syndrome_bit, checks * lanes, false);
         grow(&mut self.lane_ok, lanes, false);
-        grow(&mut self.lane_parity, lanes, false);
         self.scratch.ensure(lanes);
 
         self.c2v[..edges * lanes].fill(T::ZERO);
@@ -637,64 +636,40 @@ impl<T: Llr> BatchMinSumDecoderOf<T> {
     }
 
     /// Checks `H·ê = s` for every live lane at once, filling
-    /// `lane_ok[..width]`: per check, one XOR-parity accumulation across
-    /// the check's variables and one comparison against the syndrome
-    /// bits — contiguous byte rows, run with explicit byte vectors on a
-    /// wide `target` (32/64 lanes per op on AVX2/AVX-512), unlike the
-    /// scalar per-lane walk this replaces. Pure boolean arithmetic, so
-    /// every path computes identical verdicts.
+    /// `lane_ok[..width]`. Narrow live prefixes (late-stage compaction,
+    /// tiny batches) are better served by a short-circuiting per-lane
+    /// walk — the slab pass always reads every edge, the walk usually
+    /// stops at the first unsatisfied check. Wider ones run the slab
+    /// pass ([`wide::lane_ok`]) over contiguous byte rows at `target`'s
+    /// vector width. Pure boolean arithmetic, so every path computes
+    /// identical verdicts.
     fn compute_lane_ok(&mut self, target: SimdTarget, lanes: usize, width: usize) {
-        if width >= 8 && target != SimdTarget::Scalar {
-            wide::lane_ok_wide(
+        if width >= 8 {
+            wide::lane_ok(
                 target,
                 &self.graph,
                 &self.hard,
                 &self.syndrome_bit,
                 &mut self.lane_ok,
-                &mut self.lane_parity,
                 lanes,
                 width,
             );
             return;
         }
-        let ok = &mut self.lane_ok[..width];
-        // Narrow live prefixes (late-stage compaction, tiny batches)
-        // are better served by the short-circuiting per-lane walk — the
-        // slab pass always reads every edge, the walk usually stops at
-        // the first unsatisfied check. Either path computes the same
-        // boolean verdicts, so the choice is invisible to results.
-        if width < 8 {
-            for (b, o) in ok.iter_mut().enumerate() {
-                *o = 'lane: {
-                    for c in 0..self.graph.num_checks() {
-                        let mut parity = false;
-                        for &v in self.graph.check_vars(c) {
-                            parity ^= self.hard[v as usize * lanes + b];
-                        }
-                        if parity != self.syndrome_bit[c * lanes + b] {
-                            break 'lane false;
-                        }
+        let (hard, syndrome_bit) = (&self.hard[..], &self.syndrome_bit[..]);
+        for (b, o) in self.lane_ok[..width].iter_mut().enumerate() {
+            *o = 'lane: {
+                for c in 0..self.graph.num_checks() {
+                    let mut parity = false;
+                    for &v in self.graph.check_vars(c) {
+                        parity ^= hard[v as usize * lanes + b];
                     }
-                    true
-                };
-            }
-            return;
-        }
-        ok.fill(true);
-        let parity = &mut self.lane_parity[..width];
-        for c in 0..self.graph.num_checks() {
-            parity.fill(false);
-            for &v in self.graph.check_vars(c) {
-                let vb = v as usize * lanes;
-                let hrow = &self.hard[vb..vb + width];
-                for (p, &h) in parity.iter_mut().zip(hrow) {
-                    *p ^= h;
+                    if parity != syndrome_bit[c * lanes + b] {
+                        break 'lane false;
+                    }
                 }
-            }
-            let srow = &self.syndrome_bit[c * lanes..c * lanes + width];
-            for (o, (&p, &s)) in ok.iter_mut().zip(parity.iter().zip(srow)) {
-                *o &= p == s;
-            }
+                true
+            };
         }
     }
 }
@@ -834,7 +809,9 @@ mod tests {
 
     /// Dispatch-aware compaction padding: every tile width from one lane
     /// up to twice the widest vector (so every possible vector/tail
-    /// split, including widths that compact through them mid-decode)
+    /// split, including widths that compact through them mid-decode),
+    /// and 63–65 and 127–129 lanes, around one and two full 64-byte
+    /// syndrome-check vectors (129 is a full tile and a one-lane one),
     /// stays bit-identical to the scalar oracle on every target this CPU
     /// can run, at both precisions.
     #[test]
@@ -855,7 +832,7 @@ mod tests {
                 let mut batch = BatchMinSumDecoderOf::<T>::new(&h, &[0.05; 9], config);
                 assert_eq!(batch.resolved_simd_target(), target);
                 let max_width = 2 * qldpc_simd::MAX_F32_LANES + 1;
-                for width in 1..=max_width {
+                for width in (1..=max_width).chain([63, 64, 65, 127, 128, 129]) {
                     let syndromes: Vec<BitVec> = (0..width)
                         .map(|i| h.mul_vec(&BitVec::from_indices(9, &[i % 9])))
                         .collect();

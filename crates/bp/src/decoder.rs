@@ -109,7 +109,7 @@ pub struct BpConfig {
     /// oscillation signal). Counted in the per-iteration pass over the
     /// variables that takes the hard decision.
     pub track_oscillations: bool,
-    /// Explicit-SIMD dispatch pin for the batch engine's wide kernels.
+    /// SIMD dispatch pin for the batch engine's lane-block kernels.
     /// `None` (the default) auto-selects the widest instruction set the
     /// CPU supports — overridable process-wide through the
     /// `QLDPC_SIMD_TARGET` environment variable. `Some(target)` forces

@@ -26,9 +26,10 @@
 //! branch, each of which must produce *the same floats in the same
 //! association order per shot*:
 //!
-//! * the explicit-SIMD sweep in `crates/bp/src/wide.rs`, which redoes
-//!   these exact loops in vector ops chosen for bit-equality (ordered
-//!   compares and blends, sign-bit abs/neg, no FMA) and is pinned
+//! * the lane-block sweep in `crates/bp/src/wide.rs`, which redoes
+//!   these loops over `[T; L]` blocks with the same `<` selects, `abs`,
+//!   negation and operand order (Rust's IEEE semantics, no FMA
+//!   contraction, make that bit-equal on every target) and is pinned
 //!   against this path by the forced-target equivalence suites;
 //! * the scalar decoder's check-major sweep (`crates/bp/src/decoder.rs`),
 //!   which keeps one lane's two-minimum reduction in registers instead

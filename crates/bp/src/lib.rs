@@ -30,7 +30,7 @@
 //! that lane's syndrome. Both run one check-major sweep per iteration
 //! over per-variable running totals, and the lane-generic check-update
 //! core in `crates/bp/src/kernel.rs` is the oracle: the batch engine
-//! runs it (or an explicit-SIMD twin held to its bits) on each check's
+//! runs it (or its lane-block twin, held to its bits) on each check's
 //! interleaved lanes, and the scalar decoder keeps one lane's reduction
 //! in registers — the same floats in the same association order. The
 //! property suite in `crates/bp/tests/batch_equivalence.rs` pins the
@@ -97,6 +97,8 @@
 //! assert_eq!(result.error_hat, error);
 //! ```
 
+#![deny(unsafe_code, clippy::undocumented_unsafe_blocks)]
+
 mod api;
 mod batch;
 mod decoder;
@@ -112,7 +114,7 @@ pub use decoder::{
 pub use graph::TannerGraph;
 pub use llr::Llr;
 pub use qldpc_decoder_api::{DecodeOutcome, Precision, SyndromeDecoder};
-// The dispatch surface of the explicit-SIMD batch kernels, re-exported
+// The dispatch surface of the batch engine's per-target kernels, re-exported
 // so downstream crates (bench artifacts, telemetry labels, forced-target
 // suites) need no direct `qldpc-simd` dependency: the resolved target,
 // CPU feature summary, and the list every equivalence suite iterates.

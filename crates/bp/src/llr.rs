@@ -14,6 +14,11 @@
 //! the damping factor) stay `f64`; they are converted once per use with
 //! [`Llr::from_f64`], so the `f64` instantiation performs exactly the
 //! operations the pre-generic code did — the f64 goldens are unchanged.
+//!
+//! Nothing here is per instruction set: the batch engine's lane-block
+//! sweep (`crates/bp/src/wide.rs`) is plain Rust over `[T; L]` arrays of
+//! this scalar — the trait's operators, `abs` and [`Llr::clamp_llr`] —
+//! compiled once per SIMD target.
 
 use qldpc_decoder_api::Precision;
 use std::fmt::Debug;
@@ -74,19 +79,6 @@ pub trait Llr:
     /// comfortably finite in this format.
     const ATANH_CEIL: Self;
 
-    /// The AVX2 vector of this scalar (8 × `f32` / 4 × `f64`). The
-    /// explicit wide kernels in `crates/bp/src/wide.rs` monomorphize
-    /// over these per-ISA associated types; they are only reachable
-    /// through `SimdTarget` dispatch after runtime feature detection.
-    #[cfg(target_arch = "x86_64")]
-    type Avx2: qldpc_simd::SimdF<Elem = Self>;
-    /// The AVX-512 vector of this scalar (16 × `f32` / 8 × `f64`).
-    #[cfg(target_arch = "x86_64")]
-    type Avx512: qldpc_simd::SimdF<Elem = Self>;
-    /// The NEON vector of this scalar (4 × `f32` / 2 × `f64`).
-    #[cfg(target_arch = "aarch64")]
-    type Neon: qldpc_simd::SimdF<Elem = Self>;
-
     /// Rounds a config-level `f64` quantity (prior LLR, damping factor,
     /// memory strength) into this precision. The identity for `f64`.
     fn from_f64(x: f64) -> Self;
@@ -123,13 +115,6 @@ impl Llr for f64 {
     const CLAMP: Self = 1e6;
     const TANH_FLOOR: Self = 1e-300;
     const ATANH_CEIL: Self = 1.0 - 1e-15;
-
-    #[cfg(target_arch = "x86_64")]
-    type Avx2 = qldpc_simd::avx2::F64x4;
-    #[cfg(target_arch = "x86_64")]
-    type Avx512 = qldpc_simd::avx512::F64x8;
-    #[cfg(target_arch = "aarch64")]
-    type Neon = qldpc_simd::neon::F64x2;
 
     #[inline(always)]
     fn from_f64(x: f64) -> Self {
@@ -186,13 +171,6 @@ impl Llr for f32 {
     // One f32 ULP below 1.0 is ~6e-8; back off to 1e-6 so
     // `atanh(ATANH_CEIL)` (≈ 7.3) stays far from the clamp.
     const ATANH_CEIL: Self = 1.0 - 1e-6;
-
-    #[cfg(target_arch = "x86_64")]
-    type Avx2 = qldpc_simd::avx2::F32x8;
-    #[cfg(target_arch = "x86_64")]
-    type Avx512 = qldpc_simd::avx512::F32x16;
-    #[cfg(target_arch = "aarch64")]
-    type Neon = qldpc_simd::neon::F32x4;
 
     #[inline(always)]
     fn from_f64(x: f64) -> Self {

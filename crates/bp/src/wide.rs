@@ -1,38 +1,45 @@
-//! Explicit-SIMD twins of the batch decoder's hot loops, behind runtime
-//! dispatch.
+//! The batch decoder's two hot per-iteration passes as lane-block
+//! kernels, compiled once per instruction set behind runtime dispatch.
 //!
 //! The check-update core in [`kernel`](crate::kernel) remains the
-//! **bit-identity oracle**; this module re-expresses the two hot
-//! per-iteration passes — the check-major sweep (V2C formed from the
-//! per-lane running totals, the two-minimum/argmin check update, the
-//! fold back into the totals) and the slab syndrome check — as explicit
-//! wide kernels over the `qldpc-simd` vector types, one monomorphization
-//! per [`SimdTarget`]. Every wide op was chosen so each lane executes
-//! *exactly* the scalar float stream (see the op-selection notes in
-//! `vendor/simd/src/vec.rs`):
+//! **bit-identity oracle**. This module re-expresses the check-major
+//! sweep (V2C formed from the per-lane running totals, the
+//! two-minimum/argmin check update, the fold back into the totals) as
+//! one safe body over `[T; L]` lane blocks with a const `L`, and the
+//! slab syndrome check as one over blocks of one vector of bytes. Each
+//! body is `#[inline(always)]` and is called from one safe
+//! `#[target_feature]` function per [`SimdTarget`] — AVX-512 (`L` = 8 ×
+//! `f64` / 16 × `f32`), AVX2 (4 / 8) and NEON (2 / 4) — so LLVM compiles
+//! it at that vector width. The dispatchers call those functions, in one
+//! `unsafe` block each, right after checking that the CPU has the
+//! feature.
 //!
-//! * compares are ordered `<` (NaN → false), matching the branchy
-//!   scalar selects — never `min`/`max` intrinsics, whose NaN handling
-//!   diverges from `Llr::clamp_llr` (reachable: `alpha = 0` ×
-//!   degree-1 check gives `0 · INF = NaN`);
-//! * negation and `abs` are sign-bit ops, exact for `-0.0` messages;
-//! * products round one multiply at a time (no FMA), and sums keep the
-//!   scalar code's operand order (which also fixes a NaN's payload).
+//! Bit-identity with the oracle comes from the language, not from a
+//! choice of instructions: the body is written with ordinary `<`
+//! selects, `abs`, unary `-` and [`Llr::clamp_llr`] in the oracle's
+//! operand order, Rust gives each its IEEE meaning on every target (a
+//! NaN compares false, `-0.0` is not negative — both reachable, see
+//! `batch_equivalence.rs`), and Rust never contracts a multiply and an
+//! add into an FMA. Every lane therefore executes the scalar float
+//! stream.
 //!
-//! The sweep covers whole vectors only: lanes past the last one (a tile
+//! Codegen notes, both checked with `objdump -d` on the `sweep_*`
+//! symbols (a scalar `vminss`/`vcmpltss` there means a lost vector):
+//! each block is copied into a local array and stored back whole,
+//! because LLVM cannot tell the slabs apart and will not vectorize
+//! loads interleaved with stores to another slab; and the min-sum
+//! reduction is one short `for k in 0..L` loop per statement, because
+//! fused into one per-lane loop it stayed scalar at `f32` × 16.
+//!
+//! The sweep covers whole blocks only: lanes past the last one (a tile
 //! narrower than, or not a multiple of, the vector) run through the
-//! oracle in `batch.rs`. The syndrome check keeps a scalar epilogue. The
-//! dispatch wrappers carry `#[target_feature]`, so the generic bodies
-//! below compile once per instruction set with full vector codegen; they
-//! are only reachable through [`dispatch`](SimdTarget) after runtime
-//! feature detection, which is the single safety contract of the unsafe
-//! vector ops.
+//! oracle in `batch.rs`.
 
 use crate::decoder::{BpAlgorithm, BpConfig};
 use crate::graph::TannerGraph;
 use crate::llr::Llr;
 use qldpc_decoder_api::Precision;
-use qldpc_simd::{SimdBytes, SimdF, SimdTarget};
+use qldpc_simd::SimdTarget;
 
 /// Vector lane count of `target` at message precision `T`.
 pub(crate) fn lane_width<T: Llr>(target: SimdTarget) -> usize {
@@ -46,7 +53,7 @@ pub(crate) fn lane_width<T: Llr>(target: SimdTarget) -> usize {
 /// set (validated against the CPU), the process-wide
 /// [`active_target`](qldpc_simd::active_target) otherwise — except that
 /// the sum-product rule always runs scalar (its tanh/ln/exp chain has
-/// no wide twin).
+/// no lane-block twin).
 ///
 /// # Panics
 ///
@@ -86,9 +93,8 @@ pub(crate) fn step_down(target: SimdTarget) -> SimdTarget {
 }
 
 /// Borrowed view of one check-major sweep's slabs. `width` is the
-/// (padded) live prefix the vector groups cover, a whole number of
-/// vectors; every slab row must be valid for `width` lanes at stride
-/// `lanes`.
+/// (padded) live prefix the lane blocks cover, a whole number of
+/// vectors; every slab row holds `lanes` lanes.
 pub(crate) struct SweepArgs<'a, T: Llr> {
     pub graph: &'a TannerGraph,
     /// One channel LLR per variable: where a flooding sweep starts each
@@ -99,7 +105,7 @@ pub(crate) struct SweepArgs<'a, T: Llr> {
     pub total: &'a mut [T],
     /// Flooding only; unread by a layered sweep.
     pub next_total: &'a mut [T],
-    /// One check's V2C messages for one lane group: at least
+    /// One check's V2C messages for one lane block: at least
     /// `max_check_degree × vector width` scalars.
     pub incoming: &'a mut [T],
     pub flooding: bool,
@@ -110,188 +116,163 @@ pub(crate) struct SweepArgs<'a, T: Llr> {
 
 /// One check-major sweep (flooding or layered) on a wide target.
 ///
-/// `target` must be a non-scalar target supported by this CPU (the
-/// caller runs the scalar target, and any lanes past the last whole
-/// vector, through the oracle in `batch.rs`).
-///
 /// # Panics
 ///
-/// Panics if a slab is too short for `lanes` lanes, or `width` is not a
-/// whole number of vectors within `lanes`: the raw-pointer body relies
-/// on both.
+/// Panics if `target` is scalar or unsupported by this CPU (the caller
+/// runs the scalar target, and any lanes past the last whole vector,
+/// through the oracle in `batch.rs`), if `width` is not a whole number
+/// of vectors within `lanes`, or if a slab is too short.
+#[allow(unsafe_code)]
 pub(crate) fn sweep_wide<T: Llr>(target: SimdTarget, args: SweepArgs<'_, T>) {
-    let (graph, lanes) = (args.graph, args.lanes);
     assert!(
-        args.width <= lanes
-            && args.width.is_multiple_of(lane_width::<T>(target))
-            && args.channel.len() == graph.num_vars()
-            && args.c2v.len() >= graph.num_edges() * lanes
-            && args.total.len().min(args.next_total.len()) >= graph.num_vars() * lanes
-            && args.syndrome_sign.len() >= graph.num_checks() * lanes,
-        "sweep slabs too short for {lanes} lanes"
+        args.width <= args.lanes && args.width.is_multiple_of(lane_width::<T>(target)),
+        "sweep width {} is not whole {target} vectors within {} lanes",
+        args.width,
+        args.lanes
     );
     match target {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: the caller only passes targets whose runtime feature
-        // check succeeded (resolve_target / supported_targets); the
-        // assert above (and the body's per-check one on `incoming`)
-        // keeps every vector load and store inside its slab.
-        SimdTarget::Avx2 => unsafe { sweep_avx2(args) },
+        SimdTarget::Avx512 if target.is_available() => {
+            // SAFETY: the guard just checked the CPU has AVX-512.
+            unsafe { sweep_avx512(args) }
+        }
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        SimdTarget::Avx512 => unsafe { sweep_avx512(args) },
+        SimdTarget::Avx2 if target.is_available() => {
+            // SAFETY: the guard just checked the CPU has AVX2.
+            unsafe { sweep_avx2(args) }
+        }
         #[cfg(target_arch = "aarch64")]
-        // SAFETY: as above.
-        SimdTarget::Neon => unsafe { sweep_neon(args) },
-        _ => unreachable!("scalar/unsupported target dispatched to the wide sweep"),
+        SimdTarget::Neon if target.is_available() => {
+            // SAFETY: the guard just checked the CPU has NEON.
+            unsafe { sweep_neon(args) }
+        }
+        _ => unreachable!("the wide sweep was dispatched to {target}"),
     }
 }
 
-/// The slab syndrome check on a wide target: fills `ok[..width]` with
-/// per-lane `H·ê == s` verdicts via byte-wide XOR/AND rows.
-///
-/// Exact boolean arithmetic — bit-identity is trivial; the win is the
-/// byte vector width (32/64 lanes per op on AVX2/AVX-512).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn lane_ok_wide(
+/// The slab syndrome check: fills `ok[..width]` with per-lane
+/// `H·ê == s` verdicts, in blocks of one `target` vector of bytes (16
+/// on the scalar target, the baseline SSE2/NEON width). Exact boolean
+/// arithmetic, so every target computes the same verdicts.
+#[allow(unsafe_code)]
+pub(crate) fn lane_ok(
     target: SimdTarget,
     graph: &TannerGraph,
     hard: &[bool],
     syndrome_bit: &[bool],
     ok: &mut [bool],
-    parity: &mut [bool],
     lanes: usize,
     width: usize,
 ) {
+    let args = (graph, hard, syndrome_bit, ok, lanes, width);
     match target {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: the caller only passes targets whose runtime feature
-        // check succeeded (resolve_target / supported_targets).
-        SimdTarget::Avx2 => unsafe {
-            lane_ok_avx2(graph, hard, syndrome_bit, ok, parity, lanes, width)
-        },
+        SimdTarget::Avx512 if target.is_available() => {
+            // SAFETY: the guard just checked the CPU has AVX-512.
+            unsafe { lane_ok_avx512(args) }
+        }
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        SimdTarget::Avx512 => unsafe {
-            lane_ok_avx512(graph, hard, syndrome_bit, ok, parity, lanes, width)
-        },
+        SimdTarget::Avx2 if target.is_available() => {
+            // SAFETY: the guard just checked the CPU has AVX2.
+            unsafe { lane_ok_avx2(args) }
+        }
         #[cfg(target_arch = "aarch64")]
-        // SAFETY: as above.
-        SimdTarget::Neon => unsafe {
-            lane_ok_neon(graph, hard, syndrome_bit, ok, parity, lanes, width)
-        },
-        _ => unreachable!("scalar/unsupported target dispatched to the wide syndrome check"),
+        SimdTarget::Neon if target.is_available() => {
+            // SAFETY: the guard just checked the CPU has NEON.
+            unsafe { lane_ok_neon(args) }
+        }
+        _ => lane_ok_body::<16>(args),
     }
 }
 
-// ---------------------------------------------------------------------
-// #[target_feature] wrappers: one monomorphization of each generic body
-// per instruction set, so the bodies inline and compile with full wide
-// codegen. Only reachable through the dispatchers above.
-// ---------------------------------------------------------------------
+/// [`lane_ok`]'s arguments after the target.
+type LaneOkArgs<'a> = (
+    &'a TannerGraph,
+    &'a [bool],
+    &'a [bool],
+    &'a mut [bool],
+    usize,
+    usize,
+);
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn sweep_avx2<T: Llr>(args: SweepArgs<'_, T>) {
-    sweep_body::<T, T::Avx2>(args)
-}
+// ---------------------------------------------------------------------
+// One #[target_feature] function per instruction set and body, so the
+// `#[inline(always)]` bodies below compile at that width. Only reached
+// through the dispatchers above.
+// ---------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl")]
-unsafe fn sweep_avx512<T: Llr>(args: SweepArgs<'_, T>) {
-    sweep_body::<T, T::Avx512>(args)
+fn sweep_avx512<T: Llr>(args: SweepArgs<'_, T>) {
+    match T::PRECISION {
+        Precision::F64 => sweep_body::<T, { SimdTarget::Avx512.f64_lanes() }>(args),
+        Precision::F32 => sweep_body::<T, { SimdTarget::Avx512.f32_lanes() }>(args),
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn sweep_avx2<T: Llr>(args: SweepArgs<'_, T>) {
+    match T::PRECISION {
+        Precision::F64 => sweep_body::<T, { SimdTarget::Avx2.f64_lanes() }>(args),
+        Precision::F32 => sweep_body::<T, { SimdTarget::Avx2.f32_lanes() }>(args),
+    }
 }
 
 #[cfg(target_arch = "aarch64")]
 #[target_feature(enable = "neon")]
-unsafe fn sweep_neon<T: Llr>(args: SweepArgs<'_, T>) {
-    sweep_body::<T, T::Neon>(args)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn lane_ok_avx2(
-    graph: &TannerGraph,
-    hard: &[bool],
-    syndrome_bit: &[bool],
-    ok: &mut [bool],
-    parity: &mut [bool],
-    lanes: usize,
-    width: usize,
-) {
-    lane_ok_body::<qldpc_simd::avx2::B8x32>(graph, hard, syndrome_bit, ok, parity, lanes, width)
+fn sweep_neon<T: Llr>(args: SweepArgs<'_, T>) {
+    match T::PRECISION {
+        Precision::F64 => sweep_body::<T, { SimdTarget::Neon.f64_lanes() }>(args),
+        Precision::F32 => sweep_body::<T, { SimdTarget::Neon.f32_lanes() }>(args),
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl")]
-unsafe fn lane_ok_avx512(
-    graph: &TannerGraph,
-    hard: &[bool],
-    syndrome_bit: &[bool],
-    ok: &mut [bool],
-    parity: &mut [bool],
-    lanes: usize,
-    width: usize,
-) {
-    lane_ok_body::<qldpc_simd::avx512::B8x64>(graph, hard, syndrome_bit, ok, parity, lanes, width)
+fn lane_ok_avx512(args: LaneOkArgs<'_>) {
+    lane_ok_body::<64>(args);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn lane_ok_avx2(args: LaneOkArgs<'_>) {
+    lane_ok_body::<32>(args);
 }
 
 #[cfg(target_arch = "aarch64")]
 #[target_feature(enable = "neon")]
-unsafe fn lane_ok_neon(
-    graph: &TannerGraph,
-    hard: &[bool],
-    syndrome_bit: &[bool],
-    ok: &mut [bool],
-    parity: &mut [bool],
-    lanes: usize,
-    width: usize,
-) {
-    lane_ok_body::<qldpc_simd::neon::B8x16>(graph, hard, syndrome_bit, ok, parity, lanes, width)
+fn lane_ok_neon(args: LaneOkArgs<'_>) {
+    lane_ok_body::<16>(args);
 }
 
 // ---------------------------------------------------------------------
-// Generic kernel bodies. `#[inline(always)]` so they monomorphize
-// *inside* the feature wrappers above and pick up their codegen
-// features.
+// The bodies.
 // ---------------------------------------------------------------------
 
-/// `clamp_llr` as two compare-blends, matching Rust's `clamp` for every
-/// input including NaN (`max`/`min` intrinsics would not: e.g.
-/// `maxpd(NaN, lo) = lo`, but `NaN.clamp(lo, hi) = NaN`).
+/// The `L`-lane block of `slab` that starts at `at`.
 #[inline(always)]
-unsafe fn clamp_v<T: Llr, V: SimdF<Elem = T>>(x: V) -> V {
-    let lo = V::splat(-T::CLAMP);
-    let hi = V::splat(T::CLAMP);
-    let t1 = V::select_lt(x, lo, lo, x);
-    V::select_lt(hi, t1, hi, t1)
+fn block<T, const L: usize>(slab: &[T], at: usize) -> &[T; L] {
+    slab[at..at + L].try_into().expect("a slice of L lanes")
 }
 
-/// One check-major sweep over per-lane running totals: the
-/// lane-interleaved twin of the scalar decoder's `sweep_checks`.
+/// One check-major sweep over per-lane running totals in blocks of `L`
+/// lanes: the lane-interleaved twin of the scalar decoder's
+/// `sweep_checks`.
 ///
-/// Per check and lane group (`V::LANES` shots), V2C (paper Eq. 5) is
-/// formed as `clamp(total[v] − c2v[e])` into `incoming` (one vector per
-/// edge), and the min-sum reduction (paper Eq. 6) runs in
-/// registers over it: the `MinSum` arm of `kernel::update_check_lanes`,
-/// the oracle, re-expressed in selects chosen so every lane executes its
-/// float stream:
-///
-/// * `second = a<b ? min1 : min2`, then `min2' = new_best ? old_min1 :
-///   (mag<min2 ? mag : min2)` — equal to the oracle's
-///   `if mag < min2 && !new_best` arm for every input, NaN included;
-/// * `argmin` updates under the *old* `min1` compare, before `min1` is
-///   overwritten;
-/// * sign flips are compare+blend on `m < 0`, so `-0.0` messages keep
-///   the oracle's "not negative" classification.
-///
+/// Per check and block, V2C (paper Eq. 5) is formed as
+/// `clamp(total[v] − c2v[e])` into `incoming` (one block per edge), and
+/// the min-sum reduction (paper Eq. 6) runs over it: the `MinSum` arm of
+/// `kernel::update_check_lanes`, the oracle, with its `min2` select
+/// written as the classic `if mag < min1 {…} else if mag < min2 {…}`
+/// (the same value for every input, NaN included).
 /// The new C2V is written in place and folded back: flooding adds it
 /// into `next_total` (started at the channel LLR), layered writes the
 /// running posterior `clamp(m + c2v)` through at once. Checks ascending
 /// and edges ascending within a check hand every variable its terms in
 /// ascending edge id, the scalar sweep's order.
 #[inline(always)]
-unsafe fn sweep_body<T: Llr, V: SimdF<Elem = T>>(args: SweepArgs<'_, T>) {
+fn sweep_body<T: Llr, const L: usize>(args: SweepArgs<'_, T>) {
     let SweepArgs {
         graph,
         channel,
@@ -305,114 +286,139 @@ unsafe fn sweep_body<T: Llr, V: SimdF<Elem = T>>(args: SweepArgs<'_, T>) {
         lanes,
         width,
     } = args;
-    let w = V::LANES;
-    let c2vp = c2v.as_mut_ptr();
-    let totp = total.as_mut_ptr();
-    let nextp = next_total.as_mut_ptr();
-    let incp = incoming.as_mut_ptr();
-    let ssp = syndrome_sign.as_ptr();
-    let zero = V::splat(T::ZERO);
-    let alpha_v = V::splat(alpha);
-    let pos_one = V::splat(T::ONE);
-    let neg_one = V::splat(-T::ONE);
     if flooding {
         for (v, &llr) in channel.iter().enumerate() {
-            for b in (0..width).step_by(w) {
-                V::splat(llr).store(nextp.add(v * lanes + b));
-            }
+            next_total[v * lanes..v * lanes + width].fill(llr);
         }
     }
     for c in 0..graph.num_checks() {
-        let edges = graph.check_edges(c).zip(graph.check_vars(c));
-        assert!(edges.len() * w <= incoming.len(), "incoming too short");
-        for b in (0..width).step_by(w) {
-            let mut min1 = V::splat(T::INFINITY);
-            let mut min2 = V::splat(T::INFINITY);
-            let mut argmin = V::idx_splat(u32::MAX);
-            let mut sign = V::load(ssp.add(c * lanes + b));
-            for (j, (e, &v)) in edges.clone().enumerate() {
-                let t = V::load(totp.add(v as usize * lanes + b));
-                let m = clamp_v::<T, V>(t.sub(V::load(c2vp.add(e * lanes + b))));
-                m.store(incp.add(j * w));
-                let mag = m.abs();
-                let second = V::select_lt(mag, min1, min1, min2);
-                let tmp = V::select_lt(mag, min2, mag, second);
-                let new_min2 = V::select_lt(mag, min1, second, tmp);
-                argmin = V::idx_select_lt(mag, min1, V::idx_splat(j as u32), argmin);
-                min1 = V::select_lt(mag, min1, mag, min1);
-                min2 = new_min2;
-                sign = V::select_lt(m, zero, sign.neg(), sign);
+        // The check's edges are contiguous, so its C2V rows are one
+        // slice; walking them (and `incoming`) as chunks leaves one
+        // bounds check per edge, on the variable's row.
+        let vars = graph.check_vars(c);
+        let edges = graph.check_edges(c);
+        let c2v_rows = &mut c2v[edges.start * lanes..edges.end * lanes];
+        let incoming = &mut incoming[..vars.len() * L];
+        for b in (0..width).step_by(L) {
+            let mut min1 = [T::INFINITY; L];
+            let mut min2 = [T::INFINITY; L];
+            let mut argmin = [u32::MAX; L];
+            let mut sign = *block::<T, L>(syndrome_sign, c * lanes + b);
+            let rows = vars.iter().zip(c2v_rows.chunks_exact(lanes));
+            for (j, ((&v, old), slot)) in rows.zip(incoming.chunks_exact_mut(L)).enumerate() {
+                let t = *block::<T, L>(total, v as usize * lanes + b);
+                let old = *block::<T, L>(old, b);
+                let mut m = [T::ZERO; L];
+                for k in 0..L {
+                    m[k] = (t[k] - old[k]).clamp_llr();
+                }
+                let mut mag = [T::ZERO; L];
+                for k in 0..L {
+                    mag[k] = m[k].abs();
+                }
+                for k in 0..L {
+                    min2[k] = if mag[k] < min1[k] {
+                        min1[k]
+                    } else if mag[k] < min2[k] {
+                        mag[k]
+                    } else {
+                        min2[k]
+                    };
+                }
+                for k in 0..L {
+                    argmin[k] = if mag[k] < min1[k] {
+                        j as u32
+                    } else {
+                        argmin[k]
+                    };
+                }
+                for k in 0..L {
+                    min1[k] = if mag[k] < min1[k] { mag[k] } else { min1[k] };
+                }
+                for k in 0..L {
+                    sign[k] = if m[k] < T::ZERO { -sign[k] } else { sign[k] };
+                }
+                slot.copy_from_slice(&m);
             }
-            for (j, (e, &v)) in edges.clone().enumerate() {
-                let m = V::load(incp.add(j * w));
-                let mag = V::select_idx_eq(argmin, V::idx_splat(j as u32), min2, min1);
-                let own = V::select_lt(m, zero, neg_one, pos_one);
-                let out = clamp_v::<T, V>(sign.mul(own).mul(alpha_v).mul(mag));
-                out.store(c2vp.add(e * lanes + b));
+            let rows = vars.iter().zip(c2v_rows.chunks_exact_mut(lanes));
+            for (j, ((&v, c2v_row), m)) in rows.zip(incoming.chunks_exact(L)).enumerate() {
+                let m = *block::<T, L>(m, 0);
+                let mut out = [T::ZERO; L];
+                for k in 0..L {
+                    let mag = if j as u32 == argmin[k] {
+                        min2[k]
+                    } else {
+                        min1[k]
+                    };
+                    let own_sign = if m[k] < T::ZERO { -T::ONE } else { T::ONE };
+                    out[k] = (sign[k] * own_sign * alpha * mag).clamp_llr();
+                }
+                c2v_row[b..b + L].copy_from_slice(&out);
                 let vb = v as usize * lanes + b;
                 if flooding {
-                    V::load(nextp.add(vb)).add(out).store(nextp.add(vb));
+                    let mut next = *block::<T, L>(next_total, vb);
+                    for k in 0..L {
+                        next[k] += out[k];
+                    }
+                    next_total[vb..][..L].copy_from_slice(&next);
                 } else {
-                    clamp_v::<T, V>(m.add(out)).store(totp.add(vb));
+                    let mut t = [T::ZERO; L];
+                    for k in 0..L {
+                        t[k] = (m[k] + out[k]).clamp_llr();
+                    }
+                    total[vb..][..L].copy_from_slice(&t);
                 }
             }
         }
     }
 }
 
-/// The slab syndrome check: the wide twin of the vectorizable branch of
-/// `BatchMinSumDecoderOf::compute_lane_ok`, on byte rows. `bool` slabs
-/// are read and written through `u8` pointers — sound because `bool` is
-/// one byte with values 0/1, and XOR/AND of 0/1 bytes stay 0/1.
+/// The slab syndrome check in blocks of `B` lanes: per check and block,
+/// the XOR parity of the check's variables' hard-decision rows, held in
+/// registers and compared with the syndrome bits. The blocks cover
+/// `width` rounded up to whole blocks within `lanes` — the extra lanes
+/// are retired ones whose verdicts are never read. A tile that is not
+/// a whole number of blocks leaves lanes past the last one; they run
+/// the same steps over a shorter slice.
 #[inline(always)]
-unsafe fn lane_ok_body<B: SimdBytes>(
-    graph: &TannerGraph,
-    hard: &[bool],
-    syndrome_bit: &[bool],
-    ok: &mut [bool],
-    parity: &mut [bool],
-    lanes: usize,
-    width: usize,
-) {
-    let w = B::LANES;
-    let main = width - width % w;
-    let hardp = hard.as_ptr().cast::<u8>();
-    let synp = syndrome_bit.as_ptr().cast::<u8>();
-    let okp = ok.as_mut_ptr().cast::<u8>();
-    let parp = parity.as_mut_ptr().cast::<u8>();
-    let one = B::splat(1);
-    for b in 0..width {
-        *okp.add(b) = 1;
-    }
+fn lane_ok_body<const B: usize>((graph, hard, syndrome_bit, ok, lanes, width): LaneOkArgs<'_>) {
+    let padded = lanes.min(width.next_multiple_of(B));
+    let main = padded - padded % B;
+    ok[..padded].fill(true);
     for c in 0..graph.num_checks() {
-        for b in 0..width {
-            *parp.add(b) = 0;
-        }
-        for &v in graph.check_vars(c) {
-            let vb = v as usize * lanes;
-            let mut b = 0;
-            while b < main {
-                let p = B::load(parp.add(b));
-                let h = B::load(hardp.add(vb + b));
-                p.xor(h).store(parp.add(b));
-                b += w;
+        let vars = graph.check_vars(c);
+        let row = c * lanes;
+        for b in (0..main).step_by(B) {
+            // Bytes, not `bool`s: XOR of 0/1 bytes is one vector op,
+            // where `bool` XOR became a compare and a masked move.
+            let mut parity = [0u8; B];
+            for &v in vars {
+                let h = *block::<bool, B>(hard, v as usize * lanes + b);
+                for k in 0..B {
+                    parity[k] ^= u8::from(h[k]);
+                }
             }
-            for b in main..width {
-                *parp.add(b) ^= *hardp.add(vb + b);
+            let s = *block::<bool, B>(syndrome_bit, row + b);
+            let mut o = *block::<bool, B>(ok, b);
+            for k in 0..B {
+                o[k] &= parity[k] == u8::from(s[k]);
             }
+            ok[b..b + B].copy_from_slice(&o);
         }
-        // o &= (p == s), as pure byte algebra: (p ^ s) ^ 1.
-        let cb = c * lanes;
-        let mut b = 0;
-        while b < main {
-            let p = B::load(parp.add(b));
-            let s = B::load(synp.add(cb + b));
-            let o = B::load(okp.add(b));
-            o.and(p.xor(s).xor(one)).store(okp.add(b));
-            b += w;
-        }
-        for b in main..width {
-            *okp.add(b) &= (*parp.add(b) ^ *synp.add(cb + b)) ^ 1;
+        let n = width.saturating_sub(main);
+        if n > 0 {
+            let mut parity = [0u8; B];
+            let parity = &mut parity[..n];
+            for &v in vars {
+                let h = &hard[v as usize * lanes + main..][..n];
+                for (p, &h) in parity.iter_mut().zip(h) {
+                    *p ^= u8::from(h);
+                }
+            }
+            let s = &syndrome_bit[row + main..][..n];
+            for ((o, &p), &s) in ok[main..width].iter_mut().zip(&*parity).zip(s) {
+                *o &= p == u8::from(s);
+            }
         }
     }
 }

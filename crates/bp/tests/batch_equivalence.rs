@@ -375,6 +375,64 @@ fn zero_damping_nan_is_bit_identical() {
     }
 }
 
+/// The float corners the lane-block sweep must reproduce bit for bit, on
+/// every target at both precisions under both schedules:
+/// * exact min ties — equal priors make `min1 == min2` at every check
+///   of degree ≥ 3 in the first iteration;
+/// * `±0.0` messages — prior 0.5 gives channel LLR 0, so V2C is `0.0`,
+///   and a set syndrome bit makes the C2V built from it `-0.0`;
+/// * saturation at `CLAMP` — a dense, satisfied region grows its
+///   messages every iteration while an unsatisfiable pair of identical
+///   checks keeps the lane running to the budget;
+/// * check degrees 3, 5, 7 and 17, multiples of no vector width, over a
+///   batch of 37 lanes, a multiple of none either.
+#[test]
+fn awkward_messages_are_bit_identical_on_every_target() {
+    const DENSE: usize = 18;
+    let (zero_a, zero_b, pair) = (DENSE, DENSE + 1, DENSE + 2);
+    let mut rows = vec![vec![zero_b, pair], vec![zero_b, pair], (0..17).collect()];
+    for i in 0..30 {
+        let degree = [3, 5, 7][i % 3];
+        rows.push((0..degree).map(|k| (i * 7 + k * 5) % DENSE).collect());
+    }
+    rows.push(vec![0, zero_a]);
+    let h = SparseBitMatrix::from_row_indices(rows.len(), pair + 1, &rows);
+    let mut priors = vec![0.05; pair + 1];
+    priors[zero_a] = 0.5;
+    priors[zero_b] = 0.5;
+    let syndromes: Vec<BitVec> = (0..37)
+        .map(|i| {
+            let error = if i % 4 == 0 { vec![] } else { vec![i % DENSE] };
+            let mut s = h.mul_vec(&BitVec::from_indices(pair + 1, &error));
+            s.set(0, i % 2 == 0);
+            s.set(1, i % 3 == 0);
+            s
+        })
+        .collect();
+    fn saturated<T: Llr>(results: &[BpResult<T>]) -> bool {
+        let clamp = T::CLAMP.to_bits_u64();
+        let at_clamp = |p: &T| p.abs().to_bits_u64() == clamp;
+        results.iter().any(|r| r.posteriors.iter().any(at_clamp))
+    }
+    for schedule in [Schedule::Flooding, Schedule::Layered] {
+        let config = BpConfig {
+            max_iters: 60,
+            schedule,
+            track_oscillations: true,
+            ..BpConfig::default()
+        };
+        let (r64, r32) = check_config_with(&h, &priors, &syndromes, config);
+        assert!(
+            saturated(&r64),
+            "{schedule:?}: no f64 posterior reached CLAMP"
+        );
+        assert!(
+            saturated(&r32),
+            "{schedule:?}: no f32 posterior reached CLAMP"
+        );
+    }
+}
+
 // ---------------------------------------------------------------------
 // Batch-contract edge cases (deterministic unit tests, both precisions).
 // ---------------------------------------------------------------------

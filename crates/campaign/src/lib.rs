@@ -52,6 +52,8 @@
 //! std::fs::remove_dir_all(&out).unwrap();
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod engine;
 pub mod jsonl;
 pub mod report;

@@ -31,6 +31,8 @@
 //! assert!(dem.num_mechanisms() > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod circuit;
 mod dem;
 mod memory;

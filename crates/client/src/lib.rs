@@ -19,6 +19,8 @@
 //! assert!(reply.result.unwrap().solved);
 //! ```
 
+#![forbid(unsafe_code)]
+
 use qldpc_decoder_api::DecodeOutcome;
 use qldpc_gf2::BitVec;
 use qldpc_wire::{

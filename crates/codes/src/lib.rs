@@ -31,6 +31,8 @@
 //! gross.validate().expect("construction is a valid CSS code");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bb;
 pub mod circulant;
 pub mod classical;

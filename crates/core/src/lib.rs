@@ -48,6 +48,8 @@
 //! assert_eq!(hz.mul_vec(&result.error_hat), hz.mul_vec(&error));
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod api;
 mod candidates;
 mod decoder;

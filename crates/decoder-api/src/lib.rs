@@ -52,6 +52,8 @@
 //!    [`DecoderDescriptor`] your decoder returns, instead of parsing
 //!    labels.
 
+#![forbid(unsafe_code)]
+
 use qldpc_gf2::{BitVec, SparseBitMatrix};
 use std::fmt;
 

@@ -30,6 +30,8 @@
 //! assert_eq!(kernel[0].weight(), 3);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod bitvec;
 mod dense;
 mod gauss;

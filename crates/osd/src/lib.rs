@@ -36,6 +36,8 @@
 //! assert_eq!(r.error_hat, e);
 //! ```
 
+#![forbid(unsafe_code)]
+
 use qldpc_bp::{BpConfig, BpResult, MinSumDecoder, Schedule};
 pub use qldpc_decoder_api::{DecodeOutcome, DecodeTelemetry, SyndromeDecoder};
 use qldpc_gf2::{BitMatrix, BitVec, OrderedEliminator, SparseBitMatrix};

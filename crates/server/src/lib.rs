@@ -107,6 +107,8 @@
 //! assert!(metrics.is_drained());
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod exposition;
 mod histogram;
 mod metrics;

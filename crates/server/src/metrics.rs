@@ -302,7 +302,7 @@ impl MetricsSnapshot {
         );
         for (stage, h) in self.stages.iter() {
             // The kernel span is the only stage whose duration depends
-            // on which explicit-SIMD batch kernel the decoder dispatched
+            // on which SIMD target the decoder's batch kernel dispatched
             // to, so its series carries the active target as a label —
             // appended after `stage` so prefix-matching consumers keep
             // working. Other stages are dispatch-independent.

@@ -35,6 +35,8 @@
 //! assert!(report.ler() <= 1.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod circuit_level;
 mod code_capacity;
 pub mod decoders;

@@ -33,6 +33,8 @@
 //! layouts; the header shape and magic are version-invariant so a
 //! mismatch is still diagnosable.
 
+#![forbid(unsafe_code)]
+
 mod codec;
 mod frame;
 

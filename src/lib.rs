@@ -35,6 +35,8 @@
 //! assert!(!code.is_x_logical_error(&residual));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use bpsf_core as bpsf;
 pub use qldpc_bp as bp;
 pub use qldpc_campaign as campaign;
