@@ -1,20 +1,20 @@
-//! Precision × batch-width sweep of the shot-interleaved BP kernel.
+//! Precision × batch-width sweep of the BP decoder's interleaved tiles.
 //!
 //! The payoff measurement for the precision-generic core: decodes the
 //! same gross-code shot set with `f64` and `f32` message slabs at
-//! B ∈ {1, 8, 32, `DEFAULT_MAX_LANES`}, plus each precision's scalar
-//! per-shot loop, and writes the ns/shot series — and the headline
+//! B ∈ {1, 8, 32, `DEFAULT_MAX_LANES`} — B = 1 is `decode` per shot, the
+//! per-shot baseline — and writes the ns/shot series — and the headline
 //! f32-vs-f64 throughput ratio at the widest batch — to
 //! `BENCH_bp_precision.json` at the workspace root. Half-width slabs
 //! double the effective SIMD lanes of the lane loops and halve their
 //! memory traffic, so f32 should win and win more as B grows; the JSON
 //! records by how much on this machine.
 //!
-//! Since the per-target batch kernels landed, the artifact also
-//! records the **resolved dispatch target** and CPU feature string the
-//! un-forced series ran on, plus a forced per-target series at the
-//! widest batch (every compiled-in target × both precisions) — the
-//! wide-kernel-vs-scalar-oracle payoff at identical output bits.
+//! The artifact also records the **resolved dispatch target** and CPU
+//! feature string the un-forced series ran on, plus a forced per-target
+//! series at the widest batch (every compiled-in target × both
+//! precisions) — the payoff of interleaving over decoding every lane
+//! alone (the scalar target) at identical output bits.
 //!
 //! Both precisions decode the identical syndromes; accuracy parity is
 //! *not* measured here (that is `tests/precision_parity.rs`) — at fixed
@@ -22,8 +22,8 @@
 //! sweep is a pure arithmetic/bandwidth comparison.
 
 use qldpc_bp::{
-    active_simd_target, simd_cpu_features, supported_simd_targets, BatchMinSumDecoderOf, BpConfig,
-    Llr, MinSumDecoderOf, Precision, SimdTarget, DEFAULT_MAX_LANES,
+    active_simd_target, simd_cpu_features, supported_simd_targets, BpConfig, Llr, MinSumDecoderOf,
+    Precision, SimdTarget, DEFAULT_MAX_LANES,
 };
 use qldpc_gf2::BitVec;
 use rand::rngs::StdRng;
@@ -63,52 +63,41 @@ fn ns_per_shot(shots: usize, samples: usize, mut f: impl FnMut()) -> u64 {
     times[times.len() / 2] / shots as u64
 }
 
-/// One precision's scalar-loop baseline + batch-width series; returns
-/// `(scalar_ns, Vec<(width, ns)>)`.
+/// One precision's batch-width series, `Vec<(width, ns)>`; `widths`
+/// starts at 1, the per-shot baseline the other widths are held to.
 fn sweep_precision<T: Llr>(
     syndromes: &[BitVec],
     widths: &[usize],
     samples: usize,
     config: BpConfig,
-) -> (u64, Vec<(usize, u64)>) {
+) -> Vec<(usize, u64)> {
     let code = qldpc_codes::bb::gross_code();
     let hz = code.hz();
     let priors = vec![0.03; hz.cols()];
     let shots = syndromes.len();
-
-    let mut scalar = MinSumDecoderOf::<T>::new(hz, &priors, config);
-    let scalar_ns = ns_per_shot(shots, samples, || {
-        for s in syndromes {
-            std::hint::black_box(scalar.decode(s));
-        }
-    });
-    println!(
-        "bp_precision_sweep/{}/scalar_loop: {scalar_ns} ns/shot",
-        T::PRECISION
-    );
-
-    let mut series = Vec::new();
+    let mut series: Vec<(usize, u64)> = Vec::new();
     for &width in widths {
-        let mut engine = BatchMinSumDecoderOf::<T>::new(hz, &priors, config);
+        let mut engine = MinSumDecoderOf::<T>::new(hz, &priors, config);
         let batch_ns = ns_per_shot(shots, samples, || {
             for chunk in syndromes.chunks(width) {
                 std::hint::black_box(engine.decode_batch_results(chunk));
             }
         });
-        let speedup = scalar_ns as f64 / batch_ns.max(1) as f64;
+        let one_ns = series.first().map_or(batch_ns, |&(_, ns)| ns);
+        let speedup = one_ns as f64 / batch_ns.max(1) as f64;
         println!(
-            "bp_precision_sweep/{}/B={width}: {batch_ns} ns/shot ({speedup:.2}x vs same-precision scalar)",
+            "bp_precision_sweep/{}/B={width}: {batch_ns} ns/shot ({speedup:.2}x vs same-precision B=1)",
             T::PRECISION
         );
         series.push((width, batch_ns));
     }
-    (scalar_ns, series)
+    series
 }
 
-/// Forces the batch engine through every compiled-in SIMD dispatch
-/// target at one batch width and returns the per-target ns/shot — the
-/// SIMD payoff measurement (wide kernel vs the scalar oracle
-/// kernel at the *same* width, same precision, same bits out).
+/// Forces the decoder through every compiled-in SIMD dispatch target at
+/// one batch width and returns the per-target ns/shot — the SIMD payoff
+/// measurement (interleaved lanes vs every lane decoded alone at the
+/// scalar target, same precision, same bits out).
 fn sweep_forced_targets<T: Llr>(
     syndromes: &[BitVec],
     width: usize,
@@ -125,7 +114,7 @@ fn sweep_forced_targets<T: Llr>(
             simd_target: Some(target),
             ..config
         };
-        let mut engine = BatchMinSumDecoderOf::<T>::new(hz, &priors, forced);
+        let mut engine = MinSumDecoderOf::<T>::new(hz, &priors, forced);
         let ns = ns_per_shot(shots, samples, || {
             for chunk in syndromes.chunks(width) {
                 std::hint::black_box(engine.decode_batch_results(chunk));
@@ -141,7 +130,7 @@ fn sweep_forced_targets<T: Llr>(
     for &(target, ns) in &series {
         println!(
             "bp_precision_sweep/{}/B={width}/target={target}: {ns} ns/shot \
-             ({:.2}x vs scalar kernel at the same width)",
+             ({:.2}x vs every lane alone at the same width)",
             T::PRECISION,
             scalar_ns as f64 / ns.max(1) as f64
         );
@@ -175,8 +164,8 @@ fn main() {
     let features = simd_cpu_features();
     println!("bp_precision_sweep: simd_target={active} cpu_features={features}");
 
-    let (scalar64, series64) = sweep_precision::<f64>(&syndromes, &widths, samples, config);
-    let (scalar32, series32) = sweep_precision::<f32>(&syndromes, &widths, samples, config);
+    let series64 = sweep_precision::<f64>(&syndromes, &widths, samples, config);
+    let series32 = sweep_precision::<f32>(&syndromes, &widths, samples, config);
 
     // The SIMD payoff at the widest batch: every compiled-in
     // target forced in turn, both precisions.
@@ -197,52 +186,51 @@ fn main() {
         return;
     }
 
-    let render_series = |precision: Precision,
-                         scalar_ns: u64,
-                         series: &[(usize, u64)],
-                         targets: &[(SimdTarget, u64)]| {
-        let rows: Vec<String> = series
-            .iter()
-            .map(|&(width, ns)| {
-                format!(
-                    "      {{\"batch_width\": {width}, \"ns_per_shot\": {ns}, \
+    let render_series =
+        |precision: Precision, series: &[(usize, u64)], targets: &[(SimdTarget, u64)]| {
+            let scalar_ns = series[0].1;
+            let rows: Vec<String> = series
+                .iter()
+                .map(|&(width, ns)| {
+                    format!(
+                        "      {{\"batch_width\": {width}, \"ns_per_shot\": {ns}, \
                          \"speedup_vs_scalar\": {:.3}}}",
-                    scalar_ns as f64 / ns.max(1) as f64
-                )
-            })
-            .collect();
-        let kernel_scalar = targets
-            .iter()
-            .find(|(t, _)| *t == SimdTarget::Scalar)
-            .map(|&(_, ns)| ns)
-            .unwrap_or(0);
-        let target_rows: Vec<String> = targets
-            .iter()
-            .map(|&(target, ns)| {
-                format!(
-                    "      {{\"target\": \"{target}\", \"ns_per_shot\": {ns}, \
+                        scalar_ns as f64 / ns.max(1) as f64
+                    )
+                })
+                .collect();
+            let kernel_scalar = targets
+                .iter()
+                .find(|(t, _)| *t == SimdTarget::Scalar)
+                .map(|&(_, ns)| ns)
+                .unwrap_or(0);
+            let target_rows: Vec<String> = targets
+                .iter()
+                .map(|&(target, ns)| {
+                    format!(
+                        "      {{\"target\": \"{target}\", \"ns_per_shot\": {ns}, \
                          \"speedup_vs_scalar_kernel\": {:.3}}}",
-                    kernel_scalar as f64 / ns.max(1) as f64
-                )
-            })
-            .collect();
-        format!(
-            "    {{\"precision\": \"{precision}\", \"bytes_per_message\": {}, \
+                        kernel_scalar as f64 / ns.max(1) as f64
+                    )
+                })
+                .collect();
+            format!(
+                "    {{\"precision\": \"{precision}\", \"bytes_per_message\": {}, \
                  \"scalar_ns_per_shot\": {scalar_ns}, \"series\": [\n{}\n    ],\n  \
                  \"forced_targets_at_max_batch\": [\n{}\n    ]}}",
-            precision.bytes_per_message(),
-            rows.join(",\n"),
-            target_rows.join(",\n")
-        )
-    };
+                precision.bytes_per_message(),
+                rows.join(",\n"),
+                target_rows.join(",\n")
+            )
+        };
     let json = format!(
         "{{\n  \"bench\": \"bp_precision_sweep\",\n  \"code\": \"[[144,12,12]] gross\",\n  \
          \"bp_iters\": {bp_iters},\n  \"shots\": {shots},\n  \"error_rate\": 0.05,\n  \
          \"simd_target\": \"{active}\",\n  \"cpu_features\": \"{features}\",\n  \
          \"f32_vs_f64_at_max_batch\": {f32_vs_f64:.3},\n  \"max_batch\": {max_width},\n  \
          \"precisions\": [\n{},\n{}\n  ]\n}}\n",
-        render_series(Precision::F64, scalar64, &series64, &targets64),
-        render_series(Precision::F32, scalar32, &series32, &targets32),
+        render_series(Precision::F64, &series64, &targets64),
+        render_series(Precision::F32, &series32, &targets32),
     );
     // Bench binaries run with cwd = crates/bench; emit at the workspace
     // root where the other BENCH artifacts live.

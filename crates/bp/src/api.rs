@@ -8,7 +8,7 @@
 //! run reports and service metrics can record it.
 
 use crate::llr::Llr;
-use crate::{BatchMinSumDecoderOf, BpResult, MinSumDecoderOf, Schedule};
+use crate::{BpResult, MinSumDecoderOf, Schedule};
 use qldpc_decoder_api::{
     DecodeOutcome, DecodeTelemetry, DecoderFamily, Precision, SyndromeDecoder,
 };
@@ -54,43 +54,9 @@ impl<T: Llr> SyndromeDecoder for MinSumDecoderOf<T> {
     }
 
     /// Overrides the default per-shot loop with
-    /// [`MinSumDecoderOf::decode_batch_results`] (the shot-interleaved
-    /// batch kernel, bit-identical per lane at this precision — the
-    /// batch-vs-scalar property suite pins this).
-    fn decode_batch(&mut self, syndromes: &[BitVec]) -> Vec<DecodeOutcome> {
-        self.decode_batch_results(syndromes)
-            .into_iter()
-            .map(outcome_from)
-            .collect()
-    }
-}
-
-impl<T: Llr> SyndromeDecoder for BatchMinSumDecoderOf<T> {
-    fn decode_syndrome(&mut self, syndrome: &BitVec) -> DecodeOutcome {
-        outcome_from(self.decode(syndrome))
-    }
-
-    /// `"BatchBP{max_iters}"` (`"BatchLayeredBP{max_iters}"` under the
-    /// layered schedule) — distinguishable from the scalar baseline in
-    /// run reports while decoding identically — with the same precision
-    /// suffix rule as the scalar decoder.
-    fn label(&self) -> String {
-        let c = self.config();
-        let suffix = T::PRECISION.label_suffix();
-        match c.schedule {
-            Schedule::Flooding => format!("BatchBP{}{suffix}", c.max_iters),
-            Schedule::Layered => format!("BatchLayeredBP{}{suffix}", c.max_iters),
-        }
-    }
-
-    fn precision(&self) -> Precision {
-        T::PRECISION
-    }
-
-    fn family(&self) -> DecoderFamily {
-        DecoderFamily::Bp
-    }
-
+    /// [`MinSumDecoderOf::decode_batch_results`] (interleaved tiles,
+    /// bit-identical per lane to decoding each syndrome alone — the
+    /// `batch_equivalence` property suite pins this).
     fn decode_batch(&mut self, syndromes: &[BitVec]) -> Vec<DecodeOutcome> {
         self.decode_batch_results(syndromes)
             .into_iter()
@@ -102,7 +68,7 @@ impl<T: Llr> SyndromeDecoder for BatchMinSumDecoderOf<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BatchMinSumDecoderF32, BpConfig, MinSumDecoder, MinSumDecoderF32};
+    use crate::{BpConfig, MinSumDecoder, MinSumDecoderF32};
     use qldpc_gf2::SparseBitMatrix;
 
     fn tiny_h() -> SparseBitMatrix {
@@ -143,9 +109,6 @@ mod tests {
         let scalar = MinSumDecoderF32::new(&h, &[0.1; 3], config);
         assert_eq!(scalar.label(), "BP42@f32");
         assert_eq!(scalar.precision(), Precision::F32);
-        let batch = BatchMinSumDecoderF32::new(&h, &[0.1; 3], config);
-        assert_eq!(batch.label(), "BatchBP42@f32");
-        assert_eq!(batch.precision(), Precision::F32);
         // The reference decoder still reports (and labels as) f64.
         let reference = MinSumDecoder::new(&h, &[0.1; 3], config);
         assert_eq!(reference.precision(), Precision::F64);

@@ -1,4 +1,13 @@
-//! Normalized min-sum BP with flooding and layered schedules.
+//! Normalized min-sum BP with flooding and layered schedules: the
+//! configuration, the result, and the crate's one decoder.
+//!
+//! [`MinSumDecoderOf`] decodes in tiles of lanes through one iteration
+//! loop (`decoder/batch.rs`). [`MinSumDecoderOf::decode`] is a one-lane tile;
+//! [`MinSumDecoderOf::decode_batch_results`] cuts a batch into tiles of
+//! whole SIMD vectors, interleaved, and decodes each remaining lane
+//! alone. A one-lane tile runs the contiguous sweep in this file
+//! (`sweep_checks` + `form_incoming`), an interleaved tile the lane
+//! body in `wide.rs`.
 //!
 //! The decoder is generic over the [`Llr`] message scalar: the reference
 //! instantiation is [`MinSumDecoder`] (`f64`), the reduced-precision one
@@ -7,13 +16,16 @@
 //! message scalar exactly once per use, so the `f64` instantiation
 //! executes the identical float stream the pre-generic decoder did.
 
-use crate::batch::BatchMinSumDecoderOf;
 use crate::graph::TannerGraph;
-use crate::kernel::{self, CheckScratch};
+use crate::kernel;
 use crate::llr::Llr;
 use crate::prior_llr;
+use crate::wide;
 use qldpc_gf2::{BitVec, SparseBitMatrix};
-use qldpc_simd::SimdTarget;
+use qldpc_simd::{AlignedSlab, SimdTarget};
+
+mod batch;
+pub use batch::DEFAULT_MAX_LANES;
 
 /// Message-passing schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -109,7 +121,7 @@ pub struct BpConfig {
     /// oscillation signal). Counted in the per-iteration pass over the
     /// variables that takes the hard decision.
     pub track_oscillations: bool,
-    /// SIMD dispatch pin for the batch engine's lane-block kernels.
+    /// SIMD dispatch pin for the lane body of interleaved tiles.
     /// `None` (the default) auto-selects the widest instruction set the
     /// CPU supports — overridable process-wide through the
     /// `QLDPC_SIMD_TARGET` environment variable. `Some(target)` forces
@@ -117,8 +129,9 @@ pub struct BpConfig {
     /// silent fallback would fake forced-target test coverage). Results
     /// are bit-identical across targets, so this knob exists for
     /// equivalence suites, benches and reproducibility pins — never for
-    /// correctness. The scalar decoder and the sum-product rule always
-    /// run scalar.
+    /// correctness. A scalar pin decodes every lane alone, as the
+    /// sum-product rule always does; a single syndrome is always
+    /// decoded alone.
     pub simd_target: Option<SimdTarget>,
 }
 
@@ -156,34 +169,54 @@ pub struct BpResult<T: Llr = f64> {
 }
 
 /// A reusable normalized min-sum decoder bound to one check matrix and one
-/// prior vector, with messages in scalar type `T`.
+/// prior vector, with messages in scalar type `T`: the crate's one BP
+/// engine, for one syndrome and for batches.
 ///
 /// Use through the precision aliases: [`MinSumDecoder`] (`f64`, the
 /// reference) or [`MinSumDecoderF32`](crate::MinSumDecoderF32).
 ///
-/// The decoder owns all message buffers, so repeated decodes do not
-/// allocate. Clone it to decode on several threads concurrently.
+/// All message state lives in shot-interleaved slabs (lane `b` of row
+/// `r` at `r × lanes + b`), grown to the widest tile seen and reused, so
+/// repeated decodes do not allocate beyond their results. Clone the
+/// decoder to decode on several threads concurrently.
 #[derive(Debug, Clone)]
 pub struct MinSumDecoderOf<T: Llr> {
     graph: TannerGraph,
     h: SparseBitMatrix,
     config: BpConfig,
     channel_llrs: Vec<T>,
-    // Working buffers, reused across decodes.
-    c2v: Vec<T>,
-    /// Per variable, what V2C messages are formed from: flooding, the
-    /// unclamped `l_ch + Σ c2v` of the last sweep; layered, the running
-    /// posterior. `next_total` is where a flooding sweep sums the next one.
-    total: Vec<T>,
-    next_total: Vec<T>,
-    /// One check's V2C messages, sized to the largest check degree.
-    incoming: Vec<T>,
-    posterior: Vec<T>,
-    hard: Vec<bool>,
-    flip_counts: Vec<u32>,
-    scratch: CheckScratch<T>,
-    /// Cached interleaved engine behind [`Self::decode_batch_results`].
-    batch: Option<Box<BatchMinSumDecoderOf<T>>>,
+    max_lanes: usize,
+    max_check_degree: usize,
+    // Working slabs at the current tile's lane stride, 64-byte-aligned
+    // so the lane-block sweep starts every row of a full tile on a cache
+    // line / AVX-512 register boundary.
+    c2v: AlignedSlab<T>,
+    /// Per (variable, lane), what V2C messages are formed from: flooding,
+    /// the unclamped `l_ch + Σ c2v` of the last sweep; layered, the
+    /// running posterior. The lane's posterior is `clamp(total)`.
+    total: AlignedSlab<T>,
+    /// Where a flooding sweep sums the next `total`.
+    next_total: AlignedSlab<T>,
+    /// One check's V2C messages for one lane, or for one lane block of an
+    /// interleaved tile: `max_check_degree` rows.
+    incoming: AlignedSlab<T>,
+    /// This iteration's hard decisions; with oscillation tracking, also
+    /// the last iteration's, which the flip counts compare against.
+    hard: AlignedSlab<bool>,
+    flip_counts: AlignedSlab<u32>,
+    /// `±1.0` per (check, lane): `-1.0` where the syndrome bit is set.
+    syndrome_sign: AlignedSlab<T>,
+    syndrome_bit: AlignedSlab<bool>,
+    /// Original shot index occupying each physical lane (compaction
+    /// moves it alongside the slab columns).
+    lane_shot: Vec<usize>,
+    // Per-shot (not per-lane) bookkeeping.
+    converged: Vec<bool>,
+    iterations: Vec<usize>,
+    /// Per-lane syndrome-satisfaction verdicts.
+    lane_ok: AlignedSlab<bool>,
+    /// One compaction pass's `(hole, filler)` lane pairs.
+    moves: Vec<(usize, usize)>,
 }
 
 /// The reference `f64` min-sum decoder — every pre-existing call site
@@ -210,7 +243,8 @@ impl<T: Llr> MinSumDecoderOf<T> {
     ///
     /// # Panics
     ///
-    /// Panics if `priors.len() != h.cols()` or `max_iters == 0`.
+    /// Panics if `priors.len() != h.cols()`, `max_iters == 0`, or the
+    /// memory strength lies outside `[0, 1)`.
     pub fn new(h: &SparseBitMatrix, priors: &[f64], config: BpConfig) -> Self {
         assert_eq!(priors.len(), h.cols(), "one prior per variable required");
         assert!(config.max_iters > 0, "max_iters must be positive");
@@ -219,58 +253,31 @@ impl<T: Llr> MinSumDecoderOf<T> {
             "memory strength must lie in [0, 1)"
         );
         let graph = TannerGraph::new(h);
-        let edges = graph.num_edges();
-        let vars = graph.num_vars();
-        let max_degree = (0..graph.num_checks()).map(|c| graph.check_edges(c).len());
-        let max_degree = max_degree.max().unwrap_or(0);
+        let max_check_degree = (0..graph.num_checks())
+            .map(|c| graph.check_edges(c).len())
+            .max()
+            .unwrap_or(0);
         Self {
             graph,
             h: h.clone(),
             config,
             channel_llrs: priors.iter().map(|&p| T::from_f64(prior_llr(p))).collect(),
-            c2v: vec![T::ZERO; edges],
-            total: vec![T::ZERO; vars],
-            next_total: vec![T::ZERO; vars],
-            incoming: vec![T::ZERO; max_degree],
-            posterior: vec![T::ZERO; vars],
-            hard: vec![false; vars],
-            flip_counts: vec![0; vars],
-            scratch: CheckScratch::new(1),
-            batch: None,
+            max_lanes: DEFAULT_MAX_LANES,
+            max_check_degree,
+            c2v: AlignedSlab::new(),
+            total: AlignedSlab::new(),
+            next_total: AlignedSlab::new(),
+            incoming: AlignedSlab::new(),
+            hard: AlignedSlab::new(),
+            flip_counts: AlignedSlab::new(),
+            syndrome_sign: AlignedSlab::new(),
+            syndrome_bit: AlignedSlab::new(),
+            lane_shot: Vec::new(),
+            converged: Vec::new(),
+            iterations: Vec::new(),
+            lane_ok: AlignedSlab::new(),
+            moves: Vec::new(),
         }
-    }
-
-    /// The precomputed Tanner-graph edge layout.
-    pub(crate) fn graph(&self) -> &TannerGraph {
-        &self.graph
-    }
-
-    /// Decodes a batch of syndromes, one [`BpResult`] per syndrome in
-    /// input order, each bit-identical to [`Self::decode`] of that
-    /// syndrome: fewer than two run the scalar loop, wider batches the
-    /// shot-interleaved engine ([`BatchMinSumDecoderOf`]).
-    ///
-    /// The engine is built from the decoder's config and channel LLRs on
-    /// the first wide call and cached, so repeated batches reuse its
-    /// slabs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any syndrome's length differs from the number of checks.
-    pub fn decode_batch_results(&mut self, syndromes: &[BitVec]) -> Vec<BpResult<T>> {
-        if syndromes.len() < 2 {
-            return syndromes.iter().map(|s| self.decode(s)).collect();
-        }
-        let engine = match self.batch.take() {
-            Some(engine) => engine,
-            None => Box::new(BatchMinSumDecoderOf::from_scalar(self)),
-        };
-        self.batch.insert(engine).decode_batch_results(syndromes)
-    }
-
-    /// The channel LLRs derived from the priors.
-    pub(crate) fn channel_llrs(&self) -> &[T] {
-        &self.channel_llrs
     }
 
     /// The decoder's configuration.
@@ -288,122 +295,130 @@ impl<T: Llr> MinSumDecoderOf<T> {
         self.graph.num_vars()
     }
 
-    /// Runs BP on `syndrome` until convergence or the iteration budget is
-    /// exhausted.
+    /// Caps the lane width of one tile (memory/locality trade-off;
+    /// results are unaffected). The default is [`DEFAULT_MAX_LANES`].
     ///
     /// # Panics
     ///
-    /// Panics if `syndrome.len()` differs from the number of checks.
-    pub fn decode(&mut self, syndrome: &BitVec) -> BpResult<T> {
-        assert_eq!(
-            syndrome.len(),
-            self.graph.num_checks(),
-            "syndrome length must equal the number of checks"
-        );
-        let vars = self.graph.num_vars();
-        let flooding = self.config.schedule == Schedule::Flooding;
-        let track = self.config.track_oscillations;
-        // Posterior memory (flooding only): `Some(γ)` when enabled.
-        let gamma = self.config.memory_strength;
-        let memory = (flooding && gamma != 0.0).then(|| T::from_f64(gamma));
-        // Reset; `hard` and the counts are read before they are written
-        // only by flip tracking.
-        self.c2v.fill(T::ZERO);
-        self.posterior.copy_from_slice(&self.channel_llrs);
-        self.total.copy_from_slice(&self.channel_llrs);
-        if track {
-            self.hard.fill(false);
-            self.flip_counts.fill(0);
-        }
-
-        let mut converged = false;
-        let mut iterations = 0;
-        for iter in 1..=self.config.max_iters {
-            iterations = iter;
-            let alpha = T::from_f64(self.config.damping.factor(iter));
-            if let Some(gamma) = memory {
-                self.blend_memory(gamma);
-            }
-            self.sweep_checks(syndrome, alpha, flooding);
-            // Posteriors (paper Eq. 7) and hard decision (paper Eq. 8):
-            // error where the posterior says "1 more likely", LLR <= 0.
-            for (v, &total) in self.total.iter().enumerate() {
-                let posterior = total.clamp_llr();
-                let bit = posterior <= T::ZERO;
-                if track {
-                    self.flip_counts[v] += u32::from(bit != self.hard[v]);
-                }
-                self.posterior[v] = posterior;
-                self.hard[v] = bit;
-            }
-            if self.syndrome_satisfied(syndrome) {
-                converged = true;
-                break;
-            }
-        }
-
-        let mut error_hat = BitVec::zeros(vars);
-        for v in 0..vars {
-            if self.hard[v] {
-                error_hat.set(v, true);
-            }
-        }
-        BpResult {
-            converged,
-            error_hat,
-            iterations,
-            posteriors: self.posterior.clone(),
-            flip_counts: if track {
-                self.flip_counts.clone()
-            } else {
-                Vec::new()
-            },
-        }
+    /// Panics if `max_lanes == 0`.
+    pub fn set_max_lanes(&mut self, max_lanes: usize) {
+        assert!(max_lanes > 0, "need at least one lane");
+        self.max_lanes = max_lanes;
     }
 
-    /// One pass over the checks in order: the whole message passing of an
-    /// iteration. Per check, V2C (paper Eq. 5) is formed on the fly as
-    /// `clamp(total[v] − c2v[e])`, the check rule writes the new C2V in
-    /// place, and it is folded back: flooding adds it into `next_total`
-    /// (started at `l_ch`; it becomes `total` when the sweep ends), layered
-    /// writes the running posterior through at once. Checks ascending and
-    /// edges ascending within a check hand every variable its C2V terms in
-    /// ascending edge id. The batch engine's sweep is this one per lane,
-    /// in the same order, which keeps the two bit-identical.
-    fn sweep_checks(&mut self, syndrome: &BitVec, alpha: T, flooding: bool) {
-        self.next_total.copy_from_slice(&self.channel_llrs);
-        let (total, next_total) = (&mut self.total[..], &mut self.next_total[..]);
+    /// The SIMD target this decoder's interleaved tiles run at under the
+    /// current configuration — the [`BpConfig::simd_target`] pin, the
+    /// `QLDPC_SIMD_TARGET` override, or CPU detection, in that precedence
+    /// (always [`SimdTarget::Scalar`] for the sum-product rule, which has
+    /// no lane body). An auto-detected target may still step down for a
+    /// batch narrower than one vector; a pinned target never does.
+    pub fn resolved_simd_target(&self) -> SimdTarget {
+        wide::resolve_target(&self.config)
+    }
+
+    /// Runs BP on `syndrome` until convergence or the iteration budget is
+    /// exhausted: a one-lane tile.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `syndrome.len()` differs from the number of checks, or
+    /// if the config pins a SIMD target this CPU does not support.
+    pub fn decode(&mut self, syndrome: &BitVec) -> BpResult<T> {
+        self.decode_batch_results(std::slice::from_ref(syndrome))
+            .pop()
+            .expect("one result per syndrome")
+    }
+
+    /// Decodes a batch of syndromes, one [`BpResult`] per syndrome in
+    /// input order, each bit-identical to [`Self::decode`] of that
+    /// syndrome: lanes are isolated, so shot `i`'s result depends only on
+    /// `syndromes[i]`.
+    ///
+    /// The batch is cut into tiles of at most [`DEFAULT_MAX_LANES`] (or
+    /// [`Self::set_max_lanes`]) shots. On a wide SIMD target, the first
+    /// `len − len % w` shots of a tile run interleaved, `w` being the
+    /// target's vector width at this precision, and each remaining shot
+    /// is decoded alone; on the scalar target every shot is decoded
+    /// alone. An auto-detected target first steps down to one whose
+    /// vector fits the tile.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any syndrome's length differs from the number of checks,
+    /// or if the config pins a SIMD target this CPU does not support.
+    pub fn decode_batch_results(&mut self, syndromes: &[BitVec]) -> Vec<BpResult<T>> {
+        for s in syndromes {
+            assert_eq!(
+                s.len(),
+                self.graph.num_checks(),
+                "syndrome length must equal the number of checks"
+            );
+        }
+        let resolved = wide::resolve_target(&self.config);
+        let mut out = Vec::with_capacity(syndromes.len());
+        for tile in syndromes.chunks(self.max_lanes) {
+            let mut target = resolved;
+            if self.config.simd_target.is_none() {
+                while target != SimdTarget::Scalar && wide::lane_width::<T>(target) > tile.len() {
+                    target = wide::step_down(target);
+                }
+            }
+            let whole = match target {
+                SimdTarget::Scalar => 0,
+                _ => tile.len() - tile.len() % wide::lane_width::<T>(target),
+            };
+            if whole > 0 {
+                self.decode_tile(&tile[..whole], target, &mut out);
+            }
+            for s in &tile[whole..] {
+                self.decode_tile(std::slice::from_ref(s), SimdTarget::Scalar, &mut out);
+            }
+        }
+        out
+    }
+
+    /// One pass over the checks of a one-lane tile, in order: the whole
+    /// message passing of an iteration. Per check, V2C (paper Eq. 5) is
+    /// formed on the fly as `clamp(total[v] − c2v[e])`, the check rule
+    /// writes the new C2V in place, and it is folded back: flooding adds
+    /// it into `next_total` (started at `l_ch`; the caller swaps it into
+    /// `total` when the sweep ends), layered writes the running posterior
+    /// through at once. Checks ascending and edges ascending within a
+    /// check hand every variable its C2V terms in ascending edge id. The
+    /// lane body of an interleaved tile (`wide.rs`) is this sweep per
+    /// lane, in the same order, which keeps the two bit-identical.
+    fn sweep_checks(&mut self, alpha: T, flooding: bool) {
+        let n = self.graph.num_vars();
+        let total = &mut self.total[..n];
+        let next_total = &mut self.next_total[..n];
+        if flooding {
+            next_total.copy_from_slice(&self.channel_llrs);
+        }
+        let (c2v_all, syndrome) = (&mut self.c2v[..], &self.syndrome_bit[..]);
         for c in 0..self.graph.num_checks() {
             let vars = self.graph.check_vars(c);
-            let c2v = &mut self.c2v[self.graph.check_edges(c)];
+            let c2v = &mut c2v_all[self.graph.check_edges(c)];
             let incoming = &mut self.incoming[..vars.len()];
-            let bit = syndrome.get(c);
+            let bit = syndrome[c];
             let (min1, min2, negative) = form_incoming(total, vars, c2v, incoming, bit);
             match self.config.algorithm {
-                // Normalized min-sum (paper Eq. 6) in one lane. The oracle
-                // (`kernel::update_check_lanes`, which `batch_equivalence.rs`
-                // holds this against) writes `clamp(sign · own_sign · α ·
-                // mag)`: four values per check, computed once — `sign ·
-                // own_sign` is ±1 and multiplying by it is exact.
+                // Normalized min-sum (paper Eq. 6): `clamp(sign · own_sign
+                // · α · mag)`, four values per check, computed once —
+                // `sign · own_sign` is ±1 and multiplying by it is exact.
+                // The lane body computes the same product per edge.
                 BpAlgorithm::MinSum => {
                     let signed = if negative { -alpha } else { alpha };
                     let others = [(signed * min1).clamp_llr(), (-signed * min1).clamp_llr()];
                     let own = [(signed * min2).clamp_llr(), (-signed * min2).clamp_llr()];
                     for (out, &m) in c2v.iter_mut().zip(incoming.iter()) {
                         // The edge holding the minimum sees the second one;
-                        // the oracle takes the first such edge, and with two
-                        // of them `min2 == min1`.
+                        // the lane body takes the first such edge, and with
+                        // two of them `min2 == min1`.
                         let [plus, minus] = if m.abs() == min1 { own } else { others };
                         *out = if m < T::ZERO { minus } else { plus };
                     }
                 }
-                BpAlgorithm::SumProduct => {
-                    let base_sign = [if bit { -T::ONE } else { T::ONE }];
-                    let (rule, scratch) = (BpAlgorithm::SumProduct, &mut self.scratch);
-                    kernel::update_check_lanes(
-                        rule, incoming, c2v, 1, 1, &base_sign, alpha, scratch,
-                    );
-                }
+                BpAlgorithm::SumProduct => kernel::sum_product(incoming, c2v, bit, alpha),
             }
             for ((&m, &v), &new) in incoming.iter().zip(vars).zip(c2v.iter()) {
                 if flooding {
@@ -413,36 +428,6 @@ impl<T: Llr> MinSumDecoderOf<T> {
                 }
             }
         }
-        if flooding {
-            std::mem::swap(&mut self.total, &mut self.next_total);
-        }
-    }
-
-    /// Posterior memory: re-forms `total` with `(1−γ)·l_ch + γ·posterior`
-    /// in place of `l_ch`. The one variable-major pass over `c2v`, paid
-    /// only by the configuration that needs it.
-    fn blend_memory(&mut self, gamma: T) {
-        for (v, total) in self.total.iter_mut().enumerate() {
-            let mut sum = (T::ONE - gamma) * self.channel_llrs[v] + gamma * self.posterior[v];
-            for &e in self.graph.var_edges(v) {
-                sum += self.c2v[e as usize];
-            }
-            *total = sum;
-        }
-    }
-
-    /// Checks `H·ê = s` using the current hard decision.
-    fn syndrome_satisfied(&self, syndrome: &BitVec) -> bool {
-        for c in 0..self.graph.num_checks() {
-            let mut parity = false;
-            for &v in self.graph.check_vars(c) {
-                parity ^= self.hard[v as usize];
-            }
-            if parity != syndrome.get(c) {
-                return false;
-            }
-        }
-        true
     }
 }
 
@@ -469,7 +454,7 @@ fn form_incoming<T: Llr>(
         *slot = m;
         let mag = m.abs();
         // The larger of `mag` and the old minimum competes for second
-        // place: the same values as the oracle's three-way select.
+        // place: the same values as the lane body's two-minimum select.
         let runner_up = if mag < min1 { min1 } else { mag };
         min2 = if runner_up < min2 { runner_up } else { min2 };
         min1 = if mag < min1 { mag } else { min1 };
@@ -742,6 +727,25 @@ mod tests {
             let s = h.mul_vec(&e);
             assert_eq!(ms.decode(&s).error_hat, sp.decode(&s).error_hat);
         }
+    }
+
+    /// The one-lane sweep's min-sum rule on a degree-3 check with
+    /// distinct magnitudes: each edge sees the minimum over the *other*
+    /// edges, at both precisions.
+    fn min_sum_excludes_own_message_for<T: Llr>() {
+        let h = SparseBitMatrix::from_row_indices(1, 3, &[vec![0, 1, 2]]);
+        let mut dec = MinSumDecoderOf::<T>::new(&h, &[0.1; 3], BpConfig::default());
+        dec.decode(&BitVec::zeros(1)); // sizes and loads the one-lane slabs
+        dec.total[..3].copy_from_slice(&[T::ONE, T::TWO, T::from_f64(3.0)]);
+        dec.c2v[..3].fill(T::ZERO);
+        dec.sweep_checks(T::ONE, true);
+        assert_eq!(dec.c2v[..3], [T::TWO, T::ONE, T::ONE]);
+    }
+
+    #[test]
+    fn min_sum_excludes_own_message() {
+        min_sum_excludes_own_message_for::<f64>();
+        min_sum_excludes_own_message_for::<f32>();
     }
 
     #[test]

@@ -6,9 +6,9 @@ use qldpc_gf2::SparseBitMatrix;
 ///
 /// Edges are numbered in row-major order of the check matrix: edge `e`
 /// connects check `edge_check[e]` with variable `edge_var[e]`. Both
-/// check-major and variable-major traversals are precomputed: the batch
-/// engine walks both every iteration, the scalar decoder the check-major
-/// one (and the variable-major one only under posterior memory).
+/// check-major and variable-major traversals are precomputed: the
+/// decoder's sweep walks the check-major one every iteration, and the
+/// variable-major one only under posterior memory.
 ///
 /// # The check-major edge-ordering invariant
 ///
@@ -16,17 +16,17 @@ use qldpc_gf2::SparseBitMatrix;
 /// edges of check `c` occupy the **contiguous, ascending** id range
 /// returned by [`Self::check_edges`], and ranges of successive checks
 /// are adjacent (`check_edges(c).end == check_edges(c + 1).start`). The
-/// check-update kernel relies on this: it slices one check's
-/// `deg × stride` message sub-slab out of the edge-major slabs with a
-/// single range index (`range.start * stride..range.end * stride`), and
-/// the scalar and batch decoders iterate a check's edges in exactly this
-/// id order — part of the per-precision scalar≡batch bit-identity
-/// contract, since a different traversal order would reassociate the
-/// floating-point reductions. [`Self::check_vars`] is parallel to this
-/// range, and the variable-major view ([`Self::var_edges`]) lists each
-/// variable's edges in ascending id order for the same reason: the
-/// scalar decoder's check-major sweep adds a variable's messages as it
-/// meets them, checks ascending, which is this order.
+/// sweep relies on this: it slices one check's `deg × lanes` message
+/// sub-slab out of the edge-major slabs with a single range index
+/// (`range.start * lanes..range.end * lanes`), and both of its
+/// formulations (one lane, interleaved lanes) iterate a check's edges in
+/// exactly this id order — part of the per-precision bit-identity
+/// contract across tile widths, since a different traversal order would
+/// reassociate the floating-point reductions. [`Self::check_vars`] is
+/// parallel to this range, and the variable-major view
+/// ([`Self::var_edges`]) lists each variable's edges in ascending id
+/// order for the same reason: the check-major sweep adds a variable's
+/// messages as it meets them, checks ascending, which is this order.
 ///
 /// # Examples
 ///
@@ -163,7 +163,7 @@ mod tests {
         assert!(seen.iter().all(|&s| s));
     }
 
-    /// Pins the check-major edge-ordering invariant the kernel's slab
+    /// Pins the check-major edge-ordering invariant the sweep's slab
     /// slicing depends on: per-check ranges are contiguous, ascending,
     /// and adjacent across successive checks.
     #[test]

@@ -11,43 +11,47 @@
 //!   across iterations, the signal BP-SF mines for candidate bits,
 //! * per-iteration syndrome checks with early exit and exact iteration
 //!   accounting,
-//! * a **shot-interleaved batch kernel** ([`BatchMinSumDecoder`]): `B`
-//!   syndromes decoded per call over structure-of-arrays message slabs,
-//!   walking the Tanner graph once per iteration for all shots —
-//!   bit-identical to per-shot decoding (the paper's throughput story),
-//! * **precision-generic messages** (the sealed [`Llr`] trait): every
-//!   decoder exists at `f64` (the reference — [`MinSumDecoder`],
-//!   [`BatchMinSumDecoder`]) and at `f32` ([`MinSumDecoderF32`],
-//!   [`BatchMinSumDecoderF32`]), where half-width slabs double the
-//!   batch kernel's effective SIMD lanes and halve its memory traffic.
+//! * **one engine for one shot and for many** ([`MinSumDecoder`]):
+//!   [`decode`](MinSumDecoder::decode) is a one-lane tile, and
+//!   [`decode_batch_results`](MinSumDecoder::decode_batch_results)
+//!   interleaves a batch's shots in whole SIMD vectors over
+//!   structure-of-arrays message slabs, walking the Tanner graph once per
+//!   iteration for all of them — bit-identical to per-shot decoding (the
+//!   paper's throughput story),
+//! * **precision-generic messages** (the sealed [`Llr`] trait): the
+//!   decoder exists at `f64` (the reference, [`MinSumDecoder`]) and at
+//!   `f32` ([`MinSumDecoderF32`]), where half-width slabs double the
+//!   effective SIMD lanes and halve the memory traffic.
 //!
-//! # The scalar ≡ batch bit-identity contract
+//! # The bit-identity contract
 //!
-//! Batched decoding is **bit-identical** to per-shot decoding at the
-//! same precision: for every lane, [`BatchMinSumDecoder`] produces the
-//! same posteriors (to the last ulp), iteration counts, convergence
-//! flags and oscillation sets as a scalar [`MinSumDecoder`] decode of
-//! that lane's syndrome. Both run one check-major sweep per iteration
-//! over per-variable running totals, and the lane-generic check-update
-//! core in `crates/bp/src/kernel.rs` is the oracle: the batch engine
-//! runs it (or its lane-block twin, held to its bits) on each check's
-//! interleaved lanes, and the scalar decoder keeps one lane's reduction
-//! in registers — the same floats in the same association order. The
-//! property suite in `crates/bp/tests/batch_equivalence.rs` pins the
-//! two against each other per precision, and `tests/golden_minsum.rs`
-//! pins both to fixed fingerprints on the code-capacity and
-//! circuit-level graphs.
+//! A shot decodes to the same bits whatever tile it lands in: for every
+//! lane, [`MinSumDecoder::decode_batch_results`] produces the same
+//! posteriors (to the last ulp), iteration counts, convergence flags and
+//! oscillation sets as [`MinSumDecoder::decode`] of that lane's syndrome
+//! at the same precision, on every SIMD target. Every tile runs one
+//! check-major sweep per iteration over per-variable running totals, in
+//! one of two formulations of min-sum's check rule: a one-lane tile keeps
+//! its reduction in registers (`decoder.rs`'s `sweep_checks`), an
+//! interleaved tile runs one safe lane body over `[T; L]` blocks
+//! (`wide.rs`). Both compute the same floats in the same association
+//! order, and they pin each other: the property suite in
+//! `crates/bp/tests/batch_equivalence.rs` per precision and target, and
+//! `tests/golden_minsum.rs` against fixed fingerprints on the
+//! code-capacity and circuit-level graphs.
 //!
-//! Per-shot early exit inside a batch uses **lane compaction**: after
-//! each iteration the lanes whose hard decision satisfies their syndrome
-//! are snapshotted and the live width shrinks, and one pass moves the
-//! surviving lanes above the new width into the holes below it, in the
-//! slabs that carry state into the next iteration (a pure permutation —
-//! no surviving lane's arithmetic changes). Total work is proportional
-//! to the *sum of per-shot iteration counts*, exactly like a scalar
-//! loop, while the live prefix keeps full vector width. Batches wider
-//! than [`DEFAULT_MAX_LANES`] run as consecutive tiles; the ragged tail
-//! just runs narrower.
+//! A batch is cut into tiles of at most [`DEFAULT_MAX_LANES`] shots. On
+//! a wide target the first `len − len % w` shots of a tile (`w` lanes per
+//! vector) run interleaved and each remaining shot is decoded alone; on
+//! the scalar target, and under the sum-product rule, every shot is
+//! decoded alone. Per-shot early exit inside an interleaved tile uses
+//! **lane compaction**: after each iteration the lanes whose hard
+//! decision satisfies their syndrome are snapshotted and the live width
+//! shrinks, and one pass moves the surviving lanes above the new width
+//! into the holes below it (a pure permutation — no surviving lane's
+//! arithmetic changes). Total work is proportional to the *sum of
+//! per-shot iteration counts*, while the live prefix keeps full vector
+//! width.
 //!
 //! # Examples
 //!
@@ -100,21 +104,20 @@
 #![deny(unsafe_code, clippy::undocumented_unsafe_blocks)]
 
 mod api;
-mod batch;
 mod decoder;
 mod graph;
 mod kernel;
 mod llr;
 mod wide;
 
-pub use batch::{BatchMinSumDecoder, BatchMinSumDecoderOf, DEFAULT_MAX_LANES};
 pub use decoder::{
     BpAlgorithm, BpConfig, BpResult, DampingSchedule, MinSumDecoder, MinSumDecoderOf, Schedule,
+    DEFAULT_MAX_LANES,
 };
 pub use graph::TannerGraph;
 pub use llr::Llr;
 pub use qldpc_decoder_api::{DecodeOutcome, Precision, SyndromeDecoder};
-// The dispatch surface of the batch engine's per-target kernels, re-exported
+// The dispatch surface of the lane body's per-target kernels, re-exported
 // so downstream crates (bench artifacts, telemetry labels, forced-target
 // suites) need no direct `qldpc-simd` dependency: the resolved target,
 // CPU feature summary, and the list every equivalence suite iterates.
@@ -124,9 +127,8 @@ pub use qldpc_simd::{
     SimdTarget, ENV_TARGET as SIMD_TARGET_ENV,
 };
 
-/// The reduced-precision (`f32`) scalar min-sum decoder: half the message
-/// width, same algorithm, bit-identical to [`BatchMinSumDecoderF32`] per
-/// shot.
+/// The reduced-precision (`f32`) min-sum decoder: half the message
+/// width, same algorithm, twice the lanes per SIMD vector.
 ///
 /// # Examples
 ///
@@ -142,9 +144,9 @@ pub use qldpc_simd::{
 /// ```
 pub type MinSumDecoderF32 = MinSumDecoderOf<f32>;
 
-/// The reduced-precision (`f32`) batch engine: half-width slabs, twice
-/// the effective SIMD lanes of [`BatchMinSumDecoder`].
-pub type BatchMinSumDecoderF32 = BatchMinSumDecoderOf<f32>;
+/// The former batch engine's name, now the one decoder: the benchmark's
+/// provenance line still names it.
+pub type BatchMinSumDecoder = MinSumDecoder;
 
 /// Converts a per-bit error probability into a channel log-likelihood
 /// ratio `ln((1−p)/p)` (paper Eq. 4).

@@ -1,13 +1,12 @@
 //! The sealed scalar trait behind the precision-generic BP core.
 //!
-//! Every floating-point operation of the decoders — the scalar
-//! [`MinSumDecoder`](crate::MinSumDecoder), the shot-interleaved
-//! [`BatchMinSumDecoder`](crate::BatchMinSumDecoder), and the shared
-//! check-update kernel — is written against [`Llr`], implemented for
-//! `f64` (the reference arithmetic) and `f32` (half the slab width,
-//! twice the SIMD lanes). The trait is **sealed**: the
-//! scalar≡batch bit-identity contract is pinned per precision by the
-//! property suites, and a foreign scalar type could not make that
+//! Every floating-point operation of the decoder
+//! ([`MinSumDecoderOf`](crate::MinSumDecoderOf): its one-lane sweep, the
+//! interleaved lane body and the sum-product rule) is written against
+//! [`Llr`], implemented for `f64` (the reference arithmetic) and `f32`
+//! (half the slab width, twice the SIMD lanes). The trait is **sealed**:
+//! the bit-identity contract across tile widths is pinned per precision
+//! by the property suites, and a foreign scalar type could not make that
 //! promise.
 //!
 //! Config-level quantities ([`BpConfig`](crate::BpConfig) fields, priors,
@@ -15,8 +14,7 @@
 //! [`Llr::from_f64`], so the `f64` instantiation performs exactly the
 //! operations the pre-generic code did — the f64 goldens are unchanged.
 //!
-//! Nothing here is per instruction set: the batch engine's lane-block
-//! sweep (`crates/bp/src/wide.rs`) is plain Rust over `[T; L]` arrays of
+//! Nothing here is per instruction set: the lane-block sweep (`crates/bp/src/wide.rs`) is plain Rust over `[T; L]` arrays of
 //! this scalar — the trait's operators, `abs` and [`Llr::clamp_llr`] —
 //! compiled once per SIMD target.
 
@@ -100,9 +98,9 @@ pub trait Llr:
     /// equivalence suites and golden fingerprints compare, so "equal"
     /// means *the same float*, not merely within epsilon.
     fn to_bits_u64(self) -> u64;
-    /// The one LLR clamping helper: `clamp(-CLAMP, CLAMP)`. Both the
-    /// scalar and batch paths (and the kernel) clamp exclusively through
-    /// this method, so the clamping rule cannot drift between them.
+    /// The one LLR clamping helper: `clamp(-CLAMP, CLAMP)`. The one-lane
+    /// sweep, the lane body and the sum-product rule clamp exclusively
+    /// through this method, so the clamping rule cannot drift between them.
     fn clamp_llr(self) -> Self;
 }
 

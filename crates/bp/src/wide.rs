@@ -1,12 +1,11 @@
-//! The batch decoder's two hot per-iteration passes as lane-block
+//! An interleaved tile's two hot per-iteration passes as lane-block
 //! kernels, compiled once per instruction set behind runtime dispatch.
 //!
-//! The check-update core in [`kernel`](crate::kernel) remains the
-//! **bit-identity oracle**. This module re-expresses the check-major
-//! sweep (V2C formed from the per-lane running totals, the
-//! two-minimum/argmin check update, the fold back into the totals) as
-//! one safe body over `[T; L]` lane blocks with a const `L`, and the
-//! slab syndrome check as one over blocks of one vector of bytes. Each
+//! This module writes the check-major sweep (V2C formed from the
+//! per-lane running totals, the two-minimum/argmin check update, the
+//! fold back into the totals) as one safe body over `[T; L]` lane
+//! blocks with a const `L`, and the slab syndrome check as one over
+//! blocks of one vector of bytes. Each
 //! body is `#[inline(always)]` and is called from one safe
 //! `#[target_feature]` function per [`SimdTarget`] — AVX-512 (`L` = 8 ×
 //! `f64` / 16 × `f32`), AVX2 (4 / 8) and NEON (2 / 4) — so LLVM compiles
@@ -14,14 +13,15 @@
 //! `unsafe` block each, right after checking that the CPU has the
 //! feature.
 //!
-//! Bit-identity with the oracle comes from the language, not from a
-//! choice of instructions: the body is written with ordinary `<`
-//! selects, `abs`, unary `-` and [`Llr::clamp_llr`] in the oracle's
-//! operand order, Rust gives each its IEEE meaning on every target (a
-//! NaN compares false, `-0.0` is not negative — both reachable, see
-//! `batch_equivalence.rs`), and Rust never contracts a multiply and an
-//! add into an FMA. Every lane therefore executes the scalar float
-//! stream.
+//! Bit-identity with the one-lane sweep (`decoder.rs`'s
+//! `sweep_checks`, the other formulation of the same check rule) comes
+//! from the language, not from a choice of instructions: the body is
+//! written with ordinary `<` selects, `abs`, unary `-` and
+//! [`Llr::clamp_llr`] in a fixed operand order, Rust gives each its IEEE
+//! meaning on every target (a NaN compares false, `-0.0` is not negative
+//! — both reachable, see `batch_equivalence.rs`), and Rust never
+//! contracts a multiply and an add into an FMA. Every lane therefore
+//! executes the one-lane float stream.
 //!
 //! Codegen notes, both checked with `objdump -d` on the `sweep_*`
 //! symbols (a scalar `vminss`/`vcmpltss` there means a lost vector):
@@ -31,9 +31,8 @@
 //! reduction is one short `for k in 0..L` loop per statement, because
 //! fused into one per-lane loop it stayed scalar at `f32` × 16.
 //!
-//! The sweep covers whole blocks only: lanes past the last one (a tile
-//! narrower than, or not a multiple of, the vector) run through the
-//! oracle in `batch.rs`.
+//! The sweep covers whole blocks only: a batch's lanes past its last
+//! whole vector are decoded alone, through the one-lane sweep.
 
 use crate::decoder::{BpAlgorithm, BpConfig};
 use crate::graph::TannerGraph;
@@ -52,8 +51,8 @@ pub(crate) fn lane_width<T: Llr>(target: SimdTarget) -> usize {
 /// Resolves the dispatch target one decode runs at: the config's pin if
 /// set (validated against the CPU), the process-wide
 /// [`active_target`](qldpc_simd::active_target) otherwise — except that
-/// the sum-product rule always runs scalar (its tanh/ln/exp chain has
-/// no lane-block twin).
+/// the sum-product rule always resolves scalar, which decodes every lane
+/// alone (its tanh/ln/exp chain has no lane body).
 ///
 /// # Panics
 ///
@@ -82,9 +81,9 @@ pub(crate) fn resolve_target(config: &BpConfig) -> SimdTarget {
     }
 }
 
-/// The next-narrower dispatch target, used by the batch engine to step
-/// an *auto-detected* target down when a tile holds fewer lanes than
-/// one vector (pinned targets are never stepped down).
+/// The next-narrower dispatch target, used to step an *auto-detected*
+/// target down when a tile holds fewer lanes than one vector (pinned
+/// targets are never stepped down).
 pub(crate) fn step_down(target: SimdTarget) -> SimdTarget {
     match target {
         SimdTarget::Avx512 => SimdTarget::Avx2,
@@ -119,9 +118,9 @@ pub(crate) struct SweepArgs<'a, T: Llr> {
 /// # Panics
 ///
 /// Panics if `target` is scalar or unsupported by this CPU (the caller
-/// runs the scalar target, and any lanes past the last whole vector,
-/// through the oracle in `batch.rs`), if `width` is not a whole number
-/// of vectors within `lanes`, or if a slab is too short.
+/// decodes those lanes alone, through the one-lane sweep), if `width` is
+/// not a whole number of vectors within `lanes`, or if a slab is too
+/// short.
 #[allow(unsafe_code)]
 pub(crate) fn sweep_wide<T: Llr>(target: SimdTarget, args: SweepArgs<'_, T>) {
     assert!(
@@ -257,20 +256,19 @@ fn block<T, const L: usize>(slab: &[T], at: usize) -> &[T; L] {
 }
 
 /// One check-major sweep over per-lane running totals in blocks of `L`
-/// lanes: the lane-interleaved twin of the scalar decoder's
-/// `sweep_checks`.
+/// lanes: the lane-interleaved twin of the one-lane `sweep_checks`.
 ///
 /// Per check and block, V2C (paper Eq. 5) is formed as
 /// `clamp(total[v] − c2v[e])` into `incoming` (one block per edge), and
-/// the min-sum reduction (paper Eq. 6) runs over it: the `MinSum` arm of
-/// `kernel::update_check_lanes`, the oracle, with its `min2` select
-/// written as the classic `if mag < min1 {…} else if mag < min2 {…}`
-/// (the same value for every input, NaN included).
+/// the min-sum reduction (paper Eq. 6) runs over it: the two smallest
+/// magnitudes with the classic `if mag < min1 {…} else if mag < min2
+/// {…}`, the first edge holding the minimum (`argmin`), and the sign
+/// product; each edge then gets `clamp(sign · own_sign · α · mag)`.
 /// The new C2V is written in place and folded back: flooding adds it
 /// into `next_total` (started at the channel LLR), layered writes the
 /// running posterior `clamp(m + c2v)` through at once. Checks ascending
 /// and edges ascending within a check hand every variable its terms in
-/// ascending edge id, the scalar sweep's order.
+/// ascending edge id, the one-lane sweep's order.
 #[inline(always)]
 fn sweep_body<T: Llr, const L: usize>(args: SweepArgs<'_, T>) {
     let SweepArgs {

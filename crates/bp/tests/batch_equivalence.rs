@@ -21,8 +21,7 @@
 
 use proptest::prelude::*;
 use qldpc_bp::{
-    BatchMinSumDecoderOf, BpAlgorithm, BpConfig, BpResult, DampingSchedule, Llr, MinSumDecoder,
-    MinSumDecoderOf, Schedule,
+    BpAlgorithm, BpConfig, BpResult, DampingSchedule, Llr, MinSumDecoder, MinSumDecoderOf, Schedule,
 };
 use qldpc_gf2::{BitVec, SparseBitMatrix};
 use rand::rngs::StdRng;
@@ -127,7 +126,7 @@ fn check_config_at<T: Llr>(
     syndromes: &[BitVec],
     config: BpConfig,
 ) -> Vec<BpResult<T>> {
-    let mut batch = BatchMinSumDecoderOf::<T>::new(h, priors, config);
+    let mut batch = MinSumDecoderOf::<T>::new(h, priors, config);
     let mut scalar = MinSumDecoderOf::<T>::new(h, priors, config);
     let results = batch.decode_batch_results(syndromes);
     assert_eq!(results.len(), syndromes.len());
@@ -211,8 +210,8 @@ fn check_lane_cap_at<T: Llr>(h: &SparseBitMatrix, syndromes: &[BitVec], cap: usi
             simd_target: Some(target),
             ..BpConfig::default()
         };
-        let mut wide = BatchMinSumDecoderOf::<T>::new(h, &priors, config);
-        let mut narrow = BatchMinSumDecoderOf::<T>::new(h, &priors, config);
+        let mut wide = MinSumDecoderOf::<T>::new(h, &priors, config);
+        let mut narrow = MinSumDecoderOf::<T>::new(h, &priors, config);
         narrow.set_max_lanes(cap);
         let rw = wide.decode_batch_results(syndromes);
         let rn = narrow.decode_batch_results(syndromes);
@@ -444,7 +443,7 @@ fn repetition_h(n: usize) -> SparseBitMatrix {
 
 fn empty_batch_returns_empty_at<T: Llr>() {
     let h = repetition_h(7);
-    let mut dec = BatchMinSumDecoderOf::<T>::new(&h, &[0.05; 7], BpConfig::default());
+    let mut dec = MinSumDecoderOf::<T>::new(&h, &[0.05; 7], BpConfig::default());
     assert!(dec.decode_batch_results(&[]).is_empty());
 }
 
@@ -460,7 +459,7 @@ fn empty_batch_returns_empty() {
 /// decoder exactly) with the zero correction.
 fn all_zero_syndromes_converge_immediately_at<T: Llr>() {
     let h = repetition_h(9);
-    let mut dec = BatchMinSumDecoderOf::<T>::new(&h, &[0.05; 9], BpConfig::default());
+    let mut dec = MinSumDecoderOf::<T>::new(&h, &[0.05; 9], BpConfig::default());
     let syndromes = vec![BitVec::zeros(8); 6];
     for r in dec.decode_batch_results(&syndromes) {
         assert!(r.converged);
@@ -488,7 +487,7 @@ fn failing_lanes_report_per_lane_iterations_at<T: Llr>() {
         ..BpConfig::default()
     };
 
-    let mut dec = BatchMinSumDecoderOf::<T>::new(&h, &[0.1; 4], config);
+    let mut dec = MinSumDecoderOf::<T>::new(&h, &[0.1; 4], config);
     let all_bad = vec![bad.clone(); 5];
     for r in dec.decode_batch_results(&all_bad) {
         assert!(!r.converged);
@@ -563,7 +562,7 @@ fn final_iteration_retirement_at<T: Llr>() {
                         _ => late.clone(),
                     })
                     .collect();
-                let mut batch = BatchMinSumDecoderOf::<T>::new(&h, &priors, config);
+                let mut batch = MinSumDecoderOf::<T>::new(&h, &priors, config);
                 let mut scalar = MinSumDecoderOf::<T>::new(&h, &priors, config);
                 let rs = batch.decode_batch_results(&syndromes);
                 for (i, (rb, s)) in rs.iter().zip(&syndromes).enumerate() {
@@ -598,7 +597,7 @@ fn no_state_leaks_across_lanes_at<T: Llr>() {
             simd_target: Some(target),
             ..BpConfig::default()
         };
-        let mut dec = BatchMinSumDecoderOf::<T>::new(&h, &[0.05; 9], config);
+        let mut dec = MinSumDecoderOf::<T>::new(&h, &[0.05; 9], config);
         let probe = h.mul_vec(&BitVec::from_indices(9, &[2, 6]));
         let mut syndromes = vec![probe.clone()];
         // Interior lanes: a zero syndrome (converges instantly), a hard

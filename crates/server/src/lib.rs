@@ -3,10 +3,10 @@
 //! The paper's throughput argument is a *service* argument: real
 //! hardware emits one syndrome per code per round, from many logical
 //! qubits at once, and the decoder must keep up with that aggregate
-//! cadence. The shot-interleaved kernel
-//! ([`qldpc_bp::BatchMinSumDecoder`]) only pays off when it is handed
-//! `B ≫ 1` syndromes per call — this crate is the piece that *produces*
-//! those batches from independent request streams.
+//! cadence. BP's shot-interleaved tiles
+//! ([`qldpc_bp::MinSumDecoder::decode_batch_results`]) only pay off when
+//! they are handed `B ≫ 1` syndromes per call — this crate is the piece
+//! that *produces* those batches from independent request streams.
 //!
 //! Everything is in-process and hermetic: no async runtime and no
 //! dependency outside the workspace, just `std::thread` workers, one
@@ -30,9 +30,9 @@
 //!   [`qldpc_bp::DEFAULT_MAX_LANES`]) or until the `max_wait` window
 //!   closes, then decodes them in one
 //!   [`decode_batch`](qldpc_decoder_api::SyndromeDecoder::decode_batch)
-//!   call. Batched and per-shot decoding are bit-identical (the PR-2
-//!   equivalence suites), so batching is invisible to clients except in
-//!   latency.
+//!   call. Batched and per-shot decoding are bit-identical (pinned by
+//!   `qldpc-bp`'s `batch_equivalence` suite), so batching is invisible
+//!   to clients except in latency.
 //! * **Telemetry** ([`MetricsSnapshot`]) — throughput counters, a
 //!   dispatched batch-size histogram, the end-to-end latency and one
 //!   duration histogram per [`Stage`] (the five stages queue-wait,

@@ -9,7 +9,7 @@
 //! | GF(2) algebra | [`gf2`] | bit-packed vectors/matrices, Gaussian elimination |
 //! | Codes | [`codes`] | BB, coprime-BB, GB, HGP, SHYPS constructions |
 //! | Decoder API | [`decoder_api`] | the one [`SyndromeDecoder`](decoder_api::SyndromeDecoder) trait every decoder implements |
-//! | BP | [`bp`] | normalized min-sum (flooding + layered), oscillation tracking, shot-interleaved batch kernel, precision-generic (f64/f32) messages |
+//! | BP | [`bp`] | normalized min-sum (flooding + layered), oscillation tracking, one engine for one shot or shot-interleaved batches, precision-generic (f64/f32) messages |
 //! | OSD baseline | [`osd`] | OSD-0 / OSD-CS post-processing |
 //! | Circuit noise | [`circuit`] | syndrome-extraction circuits, detector error models |
 //! | **BP-SF** | [`bpsf`] | the paper's oscillation-guided syndrome-flip decoder |
@@ -53,8 +53,7 @@ pub use qldpc_wire as wire;
 /// The most common imports for working with the stack.
 pub mod prelude {
     pub use crate::bp::{
-        BatchMinSumDecoder, BatchMinSumDecoderF32, BpConfig, DampingSchedule, Llr, MinSumDecoder,
-        MinSumDecoderF32, Schedule,
+        BpConfig, DampingSchedule, Llr, MinSumDecoder, MinSumDecoderF32, Schedule,
     };
     pub use crate::bpsf::{BpSfConfig, BpSfDecoder, BpSfResult, TrialSampling, TrialSelection};
     pub use crate::circuit::{DemSampler, DetectorErrorModel, MemoryExperiment, NoiseModel};

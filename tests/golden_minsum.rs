@@ -20,7 +20,7 @@
 //! `scout_seeds` with `-- --ignored --nocapture` and re-pin from the
 //! printed rows for **each** precision.
 
-use bpsf::bp::{BatchMinSumDecoderOf, BpResult, MinSumDecoderOf};
+use bpsf::bp::{BpResult, MinSumDecoderOf};
 use bpsf::prelude::*;
 
 /// One pinned decode: seed → (converged, iterations, error-estimate
@@ -399,7 +399,7 @@ fn batch_results<T: Llr>(
                 simd_target: Some(target),
                 ..w.config
             };
-            let mut batch = BatchMinSumDecoderOf::<T>::new(&w.h, &w.priors, config);
+            let mut batch = MinSumDecoderOf::<T>::new(&w.h, &w.priors, config);
             (
                 format!("{}, {target}", T::PRECISION),
                 batch.decode_batch_results(&syndromes),
@@ -472,7 +472,7 @@ fn check_full_dem_tiles<T: Llr>() {
             simd_target: Some(target),
             ..w.config
         };
-        let mut batch = BatchMinSumDecoderOf::<T>::new(&w.h, &w.priors, config);
+        let mut batch = MinSumDecoderOf::<T>::new(&w.h, &w.priors, config);
         let results = batch.decode_batch_results(&syndromes);
         assert_eq!(results.len(), syndromes.len());
         for (seed, (r, s)) in results.iter().zip(&expected).enumerate() {
