@@ -21,7 +21,7 @@
 //! is no V2C or posterior slab. An interleaved tile runs the sweep as
 //! the **lane body** in [`wide`] — one safe body over
 //! `[T; L]` blocks, compiled for the instruction set picked at runtime:
-//! AVX-512 → AVX2 → NEON, overridable per config
+//! AVX-512 → AVX2, overridable per config
 //! ([`BpConfig::simd_target`](crate::BpConfig::simd_target)) or
 //! process-wide (`QLDPC_SIMD_TARGET`). A one-lane tile runs the
 //! contiguous sweep, `MinSumDecoderOf::sweep_checks`, which keeps the
@@ -604,7 +604,7 @@ mod tests {
     /// silently degrading (which would fake forced-target coverage).
     #[test]
     fn unavailable_pinned_target_panics() {
-        let unavailable = [SimdTarget::Neon, SimdTarget::Avx2, SimdTarget::Avx512]
+        let unavailable = [SimdTarget::Avx2, SimdTarget::Avx512]
             .into_iter()
             .find(|t| !t.is_available());
         let Some(target) = unavailable else {

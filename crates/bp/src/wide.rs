@@ -8,10 +8,10 @@
 //! blocks of one vector of bytes. Each
 //! body is `#[inline(always)]` and is called from one safe
 //! `#[target_feature]` function per [`SimdTarget`] — AVX-512 (`L` = 8 ×
-//! `f64` / 16 × `f32`), AVX2 (4 / 8) and NEON (2 / 4) — so LLVM compiles
-//! it at that vector width. The dispatchers call those functions, in one
-//! `unsafe` block each, right after checking that the CPU has the
-//! feature.
+//! `f64` / 16 × `f32`) and AVX2 (4 / 8) — so LLVM compiles it at that
+//! vector width; other architectures decode every lane alone. The
+//! dispatchers call those functions, in one `unsafe` block each, right
+//! after checking that the CPU has the feature.
 //!
 //! Bit-identity with the one-lane sweep (`decoder.rs`'s
 //! `sweep_checks`, the other formulation of the same check rule) comes
@@ -140,18 +140,13 @@ pub(crate) fn sweep_wide<T: Llr>(target: SimdTarget, args: SweepArgs<'_, T>) {
             // SAFETY: the guard just checked the CPU has AVX2.
             unsafe { sweep_avx2(args) }
         }
-        #[cfg(target_arch = "aarch64")]
-        SimdTarget::Neon if target.is_available() => {
-            // SAFETY: the guard just checked the CPU has NEON.
-            unsafe { sweep_neon(args) }
-        }
         _ => unreachable!("the wide sweep was dispatched to {target}"),
     }
 }
 
 /// The slab syndrome check: fills `ok[..width]` with per-lane
 /// `H·ê == s` verdicts, in blocks of one `target` vector of bytes (16
-/// on the scalar target, the baseline SSE2/NEON width). Exact boolean
+/// on the scalar target, the baseline SSE2 width). Exact boolean
 /// arithmetic, so every target computes the same verdicts.
 #[allow(unsafe_code)]
 pub(crate) fn lane_ok(
@@ -174,11 +169,6 @@ pub(crate) fn lane_ok(
         SimdTarget::Avx2 if target.is_available() => {
             // SAFETY: the guard just checked the CPU has AVX2.
             unsafe { lane_ok_avx2(args) }
-        }
-        #[cfg(target_arch = "aarch64")]
-        SimdTarget::Neon if target.is_available() => {
-            // SAFETY: the guard just checked the CPU has NEON.
-            unsafe { lane_ok_neon(args) }
         }
         _ => lane_ok_body::<16>(args),
     }
@@ -218,15 +208,6 @@ fn sweep_avx2<T: Llr>(args: SweepArgs<'_, T>) {
     }
 }
 
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-fn sweep_neon<T: Llr>(args: SweepArgs<'_, T>) {
-    match T::PRECISION {
-        Precision::F64 => sweep_body::<T, { SimdTarget::Neon.f64_lanes() }>(args),
-        Precision::F32 => sweep_body::<T, { SimdTarget::Neon.f32_lanes() }>(args),
-    }
-}
-
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl")]
 fn lane_ok_avx512(args: LaneOkArgs<'_>) {
@@ -237,12 +218,6 @@ fn lane_ok_avx512(args: LaneOkArgs<'_>) {
 #[target_feature(enable = "avx2")]
 fn lane_ok_avx2(args: LaneOkArgs<'_>) {
     lane_ok_body::<32>(args);
-}
-
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-fn lane_ok_neon(args: LaneOkArgs<'_>) {
-    lane_ok_body::<16>(args);
 }
 
 // ---------------------------------------------------------------------

@@ -14,10 +14,11 @@
 //!
 //! On top of the precision axis, every configuration is forced through
 //! **every SIMD dispatch target compiled into this binary**
-//! ([`qldpc_bp::supported_simd_targets`]): the scalar oracle, and on
-//! x86_64 the AVX2 and (when the CPU has it) AVX-512 wide kernels. The
-//! explicit-SIMD kernels promise the *same bits* as the scalar path, so
-//! one scalar reference comparison per target pins all of them at once.
+//! ([`qldpc_bp::supported_simd_targets`]): the scalar target, which
+//! decodes every lane alone through the one-lane sweep, and on x86_64 the
+//! AVX2 and (when the CPU has it) AVX-512 lane bodies. The lane body
+//! promises the *same bits* as the one-lane sweep, so one comparison
+//! against one-shot decodes per target pins all of them at once.
 
 use proptest::prelude::*;
 use qldpc_bp::{
@@ -143,8 +144,9 @@ fn check_config_at<T: Llr>(
 
 /// Runs one configuration's batch≡scalar check at f64 *and* f32, with
 /// the batch engine pinned to every compiled-in SIMD dispatch target in
-/// turn. The scalar reference always runs the scalar kernel, so each
-/// pass proves one wide target reproduces the oracle bits exactly.
+/// turn. The reference is one `decode` per shot (a one-lane tile), so
+/// each pass proves one target reproduces the one-lane sweep's bits
+/// exactly.
 /// Returns the scalar results (the same on every pass) per precision.
 fn check_config_with(
     h: &SparseBitMatrix,
@@ -250,9 +252,9 @@ proptest! {
         }
     }
 
-    /// The exact sum-product rule (both decoders run the lane-generic
-    /// core, the scalar one at width 1 on its per-check scratch) and the
-    /// posterior-memory term (the scalar sweep's one variable-major
+    /// The exact sum-product rule (which has no lane body, so a batch
+    /// decodes every lane alone, on any pinned target) and the
+    /// posterior-memory term (the one-lane sweep's one variable-major
     /// pass) must stay bit-identical too — in both precisions
     /// (sum-product exercises the per-precision tanh/atanh guard
     /// constants).

@@ -1,32 +1,6 @@
 //! Clifford circuits with explicit noise locations.
 
-use qldpc_gf2::BitVec;
 use std::fmt;
-
-/// A single-qubit Pauli operator (the identity is never stored).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Pauli {
-    /// Bit-flip.
-    X,
-    /// Phase-flip.
-    Z,
-    /// Both.
-    Y,
-}
-
-impl Pauli {
-    /// Whether the Pauli has an X component (X or Y).
-    #[inline]
-    pub fn has_x(self) -> bool {
-        matches!(self, Pauli::X | Pauli::Y)
-    }
-
-    /// Whether the Pauli has a Z component (Z or Y).
-    #[inline]
-    pub fn has_z(self) -> bool {
-        matches!(self, Pauli::Z | Pauli::Y)
-    }
-}
 
 /// A stochastic noise channel attached to a circuit location.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,16 +36,15 @@ pub enum Op {
 /// # Examples
 ///
 /// ```
-/// use qldpc_circuit::{Circuit, Pauli};
+/// use qldpc_circuit::{Circuit, NoiseChannel};
 ///
 /// let mut c = Circuit::new(2);
 /// c.reset(0);
 /// c.reset(1);
+/// c.noise(NoiseChannel::XError(0, 0.01)); // a fault location after the reset
 /// c.cnot(0, 1);
-/// c.measure(1);
-/// // An X fault on qubit 0 before the CNOT flips the measurement.
-/// let flips = c.propagate_fault(1, 0, Pauli::X);
-/// assert_eq!(flips.iter_ones().collect::<Vec<_>>(), vec![0]);
+/// assert_eq!(c.measure(1), 0); // measurement indices count from 0
+/// assert_eq!((c.num_gates(), c.num_noise_locations()), (4, 1));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Circuit {
@@ -170,62 +143,6 @@ impl Circuit {
         self.ops.push(Op::Noise(channel));
         self
     }
-
-    /// Forward-propagates a Pauli fault injected *just before* the op at
-    /// `position`, returning the set of measurement outcomes it flips.
-    ///
-    /// This is the slow reference implementation used to cross-validate the
-    /// backward DEM sweep; it costs `O(ops)` per call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `position > ops().len()` or the qubit is out of range.
-    pub fn propagate_fault(&self, position: usize, qubit: u32, pauli: Pauli) -> BitVec {
-        assert!(position <= self.ops.len(), "position out of range");
-        self.check_qubit(qubit);
-        let mut fx = vec![false; self.num_qubits];
-        let mut fz = vec![false; self.num_qubits];
-        fx[qubit as usize] = pauli.has_x();
-        fz[qubit as usize] = pauli.has_z();
-        let mut flips = BitVec::zeros(self.num_measurements);
-        let mut meas_idx = self.ops[..position]
-            .iter()
-            .filter(|op| matches!(op, Op::Measure(_)))
-            .count();
-        for op in &self.ops[position..] {
-            match *op {
-                Op::Reset(q) => {
-                    fx[q as usize] = false;
-                    fz[q as usize] = false;
-                }
-                Op::H(q) => fx.swap_with_slice_at(&mut fz, q as usize),
-                Op::Cnot(c, t) => {
-                    // X propagates control→target, Z propagates target→control.
-                    fx[t as usize] ^= fx[c as usize];
-                    fz[c as usize] ^= fz[t as usize];
-                }
-                Op::Measure(q) => {
-                    if fx[q as usize] {
-                        flips.set(meas_idx, true);
-                    }
-                    meas_idx += 1;
-                }
-                Op::Noise(_) => {}
-            }
-        }
-        flips
-    }
-}
-
-/// Tiny helper: swap one element between two slices (H-gate frame swap).
-trait SwapAt {
-    fn swap_with_slice_at(&mut self, other: &mut Self, idx: usize);
-}
-
-impl SwapAt for Vec<bool> {
-    fn swap_with_slice_at(&mut self, other: &mut Self, idx: usize) {
-        std::mem::swap(&mut self[idx], &mut other[idx]);
-    }
 }
 
 impl fmt::Display for Circuit {
@@ -244,60 +161,6 @@ impl fmt::Display for Circuit {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn x_fault_flips_downstream_measurement() {
-        let mut c = Circuit::new(1);
-        c.reset(0);
-        c.measure(0);
-        let flips = c.propagate_fault(1, 0, Pauli::X);
-        assert!(flips.get(0));
-        // Z fault does not flip a Z-basis measurement.
-        let flips = c.propagate_fault(1, 0, Pauli::Z);
-        assert!(!flips.get(0));
-        // Y fault does.
-        let flips = c.propagate_fault(1, 0, Pauli::Y);
-        assert!(flips.get(0));
-    }
-
-    #[test]
-    fn reset_absorbs_faults() {
-        let mut c = Circuit::new(1);
-        c.reset(0);
-        c.reset(0);
-        c.measure(0);
-        // Fault before the second reset is erased.
-        let flips = c.propagate_fault(1, 0, Pauli::X);
-        assert!(flips.is_zero());
-    }
-
-    #[test]
-    fn cnot_propagates_x_forward_z_backward() {
-        let mut c = Circuit::new(2);
-        c.cnot(0, 1);
-        c.measure(0);
-        c.measure(1);
-        // X on control spreads to target.
-        let flips = c.propagate_fault(0, 0, Pauli::X);
-        assert_eq!(flips.iter_ones().collect::<Vec<_>>(), vec![0, 1]);
-        // X on target stays on target.
-        let flips = c.propagate_fault(0, 1, Pauli::X);
-        assert_eq!(flips.iter_ones().collect::<Vec<_>>(), vec![1]);
-    }
-
-    #[test]
-    fn hadamard_exchanges_x_and_z() {
-        let mut c = Circuit::new(1);
-        c.h(0);
-        c.measure(0);
-        // Z before H becomes X, which flips the measurement.
-        let flips = c.propagate_fault(0, 0, Pauli::Z);
-        assert!(flips.get(0));
-        // X before H becomes Z: no flip.
-        let flips = c.propagate_fault(0, 0, Pauli::X);
-        assert!(!flips.is_empty());
-        assert!(flips.is_zero());
-    }
 
     #[test]
     fn measurement_indices_sequential() {

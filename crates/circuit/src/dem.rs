@@ -388,7 +388,6 @@ impl<'a> DemSampler<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::circuit::Pauli;
     use crate::memory::MemoryExperiment;
     use crate::noise::NoiseModel;
     use qldpc_codes::bb;
@@ -432,101 +431,6 @@ mod tests {
         let dem = small_dem();
         for &p in dem.priors() {
             assert!(p > 0.0 && p < 0.5, "prior {p} out of the sane range");
-        }
-    }
-
-    #[test]
-    fn backward_sweep_matches_forward_propagation() {
-        // Recompute every mechanism by brute-force forward propagation and
-        // compare the merged maps.
-        let exp =
-            MemoryExperiment::memory_z(&bb::bb72(), 2, &NoiseModel::uniform_depolarizing(2e-3));
-        let dem = exp.detector_error_model();
-        let circuit = exp.circuit();
-
-        let meas_to_sig = |flips: &BitVec| -> (Vec<u32>, Vec<u32>) {
-            let mut dets = Vec::new();
-            for (d, meas_set) in exp.detectors().iter().enumerate() {
-                let parity = meas_set.iter().filter(|&&m| flips.get(m as usize)).count() % 2;
-                if parity == 1 {
-                    dets.push(d as u32);
-                }
-            }
-            let mut obs = Vec::new();
-            for (o, meas_set) in exp.observables().iter().enumerate() {
-                let parity = meas_set.iter().filter(|&&m| flips.get(m as usize)).count() % 2;
-                if parity == 1 {
-                    obs.push(o as u32);
-                }
-            }
-            (dets, obs)
-        };
-
-        let mut merged: HashMap<(Vec<u32>, Vec<u32>), f64> = HashMap::new();
-        let mut add = |key: (Vec<u32>, Vec<u32>), p: f64| {
-            if key.0.is_empty() && key.1.is_empty() {
-                return;
-            }
-            let e = merged.entry(key).or_insert(0.0);
-            *e = *e * (1.0 - p) + p * (1.0 - *e);
-        };
-        for (pos, op) in circuit.ops().iter().enumerate() {
-            if let Op::Noise(ch) = op {
-                match *ch {
-                    NoiseChannel::XError(q, p) => {
-                        add(
-                            meas_to_sig(&circuit.propagate_fault(pos + 1, q, Pauli::X)),
-                            p,
-                        );
-                    }
-                    NoiseChannel::Depolarize1(q, p) => {
-                        for pauli in [Pauli::X, Pauli::Z, Pauli::Y] {
-                            add(
-                                meas_to_sig(&circuit.propagate_fault(pos + 1, q, pauli)),
-                                p / 3.0,
-                            );
-                        }
-                    }
-                    NoiseChannel::Depolarize2(a, b, p) => {
-                        let opts = [None, Some(Pauli::X), Some(Pauli::Z), Some(Pauli::Y)];
-                        for (i, pa) in opts.iter().enumerate() {
-                            for (j, pb) in opts.iter().enumerate() {
-                                if i == 0 && j == 0 {
-                                    continue;
-                                }
-                                let mut flips = BitVec::zeros(circuit.num_measurements());
-                                if let Some(pa) = pa {
-                                    flips.xor_assign(&circuit.propagate_fault(pos + 1, a, *pa));
-                                }
-                                if let Some(pb) = pb {
-                                    flips.xor_assign(&circuit.propagate_fault(pos + 1, b, *pb));
-                                }
-                                add(meas_to_sig(&flips), p / 15.0);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        assert_eq!(
-            merged.len(),
-            dem.num_mechanisms(),
-            "mechanism count mismatch"
-        );
-        for m in 0..dem.num_mechanisms() {
-            let key = (
-                dem.mechanism_detectors(m).to_vec(),
-                dem.mechanism_observables(m).to_vec(),
-            );
-            let p_fwd = merged
-                .get(&key)
-                .unwrap_or_else(|| panic!("mechanism {key:?} missing from forward model"));
-            assert!(
-                (p_fwd - dem.priors()[m]).abs() < 1e-12,
-                "prior mismatch for {key:?}: {p_fwd} vs {}",
-                dem.priors()[m]
-            );
         }
     }
 

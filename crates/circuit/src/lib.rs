@@ -17,6 +17,10 @@
 //! * [`DemSampler`] — fast Monte Carlo sampling of (syndrome, observable)
 //!   pairs.
 //!
+//! The DEM is checked against two independent oracles that live in the
+//! crate's `tests/oracles.rs`: a forward Pauli-frame propagator and a CHP
+//! stabilizer simulator that runs the circuits exactly.
+//!
 //! # Examples
 //!
 //! ```
@@ -37,10 +41,8 @@ mod circuit;
 mod dem;
 mod memory;
 mod noise;
-mod tableau;
 
-pub use circuit::{Circuit, NoiseChannel, Op, Pauli};
+pub use circuit::{Circuit, NoiseChannel, Op};
 pub use dem::{DemSampler, DetectorErrorModel, Shot};
 pub use memory::MemoryExperiment;
 pub use noise::NoiseModel;
-pub use tableau::{Outcome, StabilizerSimulator};

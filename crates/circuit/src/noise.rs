@@ -54,14 +54,6 @@ impl NoiseModel {
             measurement_flip: 0.0,
         }
     }
-
-    /// Returns `true` if every probability is zero.
-    pub fn is_noiseless(&self) -> bool {
-        self.single_qubit_gate == 0.0
-            && self.two_qubit_gate == 0.0
-            && self.reset_flip == 0.0
-            && self.measurement_flip == 0.0
-    }
 }
 
 #[cfg(test)]
@@ -75,8 +67,6 @@ mod tests {
         assert_eq!(n.two_qubit_gate, 0.01);
         assert_eq!(n.reset_flip, 0.01);
         assert_eq!(n.measurement_flip, 0.01);
-        assert!(!n.is_noiseless());
-        assert!(NoiseModel::noiseless().is_noiseless());
     }
 
     #[test]

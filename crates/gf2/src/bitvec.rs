@@ -97,30 +97,6 @@ impl BitVec {
         v
     }
 
-    /// Parses a vector from a string of `'0'`/`'1'` characters.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// let v = qldpc_gf2::BitVec::from_bit_str("01101");
-    /// assert_eq!(v.weight(), 3);
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics if the string contains characters other than `'0'` and `'1'`.
-    pub fn from_bit_str(s: &str) -> Self {
-        let bits: Vec<bool> = s
-            .chars()
-            .map(|c| match c {
-                '0' => false,
-                '1' => true,
-                other => panic!("invalid bit character {other:?} in bit string"),
-            })
-            .collect();
-        Self::from_bools(&bits)
-    }
-
     /// Number of bits in the vector.
     #[inline]
     pub fn len(&self) -> usize {
@@ -247,19 +223,6 @@ impl BitVec {
     #[inline]
     pub(crate) fn as_words_mut(&mut self) -> &mut [u64] {
         &mut self.words
-    }
-
-    /// Overwrites `self` with the contents of `other` without
-    /// reallocating — the hot-loop alternative to `clone()` when a
-    /// scratch vector is reused across iterations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    #[inline]
-    pub fn copy_from(&mut self, other: &Self) {
-        assert_eq!(self.len, other.len, "copy_from of unequal lengths");
-        self.words.copy_from_slice(&other.words);
     }
 
     /// XORs `other` into `self` in place.
@@ -429,13 +392,6 @@ mod tests {
         let b = BitVec::from_indices(64, &[2, 3]);
         let c = &a ^ &b;
         assert_eq!(c.iter_ones().collect::<Vec<_>>(), vec![0, 1, 3]);
-    }
-
-    #[test]
-    fn from_bit_str_display_roundtrip() {
-        let s = "0110100101";
-        let v = BitVec::from_bit_str(s);
-        assert_eq!(v.to_string(), s);
     }
 
     #[test]

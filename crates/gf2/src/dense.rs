@@ -17,14 +17,18 @@ use std::fmt;
 /// ```
 /// use qldpc_gf2::BitMatrix;
 ///
-/// let id = BitMatrix::identity(4);
-/// let shift = BitMatrix::cyclic_shift(4, 1);
-/// // S^4 = I for a 4×4 cyclic shift.
+/// // The 4×4 right-cyclic shift S: S^4 = I.
+/// let shift = BitMatrix::from_dense(&[
+///     &[0, 1, 0, 0],
+///     &[0, 0, 1, 0],
+///     &[0, 0, 0, 1],
+///     &[1, 0, 0, 0],
+/// ]);
 /// let mut m = BitMatrix::identity(4);
 /// for _ in 0..4 {
 ///     m = m.mul(&shift);
 /// }
-/// assert_eq!(m, id);
+/// assert_eq!(m, BitMatrix::identity(4));
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct BitMatrix {
@@ -51,20 +55,6 @@ impl BitMatrix {
         let mut m = Self::zeros(n, n);
         for i in 0..n {
             m.set(i, i, true);
-        }
-        m
-    }
-
-    /// Creates the `n × n` right-cyclic-shift matrix `S` with
-    /// `S[i][(i+shift) mod n] = 1`.
-    ///
-    /// This matches the paper's convention `S_l = I_l >> 1`: each row of the
-    /// identity is shifted right cyclically, so `S^k` represents the
-    /// monomial `x^k` in circulant polynomial constructions.
-    pub fn cyclic_shift(n: usize, shift: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m.set(i, (i + shift) % n, true);
         }
         m
     }
@@ -412,24 +402,6 @@ impl BitMatrix {
         out
     }
 
-    /// Returns the sub-matrix formed by the given columns, in order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any column index is out of bounds.
-    pub fn select_columns(&self, cols: &[usize]) -> Self {
-        let mut out = Self::zeros(self.rows, cols.len());
-        for (j, &c) in cols.iter().enumerate() {
-            assert!(c < self.cols, "column index {c} out of bounds");
-            for r in 0..self.rows {
-                if self.get(r, c) {
-                    out.set(r, j, true);
-                }
-            }
-        }
-        out
-    }
-
     /// Rank over GF(2).
     pub fn rank(&self) -> usize {
         Echelon::reduce(self.clone(), false).rank()
@@ -469,11 +441,6 @@ impl BitMatrix {
         let rank = ech.rank();
         let m = ech.matrix();
         (0..rank).map(|r| m.row(r)).collect()
-    }
-
-    /// Runs plain Gaussian elimination; see [`Echelon::reduce`].
-    pub fn echelon(&self, reduced: bool) -> Echelon {
-        Echelon::reduce(self.clone(), reduced)
     }
 
     /// Extends a basis of the row space of `sub` to a basis of the row space
@@ -584,16 +551,6 @@ mod tests {
     }
 
     #[test]
-    fn cyclic_shift_order() {
-        let s = BitMatrix::cyclic_shift(7, 1);
-        let mut m = s.clone();
-        for _ in 0..6 {
-            m = m.mul(&s);
-        }
-        assert_eq!(m, BitMatrix::identity(7));
-    }
-
-    #[test]
     fn transpose_involution() {
         let m = BitMatrix::from_dense(&[&[1, 0, 1, 1], &[0, 1, 1, 0], &[1, 1, 0, 0]]);
         assert_eq!(m.transpose().transpose(), m);
@@ -625,7 +582,10 @@ mod tests {
         }
         assert_eq!(t.transpose(), m);
         // The reusable variant overwrites stale destination contents.
-        let mut out = BitMatrix::identity(cols).select_columns(&(0..rows).collect::<Vec<_>>());
+        let mut out = BitMatrix::zeros(cols, rows);
+        for i in 0..rows {
+            out.set(i, i, true);
+        }
         m.transpose_into(&mut out);
         assert_eq!(out, t);
     }
@@ -695,13 +655,6 @@ mod tests {
         let v = h.vstack(&c);
         assert_eq!((v.rows(), v.cols()), (6, 5));
         assert!(v.get(0, 0) && v.get(1, 1));
-    }
-
-    #[test]
-    fn select_columns_picks_in_order() {
-        let m = BitMatrix::from_dense(&[&[1, 0, 1], &[0, 1, 1]]);
-        let s = m.select_columns(&[2, 0]);
-        assert_eq!(s, BitMatrix::from_dense(&[&[1, 1], &[1, 0]]));
     }
 
     #[test]

@@ -3,28 +3,19 @@
 //! Two engines are provided:
 //!
 //! * [`Echelon`] — plain (optionally reduced) row echelon form with pivot
-//!   tracking, used for rank / kernel / row-space computations,
-//! * [`OrderedEchelon`] — elimination that tries columns in a caller-supplied
-//!   order while carrying a right-hand side, which is exactly the primitive
-//!   ordered-statistics decoding (OSD) needs: the first `rank` linearly
-//!   independent columns in reliability order become the *information set*.
+//!   tracking, behind [`BitMatrix`]'s rank / kernel / row-space
+//!   computations,
+//! * [`OrderedEliminator`] — elimination that tries columns in a
+//!   caller-supplied order while carrying a right-hand side, which is
+//!   exactly the primitive ordered-statistics decoding (OSD) needs: the
+//!   first `rank` linearly independent columns in reliability order become
+//!   the *information set*.
 
 use crate::{BitMatrix, BitVec, WORD_BITS};
 
 /// Result of (reduced) row echelon elimination.
-///
-/// # Examples
-///
-/// ```
-/// use qldpc_gf2::{BitMatrix, Echelon};
-///
-/// let m = BitMatrix::from_dense(&[&[1, 1, 0], &[1, 1, 1]]);
-/// let ech = m.echelon(true);
-/// assert_eq!(ech.rank(), 2);
-/// assert_eq!(ech.pivot_cols(), &[0, 2]);
-/// ```
 #[derive(Debug, Clone)]
-pub struct Echelon {
+pub(crate) struct Echelon {
     matrix: BitMatrix,
     pivot_cols: Vec<usize>,
 }
@@ -33,7 +24,7 @@ impl Echelon {
     /// Eliminates `matrix` in place (consuming it) scanning columns left to
     /// right. With `reduced = true` the result is in *reduced* row echelon
     /// form (entries above pivots cleared as well).
-    pub fn reduce(mut matrix: BitMatrix, reduced: bool) -> Self {
+    pub(crate) fn reduce(mut matrix: BitMatrix, reduced: bool) -> Self {
         let rows = matrix.rows();
         let cols = matrix.cols();
         let mut pivot_cols = Vec::new();
@@ -61,208 +52,26 @@ impl Echelon {
     }
 
     /// The eliminated matrix.
-    pub fn matrix(&self) -> &BitMatrix {
+    pub(crate) fn matrix(&self) -> &BitMatrix {
         &self.matrix
     }
 
     /// Columns containing pivots, in row order.
-    pub fn pivot_cols(&self) -> &[usize] {
+    pub(crate) fn pivot_cols(&self) -> &[usize] {
         &self.pivot_cols
     }
 
     /// Rank of the original matrix.
-    pub fn rank(&self) -> usize {
+    pub(crate) fn rank(&self) -> usize {
         self.pivot_cols.len()
-    }
-}
-
-/// Column-ordered elimination of an augmented system `[H | s]`.
-///
-/// Columns are tried in the order given by the caller (for OSD: most
-/// reliable—i.e. largest `|LLR|`—last is *not* the convention; OSD sorts
-/// least reliable *first is wrong too*: the columns most likely to be in
-/// error must land in the information set, so OSD orders columns by
-/// **descending reliability of being in error**, i.e. ascending `|posterior|`.
-/// This type is agnostic: it just respects `order`).
-///
-/// After reduction (to reduced row echelon form over the chosen pivots) the
-/// system satisfies, for every test pattern `t` on the non-pivot columns,
-///
-/// ```text
-/// e[pivot_row r] = s'[r] ⊕ Σ_{j ∈ supp(t)} H'[r, j]
-/// ```
-///
-/// which [`OrderedEchelon::solve_for_pattern`] evaluates in
-/// `O(rank · |t|)` plus output assembly, enabling fast combination sweeps.
-///
-/// # Examples
-///
-/// ```
-/// use qldpc_gf2::{BitMatrix, BitVec, OrderedEchelon};
-///
-/// let h = BitMatrix::from_dense(&[&[1, 1, 0], &[0, 1, 1]]);
-/// let s = BitVec::from_indices(2, &[0]);
-/// let order: Vec<usize> = (0..3).collect();
-/// let ech = OrderedEchelon::reduce(h.clone(), &s, &order);
-/// let e = ech.solve_for_pattern(&[]);
-/// assert_eq!(h.mul_vec(&e), s); // OSD-0 solution satisfies the syndrome
-/// ```
-#[derive(Debug, Clone)]
-pub struct OrderedEchelon {
-    /// RREF of H (same column indexing as the original matrix).
-    matrix: BitMatrix,
-    /// Transformed syndrome.
-    rhs: BitVec,
-    /// Pivot column per pivot row, in row order.
-    pivot_cols: Vec<usize>,
-    /// Non-pivot ("residual") columns in the caller's order.
-    residual_cols: Vec<usize>,
-    /// True iff the transformed syndrome is consistent (no pivot-free row
-    /// with a 1 on the right-hand side).
-    consistent: bool,
-}
-
-impl OrderedEchelon {
-    /// Eliminates `[matrix | rhs]` trying columns in `order`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rhs.len() != matrix.rows()`, if `order.len() !=
-    /// matrix.cols()`, or if `order` is not a permutation of `0..cols`.
-    pub fn reduce(mut matrix: BitMatrix, rhs: &BitVec, order: &[usize]) -> Self {
-        assert_eq!(rhs.len(), matrix.rows(), "rhs length must equal row count");
-        assert_eq!(order.len(), matrix.cols(), "order must cover every column");
-        let mut seen = vec![false; matrix.cols()];
-        for &c in order {
-            assert!(
-                c < matrix.cols() && !seen[c],
-                "order must be a permutation of columns"
-            );
-            seen[c] = true;
-        }
-
-        let rows = matrix.rows();
-        let mut rhs = rhs.clone();
-        let mut pivot_cols = Vec::new();
-        let mut residual_cols = Vec::new();
-        let mut next_row = 0usize;
-        for &col in order {
-            if next_row >= rows {
-                residual_cols.push(col);
-                continue;
-            }
-            let Some(pivot) = (next_row..rows).find(|&r| matrix.get(r, col)) else {
-                residual_cols.push(col);
-                continue;
-            };
-            matrix.swap_rows(pivot, next_row);
-            let sp = rhs.get(pivot.max(next_row));
-            let sn = rhs.get(next_row);
-            if pivot != next_row {
-                rhs.set(next_row, sp);
-                rhs.set(pivot, sn);
-            }
-            for r in 0..rows {
-                if r != next_row && matrix.get(r, col) {
-                    matrix.xor_row_into(next_row, r);
-                    if rhs.get(next_row) {
-                        let v = rhs.get(r);
-                        rhs.set(r, !v);
-                    }
-                }
-            }
-            pivot_cols.push(col);
-            next_row += 1;
-        }
-        // Consistency: any all-zero row must have rhs 0. Rows >= rank are
-        // all-zero in RREF.
-        let rank = pivot_cols.len();
-        let consistent = (rank..rows).all(|r| !rhs.get(r));
-        Self {
-            matrix,
-            rhs,
-            pivot_cols,
-            residual_cols,
-            consistent,
-        }
-    }
-
-    /// Rank of the matrix (size of the information set).
-    pub fn rank(&self) -> usize {
-        self.pivot_cols.len()
-    }
-
-    /// Pivot columns in row order: the OSD information set.
-    pub fn pivot_cols(&self) -> &[usize] {
-        &self.pivot_cols
-    }
-
-    /// Non-pivot columns in the caller's order: the OSD residual set.
-    pub fn residual_cols(&self) -> &[usize] {
-        &self.residual_cols
-    }
-
-    /// Whether `H·e = s` admits any solution at all.
-    pub fn is_consistent(&self) -> bool {
-        self.consistent
-    }
-
-    /// Solves for the unique `e` with `e[residual] = pattern` (given as
-    /// indices **into [`Self::residual_cols`]**) and `H·e = s`.
-    ///
-    /// `pattern` lists positions of ones within the residual set; an empty
-    /// pattern yields the OSD-0 solution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a pattern index is out of range of the residual set.
-    pub fn solve_for_pattern(&self, pattern: &[usize]) -> BitVec {
-        let mut e = BitVec::zeros(self.matrix.cols());
-        // rhs' accumulated at pivot rows.
-        let mut acc = self.rhs.clone();
-        for &t in pattern {
-            let col = self.residual_cols[t];
-            e.set(col, true);
-            // acc ^= column `col` of the RREF matrix.
-            for (row, &_pc) in self.pivot_cols.iter().enumerate() {
-                if self.matrix.get(row, col) {
-                    let v = acc.get(row);
-                    acc.set(row, !v);
-                }
-            }
-        }
-        for (row, &pc) in self.pivot_cols.iter().enumerate() {
-            if acc.get(row) {
-                e.set(pc, true);
-            }
-        }
-        e
-    }
-
-    /// Weight of the solution for `pattern` without materializing it.
-    ///
-    /// Equivalent to `self.solve_for_pattern(pattern).weight()` but avoids
-    /// allocating the error vector; used by the OSD combination sweep.
-    pub fn solution_weight(&self, pattern: &[usize]) -> usize {
-        let mut acc = self.rhs.slice(0..self.pivot_cols.len());
-        for &t in pattern {
-            let col = self.residual_cols[t];
-            for row in 0..self.pivot_cols.len() {
-                if self.matrix.get(row, col) {
-                    let v = acc.get(row);
-                    acc.set(row, !v);
-                }
-            }
-        }
-        acc.weight() + pattern.len()
     }
 }
 
 /// Reusable word-parallel workspace for repeated ordered eliminations
 /// of a fixed matrix — the OSD decode fast path.
 ///
-/// Where [`OrderedEchelon`] clones the matrix and probes bits one at a
-/// time in permuted column order, this workspace applies the
+/// Rather than cloning the matrix and probing bits one at a time in
+/// permuted column order, this workspace applies the
 /// reliability permutation **once up front** (a column gather through a
 /// transpose cached at construction), carries the right-hand side as an
 /// appended column so row operations update it for free, and then
@@ -274,9 +83,9 @@ impl OrderedEchelon {
 /// `base ⊕ delta_a ⊕ delta_b` in `O(n / 64)` word operations instead of
 /// re-solving the system per pattern.
 ///
-/// Equivalence with [`OrderedEchelon`] — same pivots, residual columns,
-/// consistency flag and solutions, bit for bit — is pinned by the
-/// property suite in `tests/properties.rs`.
+/// Equivalence with a per-bit ordered elimination — same pivots,
+/// residual columns, consistency flag and solutions, bit for bit — is
+/// pinned against the reference in `qldpc-osd`'s `tests/equivalence.rs`.
 ///
 /// # Examples
 ///
@@ -612,8 +421,7 @@ impl OrderedEliminator {
 
     /// Solves for the unique `e` with ones at the **distinct** residual
     /// positions `pattern` (indices into [`Self::residual_cols`]) and
-    /// `H·e = s`, as `base ⊕ Σ delta_j` — bit-identical to
-    /// [`OrderedEchelon::solve_for_pattern`] on the same system.
+    /// `H·e = s`, as `base ⊕ Σ delta_j`.
     ///
     /// # Panics
     ///
@@ -630,6 +438,27 @@ impl OrderedEliminator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    fn bit_matrix(
+        rows: std::ops::Range<usize>,
+        cols: std::ops::Range<usize>,
+    ) -> impl Strategy<Value = BitMatrix> {
+        (rows, cols).prop_flat_map(|(r, c)| {
+            proptest::collection::vec(proptest::collection::vec(proptest::bool::ANY, c), r)
+                .prop_map(move |data| {
+                    let mut m = BitMatrix::zeros(data.len(), c);
+                    for (i, row) in data.iter().enumerate() {
+                        for (j, &b) in row.iter().enumerate() {
+                            if b {
+                                m.set(i, j, true);
+                            }
+                        }
+                    }
+                    m
+                })
+        })
+    }
 
     fn example() -> BitMatrix {
         BitMatrix::from_dense(&[
@@ -649,6 +478,14 @@ mod tests {
     }
 
     #[test]
+    fn pivots_skip_dependent_columns() {
+        let m = BitMatrix::from_dense(&[&[1, 1, 0], &[1, 1, 1]]);
+        let ech = Echelon::reduce(m, true);
+        assert_eq!(ech.rank(), 2);
+        assert_eq!(ech.pivot_cols(), &[0, 2]);
+    }
+
+    #[test]
     fn reduced_form_clears_above_pivots() {
         let ech = Echelon::reduce(example(), true);
         let m = ech.matrix();
@@ -659,79 +496,25 @@ mod tests {
         }
     }
 
-    #[test]
-    fn ordered_echelon_solves_syndrome() {
-        let h = example();
-        let true_e = BitVec::from_indices(5, &[1, 4]);
-        let s = h.mul_vec(&true_e);
-        let order: Vec<usize> = vec![4, 3, 2, 1, 0];
-        let ech = OrderedEchelon::reduce(h.clone(), &s, &order);
-        assert!(ech.is_consistent());
-        let e0 = ech.solve_for_pattern(&[]);
-        assert_eq!(h.mul_vec(&e0), s);
-    }
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
 
-    #[test]
-    fn ordered_echelon_all_patterns_satisfy() {
-        let h = example();
-        let s = h.mul_vec(&BitVec::from_indices(5, &[0, 2]));
-        let order: Vec<usize> = (0..5).collect();
-        let ech = OrderedEchelon::reduce(h.clone(), &s, &order);
-        let t = ech.residual_cols().len();
-        for mask in 0..(1usize << t) {
-            let pattern: Vec<usize> = (0..t).filter(|i| mask >> i & 1 == 1).collect();
-            let e = ech.solve_for_pattern(&pattern);
-            assert_eq!(h.mul_vec(&e), s, "pattern {pattern:?} violates syndrome");
-            assert_eq!(e.weight(), ech.solution_weight(&pattern));
-        }
-    }
-
-    #[test]
-    fn inconsistent_system_detected() {
-        // h has a zero row; a syndrome with a 1 there is unsolvable.
-        let h = BitMatrix::from_dense(&[&[1, 1], &[0, 0]]);
-        let s = BitVec::from_indices(2, &[1]);
-        let ech = OrderedEchelon::reduce(h, &s, &[0, 1]);
-        assert!(!ech.is_consistent());
-    }
-
-    #[test]
-    fn respects_column_order_for_information_set() {
-        let h = BitMatrix::from_dense(&[&[1, 1, 1]]);
-        let s = BitVec::zeros(1);
-        let ech = OrderedEchelon::reduce(h.clone(), &s, &[2, 0, 1]);
-        assert_eq!(ech.pivot_cols(), &[2]);
-        let ech2 = OrderedEchelon::reduce(h, &s, &[1, 2, 0]);
-        assert_eq!(ech2.pivot_cols(), &[1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "permutation")]
-    fn bad_order_panics() {
-        let h = BitMatrix::identity(3);
-        OrderedEchelon::reduce(h, &BitVec::zeros(3), &[0, 0, 1]);
-    }
-
-    #[test]
-    fn eliminator_matches_ordered_echelon() {
-        let h = example();
-        let s = h.mul_vec(&BitVec::from_indices(5, &[0, 2]));
-        let order: Vec<usize> = vec![3, 1, 4, 0, 2];
-        let ech = OrderedEchelon::reduce(h.clone(), &s, &order);
-        let mut elim = OrderedEliminator::new(&h);
-        elim.eliminate(&s, &order);
-        assert_eq!(elim.rank(), ech.rank());
-        assert_eq!(elim.pivot_cols(), ech.pivot_cols());
-        assert_eq!(elim.residual_cols(), ech.residual_cols());
-        assert_eq!(elim.is_consistent(), ech.is_consistent());
-        let t = ech.residual_cols().len();
-        for mask in 0..(1usize << t) {
-            let pattern: Vec<usize> = (0..t).filter(|i| mask >> i & 1 == 1).collect();
-            assert_eq!(
-                elim.solve_for_pattern(&pattern),
-                ech.solve_for_pattern(&pattern),
-                "pattern {pattern:?} diverges"
-            );
+        #[test]
+        fn echelon_preserves_row_space(m in bit_matrix(1..6, 1..8)) {
+            let ech = Echelon::reduce(m.clone(), true);
+            // Every original row must reduce to zero against the echelon rows.
+            let basis = ech.matrix().row_space_basis();
+            for r in 0..m.rows() {
+                let mut v = m.row(r);
+                for b in &basis {
+                    if let Some(p) = b.iter_ones().next() {
+                        if v.get(p) {
+                            v.xor_assign(b);
+                        }
+                    }
+                }
+                prop_assert!(v.is_zero(), "row {r} escapes the echelon row space");
+            }
         }
     }
 

@@ -8,11 +8,10 @@
 //!   Kronecker products, rank / kernel / row-space computations,
 //! * [`SparseBitMatrix`] — a compressed-sparse-row binary matrix used for
 //!   Tanner graphs and fast syndrome computation,
-//! * [`Echelon`] — the result of Gaussian elimination, including the
-//!   column-ordered variant needed by ordered-statistics decoding (OSD),
-//! * [`OrderedEliminator`] — the reusable word-parallel workspace behind
-//!   the OSD decode fast path (permute-once column gather, augmented
-//!   rhs, incremental per-residual-column solution deltas).
+//! * [`OrderedEliminator`] — the column-ordered Gaussian elimination
+//!   behind ordered-statistics decoding (OSD): a reusable word-parallel
+//!   workspace (permute-once column gather, augmented rhs, incremental
+//!   per-residual-column solution deltas).
 //!
 //! # Examples
 //!
@@ -39,7 +38,7 @@ mod sparse;
 
 pub use bitvec::BitVec;
 pub use dense::BitMatrix;
-pub use gauss::{Echelon, OrderedEchelon, OrderedEliminator};
+pub use gauss::OrderedEliminator;
 pub use sparse::SparseBitMatrix;
 
 /// Number of bits in one storage word.

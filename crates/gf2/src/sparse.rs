@@ -245,26 +245,6 @@ impl SparseBitMatrix {
         out
     }
 
-    /// Transposed product `selfᵀ · v` over GF(2).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v.len() != self.rows()`.
-    pub fn mul_vec_transpose(&self, v: &BitVec) -> BitVec {
-        assert_eq!(v.len(), self.rows, "matrix–vector dimension mismatch");
-        let mut out = BitVec::zeros(self.cols);
-        for c in 0..self.cols {
-            let mut parity = false;
-            for &r in self.col_support(c) {
-                parity ^= v.get(r as usize);
-            }
-            if parity {
-                out.set(c, true);
-            }
-        }
-        out
-    }
-
     /// Expands into a dense matrix.
     pub fn to_dense(&self) -> BitMatrix {
         let mut m = BitMatrix::zeros(self.rows, self.cols);
@@ -383,14 +363,6 @@ mod tests {
         let h = h();
         assert_eq!(h.transpose().transpose(), h);
         assert_eq!(h.transpose().to_dense(), h.to_dense().transpose());
-    }
-
-    #[test]
-    fn mul_vec_transpose_matches_dense() {
-        let h = h();
-        let d = h.to_dense().transpose();
-        let v = BitVec::from_indices(3, &[0, 2]);
-        assert_eq!(h.mul_vec_transpose(&v), d.mul_vec(&v));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property tests for the GF(2) algebra laws.
 
 use proptest::prelude::*;
-use qldpc_gf2::{BitMatrix, BitVec, OrderedEchelon, OrderedEliminator, SparseBitMatrix};
+use qldpc_gf2::{BitMatrix, BitVec, OrderedEliminator, SparseBitMatrix};
 
 fn bit_matrix(
     rows: std::ops::Range<usize>,
@@ -107,40 +107,6 @@ proptest! {
     }
 
     #[test]
-    fn echelon_preserves_row_space(m in bit_matrix(1..6, 1..8)) {
-        let ech = m.echelon(true);
-        // Every original row must reduce to zero against the echelon rows.
-        let basis = ech.matrix().row_space_basis();
-        for r in 0..m.rows() {
-            let mut v = m.row(r);
-            for b in &basis {
-                if let Some(p) = b.iter_ones().next() {
-                    if v.get(p) {
-                        v.xor_assign(b);
-                    }
-                }
-            }
-            prop_assert!(v.is_zero(), "row {r} escapes the echelon row space");
-        }
-    }
-
-    #[test]
-    fn ordered_echelon_solutions_satisfy(m in bit_matrix(2..6, 2..8), seed in 0u64..200) {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut e = BitVec::zeros(m.cols());
-        for i in 0..m.cols() {
-            if rng.random_bool(0.4) { e.set(i, true); }
-        }
-        let s = m.mul_vec(&e);
-        let order: Vec<usize> = (0..m.cols()).collect();
-        let ech = OrderedEchelon::reduce(m.clone(), &s, &order);
-        prop_assert!(ech.is_consistent());
-        let sol = ech.solve_for_pattern(&[]);
-        prop_assert_eq!(m.mul_vec(&sol), s);
-    }
-
-    #[test]
     fn block_transpose_matches_per_bit_transpose(m in bit_matrix(1..100, 1..100)) {
         let t = m.transpose();
         let mut naive = BitMatrix::zeros(m.cols(), m.rows());
@@ -153,40 +119,6 @@ proptest! {
         }
         prop_assert_eq!(&t, &naive);
         prop_assert_eq!(t.transpose(), m);
-    }
-
-    #[test]
-    fn eliminator_matches_naive_ordered_echelon(
-        inputs in bit_matrix(1..20, 1..70).prop_flat_map(|m| {
-            let r = m.rows();
-            (Just(m), 0u64..1_000_000, bit_vec(r))
-        })
-    ) {
-        let (m, order_seed, rhs) = inputs;
-        let order = shuffled_order(m.cols(), order_seed);
-        let naive = OrderedEchelon::reduce(m.clone(), &rhs, &order);
-        let mut elim = OrderedEliminator::new(&m);
-        elim.eliminate(&rhs, &order);
-        prop_assert_eq!(elim.rank(), naive.rank());
-        prop_assert_eq!(elim.pivot_cols(), naive.pivot_cols());
-        prop_assert_eq!(elim.residual_cols(), naive.residual_cols());
-        prop_assert_eq!(elim.is_consistent(), naive.is_consistent());
-        if elim.is_consistent() {
-            // OSD-0, every weight-1 pattern, and a weight-2 prefix —
-            // exactly the patterns the OSD-CS sweep enumerates.
-            let t = elim.residual_cols().len();
-            let mut patterns: Vec<Vec<usize>> = vec![vec![]];
-            patterns.extend((0..t).map(|j| vec![j]));
-            let lambda = t.min(6);
-            for a in 0..lambda {
-                for b in (a + 1)..lambda {
-                    patterns.push(vec![a, b]);
-                }
-            }
-            for p in &patterns {
-                prop_assert_eq!(elim.solve_for_pattern(p), naive.solve_for_pattern(p));
-            }
-        }
     }
 
     #[test]

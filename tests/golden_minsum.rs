@@ -410,11 +410,11 @@ fn batch_results<T: Llr>(
 
 /// The batch kernel must reproduce the same pinned reference *at each
 /// precision* — and on every dispatch target: decoding the golden
-/// syndromes as one batch gives the same bits as the scalar decodes of
-/// that precision, whether the batch runs the scalar oracle kernel or an
-/// explicit AVX2/AVX-512/NEON wide kernel. The golden rows are shared
-/// across targets by design — the explicit-SIMD kernels are exact
-/// re-expressions, not approximations.
+/// syndromes as one batch gives the same bits as the one-shot decodes of
+/// that precision, whether its lanes run interleaved through the
+/// AVX2/AVX-512 lane body or each alone through the one-lane sweep. The
+/// golden rows are shared across targets by design — the lane body is an
+/// exact re-expression of the one-lane sweep, not an approximation.
 fn check_batch_goldens<T: Llr>(goldens: &[Golden]) {
     for (ctx, results) in batch_results::<T>(&code_capacity(), goldens.iter().map(|g| g.seed)) {
         for (g, r) in goldens.iter().zip(&results) {
